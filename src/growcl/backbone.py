@@ -114,17 +114,6 @@ class ArchSpec:
         return sum(spec.full_params for spec in self.layers)
 
 
-@dataclass
-class ChannelSlot:
-    """Read-only snapshot of one slot, for inspection and tests."""
-
-    layer: str
-    index: int
-    state: SlotState
-    owner: int
-    weights: np.ndarray | None
-
-
 class LayerState:
     """Weights plus slot/kernel bookkeeping for one conv layer."""
 
@@ -139,25 +128,6 @@ class LayerState:
             (spec.out_channels, spec.in_channels), KernelState.UNTRACKED, dtype=np.int8
         )
         self.kernel_owner = np.zeros((spec.out_channels, spec.in_channels), dtype=np.int32)
-
-    def slots(self) -> list[ChannelSlot]:
-        out = []
-        for j in range(self.spec.out_channels):
-            state = SlotState(self.slot_state[j])
-            has_w = state in (SlotState.GROWN_TRAINING, SlotState.DETACHED, SlotState.FIXED)
-            out.append(
-                ChannelSlot(
-                    layer=self.spec.name,
-                    index=j,
-                    state=state,
-                    owner=int(self.slot_owner[j]),
-                    weights=self.weights[j].copy() if has_w else None,
-                )
-            )
-        return out
-
-    def state_counts(self) -> dict[str, int]:
-        return {s.name: int((self.slot_state == s).sum()) for s in SlotState}
 
     def active_channels(self, include_training: bool = True) -> np.ndarray:
         active = self.slot_state == SlotState.FIXED

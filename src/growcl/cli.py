@@ -147,32 +147,35 @@ def _gradient_suite(plant_fault: bool = False) -> str | None:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    manifests = []
+    acc_rows, size_rows, task_counts = [], [], set()
+    by_seed: dict[int, dict[str, float]] = {}   # seed -> mode -> avg accuracy
     for d in args.run_dirs:
         path = Path(d) / "manifest.json"
         if not path.exists():
             print(f"error: missing manifest in {d}", file=sys.stderr)
             return EXIT_USAGE
-        manifests.append(json.loads(path.read_text()))
-    n_tasks = max(m["n_tasks"] for m in manifests)
-    if any(m["n_tasks"] != n_tasks for m in manifests):
-        print("error: runs have different task counts", file=sys.stderr)
-        return EXIT_USAGE
-
-    acc_rows, size_rows = [], []
-    for m in manifests:
-        a, s = report_rows(m)
+        try:
+            m = json.loads(path.read_text())
+            a, s = report_rows(m)
+            task_counts.add(m["n_tasks"])
+            by_seed.setdefault(m["seed"], {})[m["mode"]] = m["avg_accuracy"]
+        except (ValueError, KeyError, TypeError) as e:   # not JSON, or a key missing
+            print(f"error: malformed manifest {path}: {type(e).__name__}: {e}",
+                  file=sys.stderr)
+            return EXIT_USAGE
         acc_rows.append(a)
         size_rows.append(s)
+    if len(task_counts) != 1:
+        print("error: runs have different task counts", file=sys.stderr)
+        return EXIT_USAGE
+    (n_tasks,) = task_counts
+
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     write_text_atomic(out_dir / "consolidated.csv", accuracy_csv(acc_rows, n_tasks))
     write_text_atomic(out_dir / "consolidated_size.csv", size_csv(size_rows, n_tasks))
 
     # paired per-seed deltas: full pipeline minus growth-only baseline
-    by_seed: dict[int, dict[str, float]] = {}
-    for m in manifests:
-        by_seed.setdefault(m["seed"], {})[m["mode"]] = m["avg_accuracy"]
     delta_lines = ["seed,grown_avg,grow_only_avg,delta"]
     for seed in sorted(by_seed):
         pair = by_seed[seed]

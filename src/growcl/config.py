@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .backbone import ArchSpec, ConvLayerSpec
+from .data import load_group_file
 
 
 class ConfigError(ValueError):
@@ -105,9 +106,10 @@ class RunConfig:
 
     @property
     def n_tasks(self) -> int:
+        """Number of tasks; for the idx source, the groups file is read."""
         if self.task_source["source"] == "synthetic":
             return self.task_source["n_tasks"]
-        return len(self.task_source["groups"])
+        return len(load_group_file(self.task_source["groups"]))
 
 
 def parse_config_data(data: dict) -> RunConfig:

@@ -1,19 +1,25 @@
-"""Task-sequence execution.
+"""Task-sequence execution: one trainer, one sequence runner.
 
-Task 1 sparse-grows a seed backbone.  Each later task first runs a
-pick-and-reuse phase (learn a kernel-reuse mask over frozen weights and
-retrain released kernels, jointly with a fresh head); if its validation
-accuracy misses the task's target, an expansion phase grows new channels
-under the channel gate + kernel claim masks with the sparsity penalty.
+``TaskTrainer`` is the only training loop: ``train_phase`` runs epochs of
+``train_step`` under a ``ModeFlags`` choice of which masks a task learns.
+``run_pipeline`` runs every mode.  ``grown`` and ``grow_only`` learn the task
+sequence on one shared backbone:
+
+  * ``grown``: task 1 sparse-grows a seed backbone.  Each later task first
+    runs a pick-and-reuse phase (learn a kernel-reuse mask over frozen
+    weights and retrain released kernels, jointly with a fresh head); if its
+    validation accuracy misses the task's target, an expansion phase grows
+    new channels under the channel gate + kernel claim masks with the
+    sparsity penalty.
+  * ``grow_only``: every task grows with the channel gate only (no reuse
+    mask, no claims, no released retraining) on the frozen backbone.
+
 Finalization freezes everything the task's function depends on, writes a
 snapshot whose probe fingerprint pins the task's logits byte-for-byte, and
 the forgetting check re-verifies every earlier fingerprint at every task
-boundary.
-
-Two baselines share the machinery: ``baseline_scratch`` trains an
-independent full-capacity model per task, and ``baseline_grow_only`` grows
-per task with the channel gate only (no reuse mask, no claims, no released
-retraining) on a frozen backbone.
+boundary.  ``scratch`` trains an independent full-capacity model per task
+with the same trainer: a fresh backbone whose slots all train, under the
+grow-only flags with growth switched off.
 """
 
 from __future__ import annotations
@@ -94,7 +100,6 @@ class TaskSpec:
     task: Task
     target_accuracy: float
     growth_cap: float
-    epoch_budget: dict[str, int]
 
     def __post_init__(self):
         if not 0.0 < self.target_accuracy <= 1.0:
@@ -202,8 +207,20 @@ class TrainView:
 # trainer
 # ---------------------------------------------------------------------------
 
+def _masked_momentum_step(param: np.ndarray, grad: np.ndarray, keep: np.ndarray,
+                          lr: float, momentum: float, velocity: np.ndarray) -> None:
+    """Momentum SGD on the ``keep`` entries only.  The velocity is zeroed
+    outside ``keep`` before the parameter moves, so those entries stay
+    bit-identical even when they were trainable in an earlier step."""
+    velocity *= momentum
+    velocity += grad
+    velocity[~keep] = 0.0
+    param -= lr * velocity
+
+
 class TaskTrainer:
-    """Owns one task's trainable state across its pick/expand phases.
+    """Owns one task's trainable state across its phases (grow, or pick then
+    expand); a scratch model is one more such task on its own backbone.
 
     Forward passes always see hard {0,1} bits derived from the current
     logits; gradients reach the logits through the straight-through
@@ -211,17 +228,25 @@ class TaskTrainer:
     """
 
     def __init__(self, backbone: BackboneState, spec: TaskSpec, config: RunConfig,
-                 flags: ModeFlags, root_rng: SeededRng):
+                 flags: ModeFlags, root_rng: SeededRng,
+                 streams: dict[str, SeededRng] | None = None):
+        """Random streams are ``task{t}/<name>`` under ``root_rng``;
+        ``streams`` replaces some of them by name (a scratch model brings its
+        own ``init``, which has already drawn its conv weights, and
+        ``batches``)."""
         self.backbone = backbone
         self.spec = spec
         self.task = spec.task
         self.config = config
         self.flags = flags
         t = spec.task_id
-        self.gumbel = root_rng.substream(f"task{t}/gumbel")
-        self.growth = root_rng.substream(f"task{t}/growth")
-        self.batches = root_rng.substream(f"task{t}/batches")
-        init = root_rng.substream(f"task{t}/init")
+        named = {name: root_rng.substream(f"task{t}/{name}")
+                 for name in ("gumbel", "growth", "batches", "init")}
+        named.update(streams or {})
+        self.gumbel = named["gumbel"]
+        self.growth = named["growth"]
+        self.batches = named["batches"]
+        init = named["init"]
 
         self.grow_masks: dict[str, MaskParam] = {}
         self.claim_masks: dict[str, MaskParam] = {}
@@ -259,15 +284,10 @@ class TaskTrainer:
         self.norm_scale = self.norm_shift = None
         self.norm_vel = {}
         if backbone.arch.group_norm:
-            self.norm_scale = {
-                l.spec.name: np.ones(l.spec.out_channels) for l in backbone.layers
-            }
-            self.norm_shift = {
-                l.spec.name: np.zeros(l.spec.out_channels) for l in backbone.layers
-            }
-            for l in backbone.layers:
-                self.norm_vel[f"{l.spec.name}/scale"] = np.zeros(l.spec.out_channels)
-                self.norm_vel[f"{l.spec.name}/shift"] = np.zeros(l.spec.out_channels)
+            self.norm_scale = {l.spec.name: np.ones(l.spec.out_channels) for l in backbone.layers}
+            self.norm_shift = {l.spec.name: np.zeros(l.spec.out_channels) for l in backbone.layers}
+            self.norm_vel = {f"{l.spec.name}/{p}": np.zeros(l.spec.out_channels)
+                             for l in backbone.layers for p in ("scale", "shift")}
 
         self.lam_eff = config.lambda_l0
         self.gate_lr = config.learning_rate * GATE_LR_SCALE
@@ -277,7 +297,6 @@ class TaskTrainer:
     # -- view -------------------------------------------------------------
 
     def build_train_view(self) -> TrainView:
-        t = self.spec.task_id
         multipliers, channel_on = {}, {}
         used_old, training_rows, trainable_kernels = {}, {}, {}
         for layer in self.backbone.layers:
@@ -294,19 +313,16 @@ class TaskTrainer:
                 mult[used] = 1.0
             if self.flags.retrain_released:
                 mult[released] = 1.0
-            rows = training[:, None]
+            rows = np.broadcast_to(training[:, None], mult.shape)
             if self.flags.claim_mask:
-                claim_bits = self.claim_masks[name].hard_bits().bits
-                mult[np.broadcast_to(rows, mult.shape)] = np.broadcast_to(
-                    claim_bits, mult.shape
-                )[np.broadcast_to(rows, mult.shape)]
+                mult[rows] = self.claim_masks[name].hard_bits().bits[rows]
             else:
-                mult[np.broadcast_to(rows, mult.shape)] = 1.0
+                mult[rows] = 1.0
             multipliers[name] = mult
             channel_on[name] = on
             used_old[name] = used
             training_rows[name] = training
-            trainable = np.broadcast_to(rows, mult.shape).copy()
+            trainable = rows.copy()
             if self.flags.retrain_released:
                 trainable |= released
             trainable_kernels[name] = trainable
@@ -369,114 +385,87 @@ class TaskTrainer:
 
     # -- one optimization step ---------------------------------------------
 
+    def _relaxed_grad(self, mask: MaskParam, d_bits: np.ndarray,
+                      temperature: float) -> np.ndarray:
+        """Straight-through logit gradient at fresh Gumbel noise.
+
+        The surrogate is temperature-normalized (T * dp/dlogit) so that
+        annealing T sharpens the relaxation and settles the masks instead of
+        amplifying their updates 1/T-fold."""
+        g0 = gumbel_noise(self.gumbel, mask.logits.shape)
+        g1 = gumbel_noise(self.gumbel, mask.logits.shape)
+        return temperature * ste_logit_grad(d_bits, mask.logits, g0, g1, temperature)
+
     def train_step(self, images: np.ndarray, labels: np.ndarray,
                    temperature: float) -> float:
-        cfg = self.config
+        lr, momentum = self.config.learning_rate, self.config.momentum
         tv = self.build_train_view()
         logits, cache = forward_pass(self.backbone, tv.view, images, want_cache=True)
         loss, dlogits = cross_entropy(logits, labels)
         grads = backward_pass(self.backbone, tv.view, cache, dlogits)
+        learns_masks = self.flags.reuse_mask or self.flags.claim_mask or self.grow_phase
 
         penalty_value = 0.0
         for layer in self.backbone.layers:
             name = layer.spec.name
             mult = tv.view.multipliers[name]
             d_eff = grads.d_eff_weights[name]
-            d_mult = (d_eff * layer.weights).sum(axis=(2, 3))
+            rows = tv.training_rows[name]
+            if learns_masks:   # sensitivity to each kernel's bit, before weights move
+                d_mult = (d_eff * layer.weights).sum(axis=(2, 3))
 
             # weights: only this task's growing rows and released kernels move
-            trainable = tv.trainable_kernels[name]
-            expanded = np.broadcast_to(
-                trainable[:, :, None, None], layer.weights.shape
+            trainable = np.broadcast_to(
+                tv.trainable_kernels[name][:, :, None, None], layer.weights.shape
             )
-            dw = d_eff * mult[:, :, None, None]
-            dw[~expanded] = 0.0
-            vel = self.w_vel[name]
-            vel *= cfg.momentum
-            vel += dw
-            vel[~expanded] = 0.0
-            layer.weights -= cfg.learning_rate * vel
+            _masked_momentum_step(layer.weights, d_eff * mult[:, :, None, None],
+                                  trainable, lr, momentum, self.w_vel[name])
+            _masked_momentum_step(layer.bias, grads.d_bias[name], rows,
+                                  lr, momentum, self.b_vel[name])
 
-            rows = tv.training_rows[name]
-            db = grads.d_bias[name].copy()
-            db[~rows] = 0.0
-            bvel = self.b_vel[name]
-            bvel *= cfg.momentum
-            bvel += db
-            bvel[~rows] = 0.0
-            layer.bias -= cfg.learning_rate * bvel
+            # per-task normalization affine
+            if self.norm_scale is not None:
+                sgd_step(self.norm_scale[name], grads.d_norm_scale[name],
+                         lr, momentum, self.norm_vel[f"{name}/scale"])
+                sgd_step(self.norm_shift[name], grads.d_norm_shift[name],
+                         lr, momentum, self.norm_vel[f"{name}/shift"])
 
-            # reuse-mask logits (frozen used kernels of earlier tasks); the
-            # surrogate is temperature-normalized (T * dp/dlogit) so that
-            # annealing T sharpens the relaxation and settles the masks
-            # instead of amplifying their updates 1/T-fold
+            # reuse-mask logits (frozen used kernels of earlier tasks)
             if self.flags.reuse_mask:
+                used = tv.used_old[name]
                 reuse = self.reuse_masks[name]
-                g0 = gumbel_noise(self.gumbel, reuse.logits.shape)
-                g1 = gumbel_noise(self.gumbel, reuse.logits.shape)
-                d_bits = np.where(tv.used_old[name], d_mult, 0.0)
-                d_logits = temperature * ste_logit_grad(
-                    d_bits, reuse.logits, g0, g1, temperature)
-                d_logits[~tv.used_old[name]] = 0.0
-                v = self.logit_vel[f"{name}/reuse"]
-                v *= cfg.momentum
-                v += d_logits
-                v[~tv.used_old[name]] = 0.0
-                reuse.logits -= self.select_lr * v
+                d_logits = self._relaxed_grad(reuse, np.where(used, d_mult, 0.0),
+                                              temperature)
+                _masked_momentum_step(reuse.logits, d_logits, used, self.select_lr,
+                                      momentum, self.logit_vel[f"{name}/reuse"])
 
             # claim-mask logits (kernels of this task's growing channels)
             if self.flags.claim_mask:
                 claim = self.claim_masks[name]
-                g0 = gumbel_noise(self.gumbel, claim.logits.shape)
-                g1 = gumbel_noise(self.gumbel, claim.logits.shape)
                 row_grid = np.broadcast_to(rows[:, None], claim.logits.shape)
-                d_bits = np.where(row_grid, d_mult, 0.0)
-                d_logits = temperature * ste_logit_grad(
-                    d_bits, claim.logits, g0, g1, temperature)
-                d_logits[~row_grid] = 0.0
-                v = self.logit_vel[f"{name}/claim"]
-                v *= cfg.momentum
-                v += d_logits
-                v[~row_grid] = 0.0
-                claim.logits -= self.select_lr * v
+                d_logits = self._relaxed_grad(claim, np.where(row_grid, d_mult, 0.0),
+                                              temperature)
+                _masked_momentum_step(claim.logits, d_logits, row_grid, self.select_lr,
+                                      momentum, self.logit_vel[f"{name}/claim"])
 
             # channel-gate logits: data sensitivity plus the sparsity surrogate
             if self.grow_phase:
                 grow = self.grow_masks[name]
-                g0 = gumbel_noise(self.gumbel, grow.logits.shape)
-                g1 = gumbel_noise(self.gumbel, grow.logits.shape)
-                row_mult = np.where(rows[:, None], mult, 0.0)
-                d_gate = (d_mult * row_mult).sum(axis=1)
+                d_gate = (d_mult * np.where(rows[:, None], mult, 0.0)).sum(axis=1)
                 queryable = (layer.slot_state != SlotState.FIXED) & \
                             (layer.slot_state != SlotState.PRUNED)
-                gate_bits = grow.hard_bits().bits.copy()
-                gate_bits[~queryable] = 0.0
+                gate_bits = np.where(queryable, grow.hard_bits().bits, 0.0)
                 value, d_l0 = l0_penalty(
                     BinaryMask(gate_bits, Granularity.CHANNEL, grow.binding),
                     grow.logits, self.lam_eff,
                 )
                 penalty_value += value
-                d_full = temperature * ste_logit_grad(
-                    d_gate, grow.logits, g0, g1, temperature)
-                d_full += d_l0
-                d_full[~queryable] = 0.0
-                v = self.logit_vel[f"{name}/grow"]
-                v *= cfg.momentum
-                v += d_full
-                v[~queryable] = 0.0
-                grow.logits -= self.gate_lr * v
+                d_logits = self._relaxed_grad(grow, d_gate, temperature) + d_l0
+                _masked_momentum_step(grow.logits, d_logits, queryable, self.gate_lr,
+                                      momentum, self.logit_vel[f"{name}/grow"])
 
-            # per-task normalization affine
-            if self.norm_scale is not None:
-                sgd_step(self.norm_scale[name], grads.d_norm_scale[name],
-                         cfg.learning_rate, cfg.momentum, self.norm_vel[f"{name}/scale"])
-                sgd_step(self.norm_shift[name], grads.d_norm_shift[name],
-                         cfg.learning_rate, cfg.momentum, self.norm_vel[f"{name}/shift"])
-
-        sgd_step(self.head_weight, grads.d_head_weight,
-                 cfg.learning_rate, cfg.momentum, self.head_w_vel)
-        sgd_step(self.head_bias, grads.d_head_bias,
-                 cfg.learning_rate, cfg.momentum, self.head_b_vel)
+        sgd_step(self.head_weight, grads.d_head_weight, lr, momentum, self.head_w_vel)
+        sgd_step(self.head_bias, grads.d_head_bias, lr, momentum, self.head_b_vel)
         return loss + penalty_value
 
     # -- phases --------------------------------------------------------------
@@ -509,22 +498,37 @@ class TaskTrainer:
             for start in range(0, n, bs):
                 idx = order[start:start + bs]
                 losses.append(self.train_step(train.images[idx], train.labels[idx], temp))
-            for layer in self.backbone.layers:
-                if not np.all(np.isfinite(layer.weights)):
-                    raise FloatingPointError(
-                        f"non-finite weights in {layer.spec.name} "
-                        f"(task {self.spec.task_id}, {phase} epoch {epoch})"
-                    )
+            loss = float(np.mean(losses))
+            self._check_finite(loss, f"task {self.spec.task_id}, {phase} epoch {epoch}")
             val_acc = self.validation_accuracy()
             epoch_log.append(EpochLogEntry(
                 task_id=self.spec.task_id,
                 phase=phase,
                 epoch=epoch,
-                loss=float(np.mean(losses)),
+                loss=loss,
                 val_accuracy=val_acc,
                 growth_ratio=self.backbone.growth_ratio(include_training=True),
             ))
         self.grow_phase = False
+
+    def _check_finite(self, loss: float, where: str) -> None:
+        """Raise FloatingPointError when the epoch loss or any array this
+        trainer updates holds a NaN or infinity, before it can be snapshot."""
+        arrays = {"head weight": self.head_weight, "head bias": self.head_bias}
+        for layer in self.backbone.layers:
+            name = layer.spec.name
+            arrays[f"{name} weights"] = layer.weights
+            arrays[f"{name} bias"] = layer.bias
+            for role, masks in (("grow", self.grow_masks), ("claim", self.claim_masks),
+                                ("reuse", self.reuse_masks)):
+                arrays[f"{name} {role} logits"] = masks[name].logits
+            if self.norm_scale is not None:
+                arrays[f"{name} norm scale"] = self.norm_scale[name]
+                arrays[f"{name} norm shift"] = self.norm_shift[name]
+        arrays["loss"] = np.array(loss)   # last, so a bad parameter is named first
+        for what, values in arrays.items():
+            if not np.all(np.isfinite(values)):
+                raise FloatingPointError(f"non-finite {what} ({where})")
 
     # -- finalization ---------------------------------------------------------
 
@@ -547,20 +551,12 @@ class TaskTrainer:
                 bits = np.ones_like(layer.kernel_state, dtype=np.float64)
             claim_bits[name] = bits
             finalize_task(layer, bits, t)
-        reuse_bits = reuse_logits = None
+        reuse_bits = reuse_logits = claim_logits = None
         if self.flags.reuse_mask:
-            reuse_bits = {
-                name: _frozen(self.reuse_masks[name].hard_bits().bits)
-                for name in claim_bits
-            }
-            reuse_logits = {
-                name: _frozen(self.reuse_masks[name].logits) for name in claim_bits
-            }
-        claim_logits = None
+            reuse_bits = {n: _frozen(m.hard_bits().bits) for n, m in self.reuse_masks.items()}
+            reuse_logits = {n: _frozen(m.logits) for n, m in self.reuse_masks.items()}
         if self.flags.claim_mask:
-            claim_logits = {
-                name: _frozen(self.claim_masks[name].logits) for name in claim_bits
-            }
+            claim_logits = {n: _frozen(m.logits) for n, m in self.claim_masks.items()}
         probe = _frozen(self.task.val.images[:PROBE_SIZE])
         snapshot = TaskSnapshot(
             task_id=t,
@@ -644,83 +640,29 @@ class ScratchOutcome:
 def train_scratch_model(task: Task, config: RunConfig, seed: int) -> ScratchOutcome:
     """Train one full-capacity model on one task (no masks, no growth).
 
-    All streams derive from the task id, so the outcome is independent of
-    the task's position in any sequence.
+    The model is a fresh backbone whose every slot trains, run by
+    ``TaskTrainer`` under the grow-only flags with growth off.  All streams
+    derive from the task id, so the outcome is independent of the task's
+    position in any sequence.
     """
-    arch = config.arch
     rng = SeededRng(seed).substream(f"scratch/task{task.task_id}")
     init = rng.substream("init")
-    batches = rng.substream("batches")
-    backbone = BackboneState(arch)
+    backbone = BackboneState(config.arch)
     for layer in backbone.layers:
         bound = np.sqrt(6.0 / (layer.spec.in_channels * layer.spec.kernel ** 2))
         layer.weights[:] = init.uniform(-bound, bound, size=layer.weights.shape)
         layer.slot_state[:] = SlotState.GROWN_TRAINING
-    d = arch.feature_dim
-    k = task.n_classes
-    head_w = init.uniform(-np.sqrt(6.0 / d), np.sqrt(6.0 / d), size=(k, d))
-    head_b = np.zeros(k)
-    norm_scale = norm_shift = None
-    norm_vel = {}
-    if arch.group_norm:
-        norm_scale = {l.spec.name: np.ones(l.spec.out_channels) for l in backbone.layers}
-        norm_shift = {l.spec.name: np.zeros(l.spec.out_channels) for l in backbone.layers}
-        norm_vel = {f"{l.spec.name}/{p}": np.zeros(l.spec.out_channels)
-                    for l in backbone.layers for p in ("scale", "shift")}
-
-    view = TaskView(
-        multipliers={l.spec.name: np.ones((l.spec.out_channels, l.spec.in_channels))
-                     for l in backbone.layers},
-        channel_on={l.spec.name: np.ones(l.spec.out_channels, dtype=bool)
-                    for l in backbone.layers},
-        head_weight=head_w,
-        head_bias=head_b,
-        norm_scale=norm_scale,
-        norm_shift=norm_shift,
-    )
-    w_vel = {l.spec.name: np.zeros_like(l.weights) for l in backbone.layers}
-    b_vel = {l.spec.name: np.zeros_like(l.bias) for l in backbone.layers}
-    hw_vel = np.zeros_like(head_w)
-    hb_vel = np.zeros_like(head_b)
-
+    spec = TaskSpec(task.task_id, task, target_accuracy=1.0, growth_cap=1.0)
+    trainer = TaskTrainer(backbone, spec, config, GROW_ONLY_FLAGS, rng,
+                          streams={"init": init, "batches": rng.substream("batches")})
     epoch_log: list[EpochLogEntry] = []
-    n = len(task.train)
-    bs = config.batch_size
-    for epoch in range(config.epochs["scratch"]):
-        order = batches.permutation(n)
-        losses = []
-        for start in range(0, n, bs):
-            idx = order[start:start + bs]
-            logits, cache = forward_pass(backbone, view,
-                                         task.train.images[idx], want_cache=True)
-            loss, dlogits = cross_entropy(logits, task.train.labels[idx])
-            grads = backward_pass(backbone, view, cache, dlogits)
-            for layer in backbone.layers:
-                name = layer.spec.name
-                sgd_step(layer.weights, grads.d_eff_weights[name],
-                         config.learning_rate, config.momentum, w_vel[name])
-                sgd_step(layer.bias, grads.d_bias[name],
-                         config.learning_rate, config.momentum, b_vel[name])
-                if norm_scale is not None:
-                    sgd_step(norm_scale[name], grads.d_norm_scale[name],
-                             config.learning_rate, config.momentum, norm_vel[f"{name}/scale"])
-                    sgd_step(norm_shift[name], grads.d_norm_shift[name],
-                             config.learning_rate, config.momentum, norm_vel[f"{name}/shift"])
-            sgd_step(head_w, grads.d_head_weight, config.learning_rate,
-                     config.momentum, hw_vel)
-            sgd_step(head_b, grads.d_head_bias, config.learning_rate,
-                     config.momentum, hb_vel)
-            losses.append(loss)
-        epoch_log.append(EpochLogEntry(
-            task_id=task.task_id, phase="scratch", epoch=epoch,
-            loss=float(np.mean(losses)),
-            val_accuracy=_dataset_accuracy(backbone, view, task.val),
-            growth_ratio=1.0,
-        ))
+    trainer.train_phase("scratch", config.epochs["scratch"], grow=False,
+                        epoch_log=epoch_log)
     return ScratchOutcome(
         task_id=task.task_id,
-        val_accuracy=_dataset_accuracy(backbone, view, task.val),
-        test_accuracy=_dataset_accuracy(backbone, view, task.test),
+        val_accuracy=epoch_log[-1].val_accuracy,
+        test_accuracy=_dataset_accuracy(backbone, trainer.build_train_view().view,
+                                        task.test),
         epoch_log=epoch_log,
     )
 
@@ -733,13 +675,13 @@ def train_scratch_model(task: Task, config: RunConfig, seed: int) -> ScratchOutc
 class RunResult:
     mode: str
     config: RunConfig
-    backbone: BackboneState | None
-    snapshots: dict[int, TaskSnapshot]
-    ledger: GrowthLedger | None
-    test_accuracies: dict[int, float]
-    val_accuracies: dict[int, float]
-    targets: dict[int, float]
-    ratios: dict[int, float]
+    backbone: BackboneState | None = None
+    ledger: GrowthLedger | None = None
+    targets: dict[int, float] = field(default_factory=dict)
+    snapshots: dict[int, TaskSnapshot] = field(default_factory=dict)
+    test_accuracies: dict[int, float] = field(default_factory=dict)
+    val_accuracies: dict[int, float] = field(default_factory=dict)
+    ratios: dict[int, float] = field(default_factory=dict)
     gate_log: list[GateLogEntry] = field(default_factory=list)
     epoch_log: list[EpochLogEntry] = field(default_factory=list)
     forgetting_log: list[dict] = field(default_factory=list)
@@ -792,16 +734,14 @@ def resolve_targets(tasks: TaskSequence, config: RunConfig) -> dict[int, float]:
     return targets
 
 
-def _check_boundary(result: RunResult, backbone: BackboneState,
-                    snapshots: dict[int, TaskSnapshot],
-                    digests_before: dict, after_task: int) -> dict:
-    digests_now = backbone.protected_digests()
+def _check_boundary(result: RunResult, digests_before: dict, after_task: int) -> dict:
+    digests_now = result.backbone.protected_digests()
     for key, value in digests_before.items():
         if digests_now.get(key) != value:
             raise ContractViolation(
                 f"protected weight changed after task {after_task}: {key}"
             )
-    passes = forgetting_check(snapshots, backbone)
+    passes = forgetting_check(result.snapshots, result.backbone)
     result.forgetting_log.append(
         {"after_task": after_task, "passes": {str(t): bool(v) for t, v in passes.items()}}
     )
@@ -814,11 +754,12 @@ def _check_boundary(result: RunResult, backbone: BackboneState,
 
 
 def train_task1(backbone: BackboneState, spec: TaskSpec, config: RunConfig,
-                root: SeededRng, epoch_log: list[EpochLogEntry]) -> TaskSnapshot:
+                flags: ModeFlags, root: SeededRng,
+                epoch_log: list[EpochLogEntry]) -> TaskSnapshot:
     """Sparse-grow the seed backbone on the first task and freeze it."""
     if backbone.active_params(include_training=False) != 0:
         raise ContractViolation("task 1 requires an empty ownership ledger")
-    trainer = TaskTrainer(backbone, spec, config, GROWN_FLAGS, root)
+    trainer = TaskTrainer(backbone, spec, config, flags, root)
     trainer.train_phase("grow", config.epochs["task1"], grow=True,
                         epoch_log=epoch_log)
     return trainer.finalize()
@@ -831,14 +772,15 @@ def pick_and_reuse(backbone: BackboneState, spec: TaskSpec, config: RunConfig,
 
     Learns the kernel-reuse mask over earlier tasks' weights, retrains
     released kernels, and trains the task head jointly; returns the trainer
-    (for a possible expansion) plus the candidate validation accuracy.
+    (for a possible expansion) plus the candidate validation accuracy, which
+    is the one the last pick epoch logged.
     """
     if spec.task_id < 2:
         raise ContractViolation("pick_and_reuse applies to tasks 2..T")
     trainer = TaskTrainer(backbone, spec, config, GROWN_FLAGS, root)
     trainer.train_phase("pick", config.epochs["pick"], grow=False,
                         epoch_log=epoch_log)
-    return trainer, trainer.validation_accuracy()
+    return trainer, epoch_log[-1].val_accuracy
 
 
 def expand_task(trainer: TaskTrainer,
@@ -849,45 +791,6 @@ def expand_task(trainer: TaskTrainer,
     return trainer.finalize()
 
 
-def run_grown(config: RunConfig) -> RunResult:
-    """Full pipeline: task-1 sparse growth, then pick/reuse + gated expansion."""
-    tasks = build_tasks(config)
-    targets = resolve_targets(tasks, config)
-    root = SeededRng(config.seed)
-    backbone = BackboneState(config.arch)
-    _grow_seed_channels(backbone, root.substream("growth"))
-    ledger = GrowthLedger(full_params=config.arch.full_params)
-    result = RunResult(
-        mode="grown", config=config, backbone=backbone, snapshots={},
-        ledger=ledger, test_accuracies={}, val_accuracies={}, targets=targets,
-        ratios={},
-    )
-    digests: dict = {}
-    for task in tasks:
-        t = task.task_id
-        spec = TaskSpec(t, task, targets[t], config.growth_cap, config.epochs)
-        if t == 1:
-            snapshot = train_task1(backbone, spec, config, root, result.epoch_log)
-        else:
-            trainer, pick_acc = pick_and_reuse(backbone, spec, config, root,
-                                               result.epoch_log)
-            expanded = pick_acc < spec.target_accuracy
-            result.gate_log.append(
-                GateLogEntry(t, pick_acc, spec.target_accuracy, expanded)
-            )
-            if expanded:
-                snapshot = expand_task(trainer, result.epoch_log)
-            else:
-                snapshot = trainer.finalize()
-        result.snapshots[t] = snapshot
-        row = ledger.record(t, backbone)
-        result.ratios[t] = row.growth_ratio
-        result.val_accuracies[t] = evaluate(t, backbone, snapshot, task.val)
-        result.test_accuracies[t] = evaluate(t, backbone, snapshot, task.test)
-        digests = _check_boundary(result, backbone, result.snapshots, digests, t)
-    return result
-
-
 def _grow_seed_channels(backbone: BackboneState, rng: SeededRng) -> None:
     for layer in backbone.layers:
         bits = np.full(layer.spec.out_channels, 0.0)
@@ -895,51 +798,10 @@ def _grow_seed_channels(backbone: BackboneState, rng: SeededRng) -> None:
         query_and_transition(layer, bits, rng)
 
 
-def baseline_grow_only(config: RunConfig) -> RunResult:
-    """Channel-gate growth per task on a frozen backbone; no reuse mask, no
-    claims, no released-weight retraining.
-
-    Growth is gated by the same targets as the full pipeline, so the paired
-    comparison isolates the mask/claim/retrain machinery rather than the
-    growth budget."""
-    tasks = build_tasks(config)
-    targets = resolve_targets(tasks, config)
-    root = SeededRng(config.seed)
-    backbone = BackboneState(config.arch)
-    _grow_seed_channels(backbone, root.substream("growth"))
-    ledger = GrowthLedger(full_params=config.arch.full_params)
-    result = RunResult(
-        mode="grow_only", config=config, backbone=backbone, snapshots={},
-        ledger=ledger, test_accuracies={}, val_accuracies={}, targets=targets,
-        ratios={},
-    )
-    digests: dict = {}
-    for task in tasks:
-        t = task.task_id
-        budget = config.epochs["task1"] if t == 1 else (
-            config.epochs["pick"] + config.epochs["expand"]
-        )
-        spec = TaskSpec(t, task, targets[t], config.growth_cap, config.epochs)
-        trainer = TaskTrainer(backbone, spec, config, GROW_ONLY_FLAGS, root)
-        trainer.train_phase("grow", budget, grow=True, epoch_log=result.epoch_log)
-        snapshot = trainer.finalize()
-        result.snapshots[t] = snapshot
-        row = ledger.record(t, backbone)
-        result.ratios[t] = row.growth_ratio
-        result.val_accuracies[t] = evaluate(t, backbone, snapshot, task.val)
-        result.test_accuracies[t] = evaluate(t, backbone, snapshot, task.test)
-        digests = _check_boundary(result, backbone, result.snapshots, digests, t)
-    return result
-
-
 def baseline_scratch(config: RunConfig) -> RunResult:
     """Independent full-capacity model per task; size accumulates per model."""
     tasks = build_tasks(config)
-    result = RunResult(
-        mode="scratch", config=config, backbone=None, snapshots={},
-        ledger=None, test_accuracies={}, val_accuracies={}, targets={},
-        ratios={},
-    )
+    result = RunResult(mode="scratch", config=config)
     for i, task in enumerate(tasks, start=1):
         outcome = train_scratch_model(task, config, config.seed)
         result.epoch_log.extend(outcome.epoch_log)
@@ -949,11 +811,55 @@ def baseline_scratch(config: RunConfig) -> RunResult:
     return result
 
 
+MODE_FLAGS = {"grown": GROWN_FLAGS, "grow_only": GROW_ONLY_FLAGS}
+
+
 def run_pipeline(config: RunConfig, mode: str) -> RunResult:
-    if mode == "grown":
-        return run_grown(config)
+    """Run ``scratch``, or learn the task sequence on one shared backbone.
+
+    ``grown`` sparse-grows task 1, then gives each later task a pick-and-reuse
+    phase and expands it only when the pick misses the task's target.
+    ``grow_only`` grows every later task for the pick and expand budgets
+    combined.  Both modes are gated by the same targets, so the paired
+    comparison isolates the mask/claim/retrain machinery rather than the
+    growth budget.
+    """
     if mode == "scratch":
         return baseline_scratch(config)
-    if mode == "grow_only":
-        return baseline_grow_only(config)
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in MODE_FLAGS:
+        raise ValueError(f"unknown mode {mode!r}")
+    flags = MODE_FLAGS[mode]
+    tasks = build_tasks(config)
+    targets = resolve_targets(tasks, config)
+    root = SeededRng(config.seed)
+    backbone = BackboneState(config.arch)
+    _grow_seed_channels(backbone, root.substream("growth"))
+    ledger = GrowthLedger(full_params=config.arch.full_params)
+    result = RunResult(mode=mode, config=config, backbone=backbone, ledger=ledger,
+                       targets=targets)
+    digests: dict = {}
+    for task in tasks:
+        t = task.task_id
+        spec = TaskSpec(t, task, targets[t], config.growth_cap)
+        if t == 1:
+            snapshot = train_task1(backbone, spec, config, flags, root, result.epoch_log)
+        elif mode == "grown":
+            trainer, pick_acc = pick_and_reuse(backbone, spec, config, root,
+                                               result.epoch_log)
+            expanded = pick_acc < spec.target_accuracy
+            result.gate_log.append(
+                GateLogEntry(t, pick_acc, spec.target_accuracy, expanded)
+            )
+            snapshot = expand_task(trainer, result.epoch_log) if expanded else trainer.finalize()
+        else:
+            trainer = TaskTrainer(backbone, spec, config, flags, root)
+            trainer.train_phase("grow", config.epochs["pick"] + config.epochs["expand"],
+                                grow=True, epoch_log=result.epoch_log)
+            snapshot = trainer.finalize()
+        result.snapshots[t] = snapshot
+        row = ledger.record(t, backbone)
+        result.ratios[t] = row.growth_ratio
+        result.val_accuracies[t] = evaluate(t, backbone, snapshot, task.val)
+        result.test_accuracies[t] = evaluate(t, backbone, snapshot, task.test)
+        digests = _check_boundary(result, digests, t)
+    return result

@@ -16,7 +16,6 @@ partitioned by the task's claim bits into USED(owner) and RELEASED.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,7 +186,6 @@ class LedgerRow:
     active_params_per_layer: dict[str, int]
     active_params: int
     growth_ratio: float
-    wall_time: float = field(default_factory=time.time, repr=False)  # never exported
 
 
 @dataclass

@@ -1,5 +1,6 @@
-"""Binary mask machinery: noisy relaxation, straight-through binarization,
-broadcast application to filter banks, and the sparsity penalty.
+"""Binary mask machinery: noisy relaxation, straight-through binarization
+and the sparsity penalty.  Masks are applied to filter banks by
+``backbone.effective_filters``.
 
 Three mask roles share this machinery:
 
@@ -160,64 +161,14 @@ def binarize_ste(p, threshold: float = 0.5) -> np.ndarray:
     return np.where(p >= threshold, 1.0, 0.0)
 
 
-def binarize_ste_backward(dbits) -> np.ndarray:
-    """Straight-through: the upstream gradient passes through unchanged."""
-    return np.asarray(dbits, dtype=np.float64)
-
-
 def ste_logit_grad(dbits, logits, g0, g1, temperature: float) -> np.ndarray:
     """Route a gradient w.r.t. hard bits back to the logits.
 
     Chains the straight-through identity (bits -> p) with the relaxed
     derivative dp/dlogit evaluated at the given Gumbel noise.
     """
-    dp = binarize_ste_backward(dbits)
-    return dp * gumbel_sigmoid_grad(logits, g0, g1, temperature)
-
-
-# ---------------------------------------------------------------------------
-# mask application
-# ---------------------------------------------------------------------------
-
-def _expand_bits(mask: BinaryMask, weight_shape: tuple[int, ...]) -> np.ndarray:
-    cout, cin = weight_shape[0], weight_shape[1]
-    if (mask.binding.out_channels, mask.binding.in_channels) != (cout, cin):
-        raise ValueError(
-            f"mask bound to {mask.binding.out_channels}x{mask.binding.in_channels} "
-            f"cannot apply to weights {weight_shape}"
-        )
-    if mask.granularity is Granularity.CHANNEL:
-        return mask.bits[:, None, None, None]
-    return mask.bits[:, :, None, None]
-
-
-def apply_mask(weights: np.ndarray, mask: BinaryMask) -> np.ndarray:
-    """Elementwise product with the mask broadcast over the kernel axes.
-
-    Positions with bit 0 are written as exact +0.0 so the result is
-    independent of the masked weight values down to the byte level.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 4:
-        raise ValueError(f"weights must be [Cout,Cin,k,k], got shape {w.shape}")
-    expanded = np.broadcast_to(_expand_bits(mask, w.shape), w.shape)
-    out = w * expanded
-    out[expanded == 0.0] = 0.0
-    return out
-
-
-def apply_mask_backward(dout: np.ndarray, weights: np.ndarray,
-                        mask: BinaryMask) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients (dweights, dbits) of ``apply_mask``."""
-    w = np.asarray(weights, dtype=np.float64)
-    expanded = np.broadcast_to(_expand_bits(mask, w.shape), w.shape)
-    dw = dout * expanded
-    prod = dout * w
-    if mask.granularity is Granularity.CHANNEL:
-        dbits = prod.sum(axis=(1, 2, 3))
-    else:
-        dbits = prod.sum(axis=(2, 3))
-    return dw, dbits
+    return np.asarray(dbits, dtype=np.float64) * gumbel_sigmoid_grad(
+        logits, g0, g1, temperature)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ Documented tie-breaks (oracles in the tests rely on these):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -23,43 +22,7 @@ class ShapeError(ValueError):
     """Inputs whose shapes cannot be combined by the requested operation."""
 
 
-@dataclass
-class Tensor:
-    """A dense float64 array with an optional same-shape gradient buffer."""
-
-    data: np.ndarray
-    grad: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.grad is not None:
-            self.grad = np.asarray(self.grad, dtype=np.float64)
-            if self.grad.shape != self.data.shape:
-                raise ShapeError(
-                    f"grad shape {self.grad.shape} != data shape {self.data.shape}"
-                )
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def ensure_grad(self) -> np.ndarray:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        return self.grad
-
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
-    def assert_finite(self, what: str = "tensor") -> None:
-        if not np.all(np.isfinite(self.data)):
-            raise FloatingPointError(f"{what} contains non-finite values")
-
-
 def _as_array(x) -> np.ndarray:
-    if isinstance(x, Tensor):
-        return x.data
     return np.asarray(x, dtype=np.float64)
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import ArchSpec, BackboneState, ConvLayerSpec
-from .driver import EpochLogEntry, RunResult, TaskSnapshot
+from .driver import EpochLogEntry, RunResult, TaskSnapshot, _frozen
 from .growth import ratio_label
 from .store import read_container, write_container, write_text_atomic
 
@@ -70,12 +70,6 @@ def save_snapshot(snapshot: TaskSnapshot, path: str | Path) -> None:
             arrays[f"norm_scale/{name}"] = snapshot.norm_scale[name]
             arrays[f"norm_shift/{name}"] = snapshot.norm_shift[name]
     write_container(path, header, arrays)
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 def load_snapshot(path: str | Path) -> TaskSnapshot:

@@ -160,3 +160,14 @@ class TestReportCommand:
         empty = tmp_path / "not_a_run"
         empty.mkdir()
         assert main(["report", str(empty)]) == 2
+
+    @pytest.mark.parametrize("text", ["{}", "not json {"])
+    def test_malformed_manifest_usage_error(self, tmp_path, capsys, text):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text(text)
+        assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed manifest")
+        assert "Traceback" not in err
+        assert not (tmp_path / "report").exists()

@@ -70,6 +70,16 @@ def test_idx_source_requires_paths():
         parse_config_data({"tasks": {"source": "idx"}})
 
 
+def test_idx_task_count_reads_groups_file(tmp_path):
+    groups = tmp_path / "groups.txt"
+    groups.write_text("0 1\n# comment\n2 3\n4 5\n")
+    cfg = parse_config_data({"tasks": {
+        "source": "idx", "images": "images.idx", "labels": "labels.idx",
+        "groups": str(groups),
+    }})
+    assert cfg.n_tasks == 3
+
+
 def test_target_accuracy_forms():
     assert parse_config_data({"target_accuracy": 0.9}).target_accuracy == (0.9,)
     assert parse_config_data({"target_accuracy": [0.9, 0.8]}).target_accuracy == (0.9, 0.8)

@@ -8,14 +8,13 @@ from growcl.driver import (
     GROW_ONLY_FLAGS,
     TaskSpec,
     TaskTrainer,
-    baseline_grow_only,
     baseline_scratch,
     build_eval_view,
     build_tasks,
     evaluate,
     forgetting_check,
     probe_fingerprint,
-    run_grown,
+    run_pipeline,
     train_scratch_model,
 )
 from growcl.ops import cross_entropy, linear, linear_backward, sgd_step
@@ -42,7 +41,7 @@ def tiny_config(seed=0, n_tasks=2, **overrides):
 @pytest.fixture(scope="module")
 def grown_run():
     cfg = tiny_config(n_tasks=3)
-    return cfg, run_grown(cfg)
+    return cfg, run_pipeline(cfg, "grown")
 
 
 class TestRunGrown:
@@ -83,7 +82,7 @@ class TestRunGrown:
         cfg, res = grown_run
         tasks = build_tasks(cfg)
         from growcl.driver import TaskSpec, TaskTrainer, GROWN_FLAGS
-        spec = TaskSpec(2, tasks[1], 0.9, cfg.growth_cap, cfg.epochs)
+        spec = TaskSpec(2, tasks[1], 0.9, cfg.growth_cap)
         trainer = TaskTrainer(res.backbone, spec, cfg, GROWN_FLAGS, SeededRng(0))
         tv = trainer.build_train_view()
         for mult in tv.view.multipliers.values():
@@ -141,7 +140,7 @@ class TestGroupNormVariant:
                 {"capacity": 8, "seed_channels": 2},
             ],
         })
-        res = run_grown(cfg)
+        res = run_pipeline(cfg, "grown")
         assert all(all(e["passes"].values()) for e in res.forgetting_log)
         for snap in res.snapshots.values():
             assert snap.norm_scale is not None
@@ -156,11 +155,36 @@ class TestGroupNormVariant:
             assert all(forgetting_check(snapshots, backbone).values())
 
 
+class TestNonFiniteGuard:
+    def test_nan_head_raises_even_with_frozen_conv_weights(self):
+        # a grow-only pick phase trains no conv weight, so only the head can
+        # carry the NaN; the epoch check must still refuse to go on
+        cfg = tiny_config(n_tasks=2)
+        tasks = build_tasks(cfg)
+        root = SeededRng(cfg.seed)
+        backbone = BackboneState(cfg.arch)
+        from growcl.driver import _grow_seed_channels
+        _grow_seed_channels(backbone, root.substream("growth"))
+        tr1 = TaskTrainer(backbone, TaskSpec(1, tasks[0], 0.9, cfg.growth_cap),
+                          cfg, GROW_ONLY_FLAGS, root)
+        tr1.train_phase("grow", 1, grow=True, epoch_log=[])
+        tr1.finalize()
+        weights = [l.weights.copy() for l in backbone.layers]
+        tr2 = TaskTrainer(backbone, TaskSpec(2, tasks[1], 0.9, cfg.growth_cap),
+                          cfg, GROW_ONLY_FLAGS, root)
+        tr2.head_bias[0] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite head"):
+            tr2.train_phase("pick", 1, grow=False, epoch_log=[])
+        for layer, before in zip(backbone.layers, weights):
+            assert np.all(np.isfinite(layer.weights))
+            assert layer.weights.tobytes() == before.tobytes()
+
+
 class TestDeterminism:
     def test_identical_seed_reproduces_everything(self):
         cfg = tiny_config(seed=3)
-        a = run_grown(cfg)
-        b = run_grown(cfg)
+        a = run_pipeline(cfg, "grown")
+        b = run_pipeline(cfg, "grown")
         assert a.test_accuracies == b.test_accuracies
         assert a.ratios == b.ratios
         for t in a.snapshots:
@@ -191,7 +215,7 @@ class TestBaselines:
 
     def test_grow_only_never_allocates_selection_masks(self):
         cfg = tiny_config(n_tasks=2)
-        res = baseline_grow_only(cfg)
+        res = run_pipeline(cfg, "grow_only")
         for snap in res.snapshots.values():
             assert snap.reuse_bits is None
             for bits in snap.claim_bits.values():
@@ -201,7 +225,7 @@ class TestBaselines:
 
     def test_grow_only_forgetting_passes(self):
         cfg = tiny_config(n_tasks=2)
-        res = baseline_grow_only(cfg)
+        res = run_pipeline(cfg, "grow_only")
         assert all(forgetting_check(res.snapshots, res.backbone).values())
 
 
@@ -216,7 +240,7 @@ class TestPickTransferOracle:
         backbone = BackboneState(cfg.arch)
         from growcl.driver import _grow_seed_channels
         _grow_seed_channels(backbone, root.substream("growth"))
-        spec1 = TaskSpec(1, tasks[0], 0.9, cfg.growth_cap, cfg.epochs)
+        spec1 = TaskSpec(1, tasks[0], 0.9, cfg.growth_cap)
         tr1 = TaskTrainer(backbone, spec1, cfg, GROW_ONLY_FLAGS, root)
         tr1.train_phase("grow", cfg.epochs["task1"], grow=True, epoch_log=[])
         tr1.finalize()
@@ -226,7 +250,7 @@ class TestPickTransferOracle:
         )
 
         # pick phase with selection machinery disabled
-        spec2 = TaskSpec(2, tasks[1], 0.9, cfg.growth_cap, cfg.epochs)
+        spec2 = TaskSpec(2, tasks[1], 0.9, cfg.growth_cap)
         tr2 = TaskTrainer(backbone, spec2, cfg, GROW_ONLY_FLAGS, root)
         tr2.train_phase("pick", cfg.epochs["pick"], grow=False, epoch_log=[])
         candidate = tr2.validation_accuracy()
@@ -281,7 +305,7 @@ class TestReleasedKernelFlow:
         backbone = BackboneState(cfg.arch)
         from growcl.driver import _grow_seed_channels
         _grow_seed_channels(backbone, root.substream("growth"))
-        spec1 = TaskSpec(1, tasks[0], 0.9, cfg.growth_cap, cfg.epochs)
+        spec1 = TaskSpec(1, tasks[0], 0.9, cfg.growth_cap)
         tr1 = TaskTrainer(backbone, spec1, cfg, GROWN_FLAGS, root)
         tr1.train_phase("grow", cfg.epochs["task1"], grow=True, epoch_log=[])
         # force some releases over a live input channel (a pruned input
@@ -299,7 +323,7 @@ class TestReleasedKernelFlow:
 
         before = {key: backbone.layer(key[0]).weights[key[1]].copy()
                   for key in released}
-        spec2 = TaskSpec(2, tasks[1], 0.9, cfg.growth_cap, cfg.epochs)
+        spec2 = TaskSpec(2, tasks[1], 0.9, cfg.growth_cap)
         tr2 = TaskTrainer(backbone, spec2, cfg, GROWN_FLAGS, root)
         tr2.train_phase("pick", cfg.epochs["pick"], grow=False, epoch_log=[])
         snap2 = tr2.finalize()

@@ -6,7 +6,7 @@ import pytest
 
 from growcl.backbone import BackboneState, SlotState, TaskView, forward_pass
 from growcl.config import parse_config_data
-from growcl.driver import build_tasks, run_grown, train_scratch_model
+from growcl.driver import build_tasks, run_pipeline, train_scratch_model
 from growcl.rng import SeededRng
 
 
@@ -14,7 +14,7 @@ class TestFirstTaskAttainment:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_easy_two_class_first_task_reaches_095(self, seed):
         cfg = parse_config_data({"seed": seed, "tasks": {"n_tasks": 1}})
-        result = run_grown(cfg)
+        result = run_pipeline(cfg, "grown")
         assert result.test_accuracies[1] >= 0.95
         for layer in result.backbone.layers:
             fixed = layer.slot_state == SlotState.FIXED

@@ -10,10 +10,7 @@ from growcl.masks import (
     Granularity,
     MaskBinding,
     MaskParam,
-    apply_mask,
-    apply_mask_backward,
     binarize_ste,
-    binarize_ste_backward,
     gumbel_from_uniform,
     gumbel_noise,
     gumbel_sigmoid,
@@ -24,8 +21,6 @@ from growcl.masks import (
 )
 from growcl.ops import finite_diff_check
 from growcl.rng import SeededRng
-
-from oracles import expand_mask_loops
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -101,10 +96,6 @@ class TestBinarize:
         bits = binarize_ste(np.array([0.2, 0.5, 0.9]), threshold=0.5)
         assert np.array_equal(bits, [0.0, 1.0, 1.0])
 
-    def test_straight_through_gradient(self):
-        up = np.array([1.5, -2.0, 0.25])
-        assert np.array_equal(binarize_ste_backward(up), up)
-
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
             binarize_ste(np.zeros(3), threshold=0.0)
@@ -134,68 +125,6 @@ class TestBinarize:
         num = (gumbel_sigmoid(m + eps, g0, g1, 0.7) - gumbel_sigmoid(m - eps, g0, g1, 0.7)) / (2 * eps)
         ana = gumbel_sigmoid_grad(m, g0, g1, 0.7)
         assert np.max(np.abs(num - ana)) < 1e-8
-
-
-class TestApplyMask:
-    def test_channel_mask_zeroes_whole_filter(self):
-        w = np.arange(4 * 3 * 3 * 3, dtype=np.float64).reshape(4, 3, 3, 3) + 1.0
-        out = apply_mask(w, channel_mask([1, 0, 1, 1], cin=3))
-        assert np.array_equal(out[1], np.zeros((3, 3, 3)))
-        for c in (0, 2, 3):
-            assert np.array_equal(out[c], w[c])
-
-    def test_all_ones_is_bitwise_identity(self):
-        w = np.random.default_rng(1).normal(size=(4, 3, 3, 3))
-        out = apply_mask(w, kernel_mask(np.ones((4, 3))))
-        assert out.tobytes() == w.tobytes()
-
-    def test_zero_mask_is_exactly_zero_regardless_of_sign(self):
-        w = np.array([[-5.0]]).reshape(1, 1, 1, 1)
-        out = apply_mask(w, channel_mask([0], cin=1))
-        assert out[0, 0, 0, 0] == 0.0
-        assert not np.signbit(out[0, 0, 0, 0])
-
-    def test_kernel_mask_matches_expansion_oracle(self):
-        r = np.random.default_rng(2)
-        w = r.normal(size=(4, 3, 3, 3))
-        bits = (r.random((4, 3)) > 0.5).astype(np.float64)
-        out = apply_mask(w, kernel_mask(bits))
-        ref = expand_mask_loops(w, bits, "kernel")
-        assert np.array_equal(out, ref)
-
-    def test_binding_mismatch_rejected(self):
-        w = np.zeros((4, 3, 3, 3))
-        with pytest.raises(ValueError):
-            apply_mask(w, kernel_mask(np.ones((4, 2))))
-
-    @given(st.integers(min_value=0, max_value=2**12 - 1), st.integers(min_value=0, max_value=2**4 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_channel_and_kernel_masks_commute(self, kernel_bits, chan_bits):
-        w = np.random.default_rng(7).normal(size=(4, 3, 2, 2))
-        kb = np.array([(kernel_bits >> i) & 1 for i in range(12)], dtype=np.float64).reshape(4, 3)
-        cb = np.array([(chan_bits >> i) & 1 for i in range(4)], dtype=np.float64)
-        km, cm = kernel_mask(kb), channel_mask(cb, cin=3)
-        a = apply_mask(apply_mask(w, km), cm)
-        b = apply_mask(apply_mask(w, cm), km)
-        assert np.array_equal(a, b)
-
-    def test_backward_gradients(self):
-        r = np.random.default_rng(3)
-        w0 = r.normal(size=(3, 2, 2, 2))
-        bits = (r.random((3, 2)) > 0.4).astype(np.float64)
-        mask = kernel_mask(bits)
-        dout = r.normal(size=w0.shape)
-
-        dw, dbits = apply_mask_backward(dout, w0, mask)
-
-        def f_w(w):
-            out = apply_mask(w.reshape(w0.shape), mask)
-            return float((out * dout).sum()), dw.ravel()
-
-        assert finite_diff_check(f_w, w0.ravel()).max_rel_error < 1e-7
-        # dbits as sensitivity: d/dbit of sum(dout * w * bits_expanded)
-        expect = (dout * w0).sum(axis=(2, 3))
-        assert np.max(np.abs(dbits - expect)) < 1e-12
 
 
 class TestL0Penalty:

@@ -5,7 +5,6 @@ import pytest
 
 from growcl.ops import (
     ShapeError,
-    Tensor,
     conv2d,
     conv2d_backward,
     cross_entropy,
@@ -26,18 +25,6 @@ from oracles import conv2d_loops, cross_entropy_direct, linear_loops, maxpool2d_
 
 def rng(seed=0):
     return np.random.default_rng(seed)
-
-
-class TestTensor:
-    def test_grad_shape_must_match(self):
-        with pytest.raises(ShapeError):
-            Tensor(np.zeros((2, 3)), grad=np.zeros((3, 2)))
-
-    def test_ensure_grad_allocates_once(self):
-        t = Tensor(np.ones(4))
-        g = t.ensure_grad()
-        g += 1.0
-        assert t.ensure_grad() is g
 
 
 class TestConv2d:

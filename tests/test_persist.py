@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from growcl.config import parse_config_data
-from growcl.driver import evaluate, forgetting_check, run_grown, build_tasks
+from growcl.driver import evaluate, forgetting_check, run_pipeline, build_tasks
 from growcl.persist import (
     arch_from_dict,
     build_manifest,
@@ -33,7 +33,7 @@ def tiny_config(seed=0):
 @pytest.fixture(scope="module")
 def saved_run(tmp_path_factory):
     cfg = tiny_config()
-    result = run_grown(cfg)
+    result = run_pipeline(cfg, "grown")
     run_dir = tmp_path_factory.mktemp("runs") / result.run_id
     save_run(result, run_dir)
     return cfg, result, run_dir
@@ -125,8 +125,8 @@ class TestRunDirectory:
         cfg = tiny_config(seed=1)
         import tempfile
         with tempfile.TemporaryDirectory() as d:
-            r1 = run_grown(cfg)
-            r2 = run_grown(cfg)
+            r1 = run_pipeline(cfg, "grown")
+            r2 = run_pipeline(cfg, "grown")
             d1 = save_run(r1, Path(d) / "a")
             d2 = save_run(r2, Path(d) / "b")
             files1 = sorted(p.relative_to(d1) for p in d1.rglob("*") if p.is_file())
