@@ -146,6 +146,17 @@ def _gradient_suite(plant_fault: bool = False) -> str | None:
     return None
 
 
+def _check_manifest_types(m: dict, acc_row: dict, size_row: dict) -> None:
+    """Raise TypeError for a field the report sorts, compares or formats
+    that holds the wrong JSON type (a bool is not a number here)."""
+    fields = [("seed", m["seed"], int), ("n_tasks", m["n_tasks"], int), ("mode", m["mode"], str)]
+    fields += [("accuracy", v, (int, float)) for v in (acc_row["avg"], *acc_row["accuracies"])]
+    fields += [("ratio label", v, str) for v in size_row["labels"]]
+    for what, value, types in fields:
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TypeError(f"{what} has the wrong type: {value!r}")
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     acc_rows, size_rows, task_counts = [], [], set()
     by_seed: dict[int, dict[str, float]] = {}   # seed -> mode -> avg accuracy
@@ -157,9 +168,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         try:
             m = json.loads(path.read_text())
             a, s = report_rows(m)
+            _check_manifest_types(m, a, s)
             task_counts.add(m["n_tasks"])
             by_seed.setdefault(m["seed"], {})[m["mode"]] = m["avg_accuracy"]
-        except (ValueError, KeyError, TypeError) as e:   # not JSON, or a key missing
+        except (ValueError, KeyError, TypeError) as e:   # not JSON, a key missing, a bad type
             print(f"error: malformed manifest {path}: {type(e).__name__}: {e}",
                   file=sys.stderr)
             return EXIT_USAGE

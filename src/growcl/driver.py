@@ -1,9 +1,10 @@
 """Task-sequence execution: one trainer, one sequence runner.
 
 ``TaskTrainer`` is the only training loop: ``train_phase`` runs epochs of
-``train_step`` under a ``ModeFlags`` choice of which masks a task learns.
-``run_pipeline`` runs every mode.  ``grown`` and ``grow_only`` learn the task
-sequence on one shared backbone:
+``train_step``.  Every task applies the same masks (reuse bits on frozen used
+kernels, 1 on released kernels, claim bits on growing channels); a mode only
+chooses which mask logits learn.  ``run_pipeline`` runs every mode.  ``grown``
+and ``grow_only`` learn the task sequence on one shared backbone:
 
   * ``grown``: task 1 sparse-grows a seed backbone.  Each later task first
     runs a pick-and-reuse phase (learn a kernel-reuse mask over frozen
@@ -11,15 +12,16 @@ sequence on one shared backbone:
     validation accuracy misses the task's target, an expansion phase grows
     new channels under the channel gate + kernel claim masks with the
     sparsity penalty.
-  * ``grow_only``: every task grows with the channel gate only (no reuse
-    mask, no claims, no released retraining) on the frozen backbone.
+  * ``grow_only``: every task grows with the channel gate only on the frozen
+    backbone; its reuse and claim masks stay frozen at keep-all, so it never
+    releases a kernel.
 
 Finalization freezes everything the task's function depends on, writes a
 snapshot whose probe fingerprint pins the task's logits byte-for-byte, and
 the forgetting check re-verifies every earlier fingerprint at every task
 boundary.  ``scratch`` trains an independent full-capacity model per task
-with the same trainer: a fresh backbone whose slots all train, under the
-grow-only flags with growth switched off.
+with the same trainer: a fresh backbone whose slots all train, with the
+keep-all reuse and claim masks of ``grow_only`` and growth switched off.
 """
 
 from __future__ import annotations
@@ -48,9 +50,6 @@ from .growth import (
     query_and_transition,
 )
 from .masks import (
-    BinaryMask,
-    Granularity,
-    MaskBinding,
     MaskParam,
     binarize_ste,
     gumbel_noise,
@@ -81,17 +80,6 @@ CLAIM_INIT = 1.0
 # task tries and then drops are pruned for good at finalize, so unbounded
 # exploration would exhaust the slot pool within one task.
 EXPLORE_PER_EPOCH = 1
-
-
-@dataclass(frozen=True)
-class ModeFlags:
-    reuse_mask: bool         # learn a reuse mask over frozen used kernels
-    retrain_released: bool   # train released kernels and claim them at the end
-    claim_mask: bool         # learn kernel claims on freshly grown channels
-
-
-GROWN_FLAGS = ModeFlags(reuse_mask=True, retrain_released=True, claim_mask=True)
-GROW_ONLY_FLAGS = ModeFlags(reuse_mask=False, retrain_released=False, claim_mask=False)
 
 
 @dataclass(frozen=True)
@@ -225,10 +213,14 @@ class TaskTrainer:
     Forward passes always see hard {0,1} bits derived from the current
     logits; gradients reach the logits through the straight-through
     estimator with fresh Gumbel noise on the relaxed path each step.
+
+    ``kernel_masks`` chooses whether the reuse and claim logits learn and
+    ride in the snapshot; without it (``grow_only`` and scratch models) they
+    stay at their keep-all +1 start.  Gate logits learn in grow phases.
     """
 
     def __init__(self, backbone: BackboneState, spec: TaskSpec, config: RunConfig,
-                 flags: ModeFlags, root_rng: SeededRng,
+                 kernel_masks: bool, root_rng: SeededRng,
                  streams: dict[str, SeededRng] | None = None):
         """Random streams are ``task{t}/<name>`` under ``root_rng``;
         ``streams`` replaces some of them by name (a scratch model brings its
@@ -238,7 +230,7 @@ class TaskTrainer:
         self.spec = spec
         self.task = spec.task
         self.config = config
-        self.flags = flags
+        self.kernel_masks = kernel_masks
         t = spec.task_id
         named = {name: root_rng.substream(f"task{t}/{name}")
                  for name in ("gumbel", "growth", "batches", "init")}
@@ -256,18 +248,12 @@ class TaskTrainer:
         self.logit_vel: dict[str, np.ndarray] = {}
         for layer in backbone.layers:
             name = layer.spec.name
-            binding = MaskBinding(name, layer.spec.out_channels, layer.spec.in_channels)
             grow_logits = np.full(layer.spec.out_channels, -1.0)
             grow_logits[layer.slot_state == SlotState.GROWN_TRAINING] = 1.0
-            self.grow_masks[name] = MaskParam(grow_logits, Granularity.CHANNEL, binding)
-            self.claim_masks[name] = MaskParam(
-                np.full((layer.spec.out_channels, layer.spec.in_channels), CLAIM_INIT),
-                Granularity.KERNEL, binding,
-            )
-            self.reuse_masks[name] = MaskParam(
-                np.ones((layer.spec.out_channels, layer.spec.in_channels)),
-                Granularity.KERNEL, binding,
-            )
+            kernels = (layer.spec.out_channels, layer.spec.in_channels)
+            self.grow_masks[name] = MaskParam(grow_logits)
+            self.claim_masks[name] = MaskParam(np.full(kernels, CLAIM_INIT))
+            self.reuse_masks[name] = MaskParam(np.full(kernels, CLAIM_INIT))
             self.w_vel[name] = np.zeros_like(layer.weights)
             self.b_vel[name] = np.zeros_like(layer.bias)
             self.logit_vel[f"{name}/grow"] = np.zeros_like(grow_logits)
@@ -303,29 +289,18 @@ class TaskTrainer:
             name = layer.spec.name
             fixed = layer.slot_state == SlotState.FIXED
             training = layer.slot_state == SlotState.GROWN_TRAINING
-            on = fixed | training
             used = (layer.kernel_state == KernelState.USED) & fixed[:, None]
             released = (layer.kernel_state == KernelState.RELEASED) & fixed[:, None]
+            rows = np.broadcast_to(training[:, None], used.shape)
             mult = np.zeros_like(layer.kernel_state, dtype=np.float64)
-            if self.flags.reuse_mask:
-                mult[used] = self.reuse_masks[name].hard_bits().bits[used]
-            else:
-                mult[used] = 1.0
-            if self.flags.retrain_released:
-                mult[released] = 1.0
-            rows = np.broadcast_to(training[:, None], mult.shape)
-            if self.flags.claim_mask:
-                mult[rows] = self.claim_masks[name].hard_bits().bits[rows]
-            else:
-                mult[rows] = 1.0
+            mult[used] = self.reuse_masks[name].hard_bits()[used]
+            mult[released] = 1.0
+            mult[rows] = self.claim_masks[name].hard_bits()[rows]
             multipliers[name] = mult
-            channel_on[name] = on
+            channel_on[name] = fixed | training
             used_old[name] = used
             training_rows[name] = training
-            trainable = rows.copy()
-            if self.flags.retrain_released:
-                trainable |= released
-            trainable_kernels[name] = trainable
+            trainable_kernels[name] = rows | released
         view = TaskView(
             multipliers=multipliers,
             channel_on=channel_on,
@@ -362,7 +337,7 @@ class TaskTrainer:
             g0 = gumbel_noise(self.gumbel, (n,))
             g1 = gumbel_noise(self.gumbel, (n,))
             noisy_bits = binarize_ste(gumbel_sigmoid(logits, g0, g1, temperature))
-            hard_bits = self.grow_masks[name].hard_bits().bits
+            hard_bits = self.grow_masks[name].hard_bits()
             active = layer.slot_state == SlotState.GROWN_TRAINING
             ungrown = layer.slot_state == SlotState.UNGROWN
             bits = np.where(active, hard_bits, noisy_bits)
@@ -403,7 +378,7 @@ class TaskTrainer:
         logits, cache = forward_pass(self.backbone, tv.view, images, want_cache=True)
         loss, dlogits = cross_entropy(logits, labels)
         grads = backward_pass(self.backbone, tv.view, cache, dlogits)
-        learns_masks = self.flags.reuse_mask or self.flags.claim_mask or self.grow_phase
+        learns_masks = self.kernel_masks or self.grow_phase
 
         penalty_value = 0.0
         for layer in self.backbone.layers:
@@ -430,8 +405,8 @@ class TaskTrainer:
                 sgd_step(self.norm_shift[name], grads.d_norm_shift[name],
                          lr, momentum, self.norm_vel[f"{name}/shift"])
 
-            # reuse-mask logits (frozen used kernels of earlier tasks)
-            if self.flags.reuse_mask:
+            if self.kernel_masks:
+                # reuse-mask logits (frozen used kernels of earlier tasks)
                 used = tv.used_old[name]
                 reuse = self.reuse_masks[name]
                 d_logits = self._relaxed_grad(reuse, np.where(used, d_mult, 0.0),
@@ -439,8 +414,7 @@ class TaskTrainer:
                 _masked_momentum_step(reuse.logits, d_logits, used, self.select_lr,
                                       momentum, self.logit_vel[f"{name}/reuse"])
 
-            # claim-mask logits (kernels of this task's growing channels)
-            if self.flags.claim_mask:
+                # claim-mask logits (kernels of this task's growing channels)
                 claim = self.claim_masks[name]
                 row_grid = np.broadcast_to(rows[:, None], claim.logits.shape)
                 d_logits = self._relaxed_grad(claim, np.where(row_grid, d_mult, 0.0),
@@ -454,11 +428,8 @@ class TaskTrainer:
                 d_gate = (d_mult * np.where(rows[:, None], mult, 0.0)).sum(axis=1)
                 queryable = (layer.slot_state != SlotState.FIXED) & \
                             (layer.slot_state != SlotState.PRUNED)
-                gate_bits = np.where(queryable, grow.hard_bits().bits, 0.0)
-                value, d_l0 = l0_penalty(
-                    BinaryMask(gate_bits, Granularity.CHANNEL, grow.binding),
-                    grow.logits, self.lam_eff,
-                )
+                gate_bits = np.where(queryable, grow.hard_bits(), 0.0)
+                value, d_l0 = l0_penalty(gate_bits, grow.logits, self.lam_eff)
                 penalty_value += value
                 d_logits = self._relaxed_grad(grow, d_gate, temperature) + d_l0
                 _masked_momentum_step(grow.logits, d_logits, queryable, self.gate_lr,
@@ -543,19 +514,13 @@ class TaskTrainer:
         claim_bits: dict[str, np.ndarray] = {}
         for layer in self.backbone.layers:
             name = layer.spec.name
-            if self.flags.retrain_released:
-                claim_released_kernels(layer, t)
-            if self.flags.claim_mask:
-                bits = self.claim_masks[name].hard_bits().bits
-            else:
-                bits = np.ones_like(layer.kernel_state, dtype=np.float64)
-            claim_bits[name] = bits
-            finalize_task(layer, bits, t)
+            claim_released_kernels(layer, t)
+            claim_bits[name] = self.claim_masks[name].hard_bits()
+            finalize_task(layer, claim_bits[name], t)
         reuse_bits = reuse_logits = claim_logits = None
-        if self.flags.reuse_mask:
-            reuse_bits = {n: _frozen(m.hard_bits().bits) for n, m in self.reuse_masks.items()}
+        if self.kernel_masks:
+            reuse_bits = {n: _frozen(m.hard_bits()) for n, m in self.reuse_masks.items()}
             reuse_logits = {n: _frozen(m.logits) for n, m in self.reuse_masks.items()}
-        if self.flags.claim_mask:
             claim_logits = {n: _frozen(m.logits) for n, m in self.claim_masks.items()}
         probe = _frozen(self.task.val.images[:PROBE_SIZE])
         snapshot = TaskSnapshot(
@@ -638,10 +603,10 @@ class ScratchOutcome:
 
 
 def train_scratch_model(task: Task, config: RunConfig, seed: int) -> ScratchOutcome:
-    """Train one full-capacity model on one task (no masks, no growth).
+    """Train one full-capacity model on one task (keep-all masks, no growth).
 
     The model is a fresh backbone whose every slot trains, run by
-    ``TaskTrainer`` under the grow-only flags with growth off.  All streams
+    ``TaskTrainer`` without kernel masks and with growth off.  All streams
     derive from the task id, so the outcome is independent of the task's
     position in any sequence.
     """
@@ -653,7 +618,7 @@ def train_scratch_model(task: Task, config: RunConfig, seed: int) -> ScratchOutc
         layer.weights[:] = init.uniform(-bound, bound, size=layer.weights.shape)
         layer.slot_state[:] = SlotState.GROWN_TRAINING
     spec = TaskSpec(task.task_id, task, target_accuracy=1.0, growth_cap=1.0)
-    trainer = TaskTrainer(backbone, spec, config, GROW_ONLY_FLAGS, rng,
+    trainer = TaskTrainer(backbone, spec, config, False, rng,
                           streams={"init": init, "batches": rng.substream("batches")})
     epoch_log: list[EpochLogEntry] = []
     trainer.train_phase("scratch", config.epochs["scratch"], grow=False,
@@ -754,12 +719,12 @@ def _check_boundary(result: RunResult, digests_before: dict, after_task: int) ->
 
 
 def train_task1(backbone: BackboneState, spec: TaskSpec, config: RunConfig,
-                flags: ModeFlags, root: SeededRng,
+                kernel_masks: bool, root: SeededRng,
                 epoch_log: list[EpochLogEntry]) -> TaskSnapshot:
     """Sparse-grow the seed backbone on the first task and freeze it."""
     if backbone.active_params(include_training=False) != 0:
         raise ContractViolation("task 1 requires an empty ownership ledger")
-    trainer = TaskTrainer(backbone, spec, config, flags, root)
+    trainer = TaskTrainer(backbone, spec, config, kernel_masks, root)
     trainer.train_phase("grow", config.epochs["task1"], grow=True,
                         epoch_log=epoch_log)
     return trainer.finalize()
@@ -777,7 +742,7 @@ def pick_and_reuse(backbone: BackboneState, spec: TaskSpec, config: RunConfig,
     """
     if spec.task_id < 2:
         raise ContractViolation("pick_and_reuse applies to tasks 2..T")
-    trainer = TaskTrainer(backbone, spec, config, GROWN_FLAGS, root)
+    trainer = TaskTrainer(backbone, spec, config, True, root)
     trainer.train_phase("pick", config.epochs["pick"], grow=False,
                         epoch_log=epoch_log)
     return trainer, epoch_log[-1].val_accuracy
@@ -811,9 +776,6 @@ def baseline_scratch(config: RunConfig) -> RunResult:
     return result
 
 
-MODE_FLAGS = {"grown": GROWN_FLAGS, "grow_only": GROW_ONLY_FLAGS}
-
-
 def run_pipeline(config: RunConfig, mode: str) -> RunResult:
     """Run ``scratch``, or learn the task sequence on one shared backbone.
 
@@ -826,9 +788,9 @@ def run_pipeline(config: RunConfig, mode: str) -> RunResult:
     """
     if mode == "scratch":
         return baseline_scratch(config)
-    if mode not in MODE_FLAGS:
+    if mode not in ("grown", "grow_only"):
         raise ValueError(f"unknown mode {mode!r}")
-    flags = MODE_FLAGS[mode]
+    kernel_masks = mode == "grown"
     tasks = build_tasks(config)
     targets = resolve_targets(tasks, config)
     root = SeededRng(config.seed)
@@ -842,7 +804,8 @@ def run_pipeline(config: RunConfig, mode: str) -> RunResult:
         t = task.task_id
         spec = TaskSpec(t, task, targets[t], config.growth_cap)
         if t == 1:
-            snapshot = train_task1(backbone, spec, config, flags, root, result.epoch_log)
+            snapshot = train_task1(backbone, spec, config, kernel_masks, root,
+                                   result.epoch_log)
         elif mode == "grown":
             trainer, pick_acc = pick_and_reuse(backbone, spec, config, root,
                                                result.epoch_log)
@@ -852,7 +815,7 @@ def run_pipeline(config: RunConfig, mode: str) -> RunResult:
             )
             snapshot = expand_task(trainer, result.epoch_log) if expanded else trainer.finalize()
         else:
-            trainer = TaskTrainer(backbone, spec, config, flags, root)
+            trainer = TaskTrainer(backbone, spec, config, False, root)
             trainer.train_phase("grow", config.epochs["pick"] + config.epochs["expand"],
                                 grow=True, epoch_log=result.epoch_log)
             snapshot = trainer.finalize()

@@ -47,13 +47,11 @@ class SlotAction:
 
 
 def query_and_transition(layer: LayerState, bits: np.ndarray,
-                         rng: SeededRng, allow_grow: bool = True) -> list[SlotAction]:
+                         rng: SeededRng) -> list[SlotAction]:
     """Apply one round of mask-bit queries to a layer's slots.
 
     ``bits`` holds one {0,1} value per non-FIXED slot and NaN for FIXED
-    slots (supplying a bit for a FIXED slot is a contract violation).  With
-    ``allow_grow=False`` UNGROWN slots ignore 1-bits, so a query can apply
-    keep/detach decisions without materializing fresh untrained filters.
+    slots (supplying a bit for a FIXED slot is a contract violation).
     """
     bits = np.asarray(bits, dtype=np.float64)
     if bits.shape != layer.slot_state.shape:
@@ -73,7 +71,7 @@ def query_and_transition(layer: LayerState, bits: np.ndarray,
         if np.isnan(bit):
             continue
         state = SlotState(layer.slot_state[j])
-        if state == SlotState.UNGROWN and bit == 1.0 and allow_grow:
+        if state == SlotState.UNGROWN and bit == 1.0:
             layer.weights[j] = grow_filter(layer.spec, rng)
             layer.bias[j] = 0.0
             layer.slot_state[j] = SlotState.GROWN_TRAINING

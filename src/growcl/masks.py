@@ -14,80 +14,28 @@ Three mask roles share this machinery:
 
 A logit m maps to a soft probability through a two-class Gumbel relaxation
 of sigmoid(m); forward passes only ever see hard {0,1} bits, while gradients
-travel through the relaxed path (straight-through).
+travel through the relaxed path (straight-through).  Bits are plain float64
+arrays shaped like their logits.  Every mode applies all three masks and only
+chooses which logits learn (driver.py): ``grow_only`` and scratch models keep
+the claim and reuse masks frozen at their keep-all initialization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 
-class Granularity(Enum):
-    CHANNEL = "channel"   # one bit per output channel, broadcast over (Cin,k,k)
-    KERNEL = "kernel"     # one bit per (out, in) pair, broadcast over (k,k)
-
-
-@dataclass(frozen=True)
-class MaskBinding:
-    """Which layer's weights a mask multiplies, and that weight shape."""
-
-    layer: str
-    out_channels: int
-    in_channels: int
-
-    def expected_shape(self, granularity: Granularity) -> tuple[int, ...]:
-        if granularity is Granularity.CHANNEL:
-            return (self.out_channels,)
-        return (self.out_channels, self.in_channels)
-
-
 @dataclass
 class MaskParam:
-    """Real-valued mask logits bound to one layer."""
+    """Real-valued float64 logits of one mask, shaped as its role requires."""
 
     logits: np.ndarray
-    granularity: Granularity
-    binding: MaskBinding
 
-    def __post_init__(self):
-        self.logits = np.asarray(self.logits, dtype=np.float64)
-        want = self.binding.expected_shape(self.granularity)
-        if self.logits.shape != want:
-            raise ValueError(
-                f"{self.granularity.value} mask for {self.binding.layer} must have "
-                f"shape {want}, got {self.logits.shape}"
-            )
-
-    def hard_bits(self) -> "BinaryMask":
+    def hard_bits(self) -> np.ndarray:
         """Noise-free binarization: bit 1 where sigmoid(logit) >= 0.5."""
-        return BinaryMask(
-            bits=binarize_ste(sigmoid(self.logits)),
-            granularity=self.granularity,
-            binding=self.binding,
-        )
-
-
-@dataclass
-class BinaryMask:
-    """Hard {0,1} bits with the same binding discipline as MaskParam."""
-
-    bits: np.ndarray
-    granularity: Granularity
-    binding: MaskBinding
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.float64)
-        want = self.binding.expected_shape(self.granularity)
-        if self.bits.shape != want:
-            raise ValueError(
-                f"{self.granularity.value} bits for {self.binding.layer} must have "
-                f"shape {want}, got {self.bits.shape}"
-            )
-        if not np.all((self.bits == 0.0) | (self.bits == 1.0)):
-            raise ValueError("mask bits must be exactly 0.0 or 1.0")
+        return binarize_ste(sigmoid(self.logits))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +123,7 @@ def ste_logit_grad(dbits, logits, g0, g1, temperature: float) -> np.ndarray:
 # sparsity penalty
 # ---------------------------------------------------------------------------
 
-def l0_penalty(mask: BinaryMask, logits: np.ndarray,
+def l0_penalty(bits: np.ndarray, logits: np.ndarray,
                lam: float) -> tuple[float, np.ndarray]:
     """lam * (number of 1-bits), with a relaxed gradient surrogate.
 
@@ -186,12 +134,11 @@ def l0_penalty(mask: BinaryMask, logits: np.ndarray,
     """
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
+    bits = np.asarray(bits, dtype=np.float64)
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.shape != mask.bits.shape:
-        raise ValueError(
-            f"logits shape {logits.shape} != bits shape {mask.bits.shape}"
-        )
-    value = float(lam * mask.bits.sum())
+    if logits.shape != bits.shape:
+        raise ValueError(f"logits shape {logits.shape} != bits shape {bits.shape}")
+    value = float(lam * bits.sum())
     s = sigmoid(logits)
     dlogits = lam * s * (1.0 - s)
     return value, dlogits

@@ -15,7 +15,7 @@ import numpy as np
 from .backbone import ArchSpec, BackboneState, ConvLayerSpec
 from .driver import EpochLogEntry, RunResult, TaskSnapshot, _frozen
 from .growth import ratio_label
-from .store import read_container, write_container, write_text_atomic
+from .store import StoreFormatError, read_container, write_container, write_text_atomic
 
 FORMAT_VERSION = 1
 
@@ -49,7 +49,7 @@ def save_snapshot(snapshot: TaskSnapshot, path: str | Path) -> None:
         "has_norm": snapshot.norm_scale is not None,
         "has_logits": snapshot.claim_logits is not None,
         "layers": layers,
-        # mask binding/granularity tags: claim and reuse masks are
+        # mask granularity tag: claim and reuse masks are
         # kernel-wise grids bound to each layer's (out, in) capacity
         "mask_granularity": "kernel",
     }
@@ -72,8 +72,18 @@ def save_snapshot(snapshot: TaskSnapshot, path: str | Path) -> None:
     write_container(path, header, arrays)
 
 
-def load_snapshot(path: str | Path) -> TaskSnapshot:
+def _read_kind(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """A container's header and arrays, after checking its version and kind."""
     header, arrays = read_container(path)
+    found = (header.get("format_version"), header.get("kind"))
+    if found != (FORMAT_VERSION, kind):
+        raise StoreFormatError(f"{path}: expected format_version {FORMAT_VERSION} "
+                               f"kind {kind!r}, got {found[0]!r} kind {found[1]!r}")
+    return header, arrays
+
+
+def load_snapshot(path: str | Path) -> TaskSnapshot:
+    header, arrays = _read_kind(path, "task_snapshot")
     layers = header["layers"]
     reuse = None
     if header["has_reuse"]:
@@ -122,7 +132,7 @@ def save_backbone(backbone: BackboneState, arch_dict: dict, path: str | Path) ->
 
 
 def load_backbone(path: str | Path) -> BackboneState:
-    header, arrays = read_container(path)
+    header, arrays = _read_kind(path, "backbone")
     backbone = BackboneState(arch_from_dict(header["arch"]))
     for layer in backbone.layers:
         n = layer.spec.name

@@ -10,6 +10,7 @@ byte-comparable across reruns.  Files are written atomically
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -63,9 +64,23 @@ def write_container(path: str | Path, header: dict,
 
 
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and arrays of a container file; StoreFormatError for any file
+    that is not one (bad magic, truncated, unknown dtype, trailing bytes)."""
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise StoreFormatError(f"{path}: bad magic {raw[:4]!r}")
+    try:
+        header, arrays, pos = _parse_records(raw)
+    except (struct.error, ValueError, KeyError) as e:   # UnicodeDecodeError is a ValueError
+        raise StoreFormatError(f"{path}: malformed container: {type(e).__name__}: {e}") from e
+    if not isinstance(header, dict):
+        raise StoreFormatError(f"{path}: header is {type(header).__name__}, not an object")
+    if pos != len(raw):
+        raise StoreFormatError(f"{path}: {len(raw) - pos} trailing bytes")
+    return header, arrays
+
+
+def _parse_records(raw: bytes) -> tuple[object, dict[str, np.ndarray], int]:
     pos = 4
     (header_len,) = struct.unpack_from("<I", raw, pos)
     pos += 4
@@ -84,14 +99,11 @@ def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         shape = struct.unpack_from(f"<{ndim}I", raw, pos)
         pos += 4 * ndim
         dt = np.dtype(_CODE_DTYPES[code])
-        nbytes = int(np.prod(shape)) * dt.itemsize if ndim else dt.itemsize
-        arr = np.frombuffer(raw, dtype=dt, count=max(1, int(np.prod(shape))),
-                            offset=pos).reshape(shape)
-        pos += nbytes
+        count = math.prod(shape)   # 1 for a 0-d array, 0 for an empty one
+        arr = np.frombuffer(raw, dtype=dt, count=count, offset=pos).reshape(shape)
+        pos += count * dt.itemsize
         arrays[name] = arr.copy()
-    if pos != len(raw):
-        raise StoreFormatError(f"{path}: {len(raw) - pos} trailing bytes")
-    return header, arrays
+    return header, arrays, pos
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -18,9 +18,6 @@ from growcl.driver import forgetting_check
 from growcl.enumcheck import run_sweep
 from growcl.growth import finalize_task, query_and_transition
 from growcl.masks import (
-    BinaryMask,
-    Granularity,
-    MaskBinding,
     binarize_ste,
     gumbel_noise,
     gumbel_sigmoid,
@@ -227,13 +224,11 @@ class TestCriterion3GradientSuite:
         def l0_problem(rng):
             logits0 = rng.normal(size=6)
             lam = 0.37
-            binding = MaskBinding("c", 6, 1)
 
             def f(logits):
-                mask = BinaryMask(binarize_ste(sigmoid(logits)),
-                                  Granularity.CHANNEL, binding)
+                bits = binarize_ste(sigmoid(logits))
                 value = lam * float(sigmoid(logits).sum())   # relaxed count
-                _, grad = l0_penalty(mask, logits, lam)
+                _, grad = l0_penalty(bits, logits, lam)
                 return value, grad
 
             return f, logits0.copy()

@@ -171,3 +171,34 @@ class TestReportCommand:
         assert err.startswith("error: malformed manifest")
         assert "Traceback" not in err
         assert not (tmp_path / "report").exists()
+
+    def write_manifests(self, tmp_path, **changes):
+        """Two run directories with the fields ``report`` reads; ``changes``
+        edits the second manifest."""
+        base = {"mode": "grown", "seed": 0, "n_tasks": 2, "task_ids": [1, 2],
+                "test_accuracies": {"1": 0.9, "2": 0.8}, "avg_accuracy": 0.85,
+                "ratio_labels": {"1": "0.3x", "2": "0.4x"}}
+        dirs = []
+        for name, m in (("a", base), ("b", {**base, "mode": "grow_only", **changes})):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "manifest.json").write_text(json.dumps(m))
+            dirs.append(str(tmp_path / name))
+        return dirs
+
+    def test_minimal_manifests_report(self, tmp_path):
+        dirs = self.write_manifests(tmp_path, seed=0)
+        assert main(["report", *dirs, "--out", str(tmp_path / "report")]) == 0
+        assert (tmp_path / "report" / "deltas.csv").exists()
+
+    @pytest.mark.parametrize("changes", [
+        {"seed": "4"}, {"avg_accuracy": "0.9"}, {"seed": True}, {"n_tasks": 2.0},
+        {"mode": 3}, {"test_accuracies": {"1": 0.9, "2": None}},
+        {"ratio_labels": {"1": "0.3x", "2": 0.4}},
+    ])
+    def test_mistyped_manifest_usage_error(self, tmp_path, capsys, changes):
+        dirs = self.write_manifests(tmp_path, **changes)
+        assert main(["report", *dirs, "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed manifest")
+        assert "Traceback" not in err
+        assert not (tmp_path / "report").exists()

@@ -4,8 +4,7 @@ import pytest
 from growcl.backbone import BackboneState, KernelState, SlotState
 from growcl.config import parse_config_data
 from growcl.driver import (
-    GROWN_FLAGS,
-    GROW_ONLY_FLAGS,
+    CLAIM_INIT,
     TaskSpec,
     TaskTrainer,
     baseline_scratch,
@@ -81,9 +80,8 @@ class TestRunGrown:
     def test_forward_multipliers_are_binary(self, grown_run):
         cfg, res = grown_run
         tasks = build_tasks(cfg)
-        from growcl.driver import TaskSpec, TaskTrainer, GROWN_FLAGS
         spec = TaskSpec(2, tasks[1], 0.9, cfg.growth_cap)
-        trainer = TaskTrainer(res.backbone, spec, cfg, GROWN_FLAGS, SeededRng(0))
+        trainer = TaskTrainer(res.backbone, spec, cfg, True, SeededRng(0))
         tv = trainer.build_train_view()
         for mult in tv.view.multipliers.values():
             assert set(np.unique(mult)) <= {0.0, 1.0}
@@ -166,12 +164,12 @@ class TestNonFiniteGuard:
         from growcl.driver import _grow_seed_channels
         _grow_seed_channels(backbone, root.substream("growth"))
         tr1 = TaskTrainer(backbone, TaskSpec(1, tasks[0], 0.9, cfg.growth_cap),
-                          cfg, GROW_ONLY_FLAGS, root)
+                          cfg, False, root)
         tr1.train_phase("grow", 1, grow=True, epoch_log=[])
         tr1.finalize()
         weights = [l.weights.copy() for l in backbone.layers]
         tr2 = TaskTrainer(backbone, TaskSpec(2, tasks[1], 0.9, cfg.growth_cap),
-                          cfg, GROW_ONLY_FLAGS, root)
+                          cfg, False, root)
         tr2.head_bias[0] = np.nan
         with pytest.raises(FloatingPointError, match="non-finite head"):
             tr2.train_phase("pick", 1, grow=False, epoch_log=[])
@@ -218,6 +216,7 @@ class TestBaselines:
         res = run_pipeline(cfg, "grow_only")
         for snap in res.snapshots.values():
             assert snap.reuse_bits is None
+            assert snap.reuse_logits is None and snap.claim_logits is None
             for bits in snap.claim_bits.values():
                 assert np.all(bits == 1.0)
         for layer in res.backbone.layers:
@@ -227,6 +226,61 @@ class TestBaselines:
         cfg = tiny_config(n_tasks=2)
         res = run_pipeline(cfg, "grow_only")
         assert all(forgetting_check(res.snapshots, res.backbone).values())
+
+
+def assert_kernel_logits_at_init(trainer):
+    for masks in (trainer.reuse_masks, trainer.claim_masks):
+        for mask in masks.values():
+            assert np.all(mask.logits == CLAIM_INIT)
+
+
+class TestKeepAllKernelMasks:
+    """Without kernel masks the reuse and claim masks stay at keep-all, so
+    the one train view multiplies every used and growing kernel by 1."""
+
+    def test_grow_only_phases_keep_logits_and_multipliers(self):
+        cfg = tiny_config(n_tasks=2)
+        tasks = build_tasks(cfg)
+        root = SeededRng(cfg.seed)
+        backbone = BackboneState(cfg.arch)
+        from growcl.driver import _grow_seed_channels
+        _grow_seed_channels(backbone, root.substream("growth"))
+        tr1 = TaskTrainer(backbone, TaskSpec(1, tasks[0], 0.9, cfg.growth_cap),
+                          cfg, False, root)
+        tr1.train_phase("grow", 2, grow=True, epoch_log=[])
+        assert_kernel_logits_at_init(tr1)
+        tr1.finalize()
+
+        # target and cap 1.0: task 2 keeps growing channels to the end
+        tr2 = TaskTrainer(backbone, TaskSpec(2, tasks[1], 1.0, 1.0), cfg, False, root)
+        tr2.train_phase("grow", 2, grow=True, epoch_log=[])
+        assert_kernel_logits_at_init(tr2)
+        tv = tr2.build_train_view()
+        n_used = n_growing = 0
+        for layer in backbone.layers:
+            name = layer.spec.name
+            mult = tv.view.multipliers[name]
+            used = tv.used_old[name]
+            rows = tv.training_rows[name]
+            assert np.all(mult[used] == 1.0) and np.all(mult[rows] == 1.0)
+            n_used += int(used.sum())
+            n_growing += int(rows.sum())
+        assert n_used > 0 and n_growing > 0
+
+    def test_scratch_model_keeps_logits(self, monkeypatch):
+        import growcl.driver as driver
+        trainers = []
+
+        class Recording(driver.TaskTrainer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                trainers.append(self)
+
+        monkeypatch.setattr(driver, "TaskTrainer", Recording)
+        cfg = tiny_config(n_tasks=1)
+        train_scratch_model(build_tasks(cfg)[0], cfg, cfg.seed)
+        (trainer,) = trainers
+        assert_kernel_logits_at_init(trainer)
 
 
 class TestPickTransferOracle:
@@ -241,7 +295,7 @@ class TestPickTransferOracle:
         from growcl.driver import _grow_seed_channels
         _grow_seed_channels(backbone, root.substream("growth"))
         spec1 = TaskSpec(1, tasks[0], 0.9, cfg.growth_cap)
-        tr1 = TaskTrainer(backbone, spec1, cfg, GROW_ONLY_FLAGS, root)
+        tr1 = TaskTrainer(backbone, spec1, cfg, False, root)
         tr1.train_phase("grow", cfg.epochs["task1"], grow=True, epoch_log=[])
         tr1.finalize()
         # grow-only task 1 claims everything: no released kernels exist
@@ -251,7 +305,7 @@ class TestPickTransferOracle:
 
         # pick phase with selection machinery disabled
         spec2 = TaskSpec(2, tasks[1], 0.9, cfg.growth_cap)
-        tr2 = TaskTrainer(backbone, spec2, cfg, GROW_ONLY_FLAGS, root)
+        tr2 = TaskTrainer(backbone, spec2, cfg, False, root)
         tr2.train_phase("pick", cfg.epochs["pick"], grow=False, epoch_log=[])
         candidate = tr2.validation_accuracy()
 
@@ -306,7 +360,7 @@ class TestReleasedKernelFlow:
         from growcl.driver import _grow_seed_channels
         _grow_seed_channels(backbone, root.substream("growth"))
         spec1 = TaskSpec(1, tasks[0], 0.9, cfg.growth_cap)
-        tr1 = TaskTrainer(backbone, spec1, cfg, GROWN_FLAGS, root)
+        tr1 = TaskTrainer(backbone, spec1, cfg, True, root)
         tr1.train_phase("grow", cfg.epochs["task1"], grow=True, epoch_log=[])
         # force some releases over a live input channel (a pruned input
         # would leave the released kernels with legitimately zero gradient)
@@ -324,7 +378,7 @@ class TestReleasedKernelFlow:
         before = {key: backbone.layer(key[0]).weights[key[1]].copy()
                   for key in released}
         spec2 = TaskSpec(2, tasks[1], 0.9, cfg.growth_cap)
-        tr2 = TaskTrainer(backbone, spec2, cfg, GROWN_FLAGS, root)
+        tr2 = TaskTrainer(backbone, spec2, cfg, True, root)
         tr2.train_phase("pick", cfg.epochs["pick"], grow=False, epoch_log=[])
         snap2 = tr2.finalize()
 

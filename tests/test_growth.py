@@ -127,15 +127,6 @@ class TestQueryAndTransition:
         with pytest.raises(ContractViolation, match="FIXED slot 0"):
             query_and_transition(layer, bits_for(layer, {0: 1.0}), SeededRng(1))
 
-    def test_allow_grow_false_keeps_ungrown(self):
-        bb = single_layer_backbone(4)
-        layer = bb.layers[0]
-        actions = query_and_transition(
-            layer, bits_for(layer, {1: 1.0}), SeededRng(0), allow_grow=False
-        )
-        assert actions == []
-        assert layer.slot_state[1] == SlotState.UNGROWN
-
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_random_walks_respect_transition_graph(self, seed):

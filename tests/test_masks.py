@@ -6,9 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growcl.masks import (
-    BinaryMask,
-    Granularity,
-    MaskBinding,
     MaskParam,
     binarize_ste,
     gumbel_from_uniform,
@@ -23,16 +20,6 @@ from growcl.ops import finite_diff_check
 from growcl.rng import SeededRng
 
 EULER_MASCHERONI = 0.5772156649015329
-
-
-def kernel_mask(bits, layer="conv1"):
-    bits = np.asarray(bits, dtype=np.float64)
-    return BinaryMask(bits, Granularity.KERNEL, MaskBinding(layer, *bits.shape))
-
-
-def channel_mask(bits, cin, layer="conv1"):
-    bits = np.asarray(bits, dtype=np.float64)
-    return BinaryMask(bits, Granularity.CHANNEL, MaskBinding(layer, bits.shape[0], cin))
 
 
 class TestGumbelNoise:
@@ -129,24 +116,24 @@ class TestBinarize:
 
 class TestL0Penalty:
     def test_counts_one_bits(self):
-        m = kernel_mask(np.array([[1.0, 0.0], [1.0, 1.0]]))
+        m = np.array([[1.0, 0.0], [1.0, 1.0]])
         value, _ = l0_penalty(m, np.zeros((2, 2)), lam=1.0)
         assert value == 3.0
 
     def test_zero_mask_keeps_nonzero_surrogate(self):
-        m = kernel_mask(np.zeros((2, 2)))
+        m = np.zeros((2, 2))
         value, grad = l0_penalty(m, np.full((2, 2), -2.0), lam=0.5)
         assert value == 0.0
         assert np.all(grad > 0.0)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            l0_penalty(kernel_mask(np.zeros((1, 1))), np.zeros((1, 1)), lam=-1.0)
+            l0_penalty(np.zeros((1, 1)), np.zeros((1, 1)), lam=-1.0)
 
     def test_surrogate_matches_relaxed_count_derivative(self):
         logits0 = np.linspace(-2, 2, 6)
         lam = 0.37
-        m = channel_mask(binarize_ste(sigmoid(logits0)), cin=1)
+        m = binarize_ste(sigmoid(logits0))
 
         def f(logits):
             value = lam * float(sigmoid(logits).sum())
@@ -157,13 +144,14 @@ class TestL0Penalty:
         assert res.max_rel_error < 1e-6
 
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            l0_penalty(np.zeros(3), np.zeros((3, 2)), lam=1.0)
+        with pytest.raises(ValueError, match="shape"):
+            l0_penalty(np.zeros((2, 3)), np.zeros((3, 2)), lam=1.0)
+
+
 class TestMaskParam:
     def test_hard_bits_threshold_at_zero_logit(self):
-        p = MaskParam(np.array([-0.1, 0.0, 0.3]), Granularity.CHANNEL, MaskBinding("c", 3, 2))
-        assert np.array_equal(p.hard_bits().bits, [0.0, 1.0, 1.0])
-
-    def test_shape_enforced_per_granularity(self):
-        with pytest.raises(ValueError):
-            MaskParam(np.zeros(3), Granularity.KERNEL, MaskBinding("c", 3, 2))
-        with pytest.raises(ValueError):
-            BinaryMask(np.full((3, 2), 0.5), Granularity.KERNEL, MaskBinding("c", 3, 2))
+        p = MaskParam(np.array([-0.1, 0.0, 0.3]))
+        assert np.array_equal(p.hard_bits(), [0.0, 1.0, 1.0])

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growcl.config import parse_config_data
 from growcl.driver import evaluate, forgetting_check, run_pipeline, build_tasks
@@ -16,6 +18,7 @@ from growcl.persist import (
     save_run,
     save_snapshot,
 )
+from growcl.store import StoreFormatError, read_container, write_container
 
 
 def tiny_config(seed=0):
@@ -140,3 +143,30 @@ class TestRunDirectory:
         a = json.dumps(build_manifest(result), sort_keys=True)
         b = json.dumps(build_manifest(result), sort_keys=True)
         assert a == b
+
+
+class TestMalformedFiles:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_truncated_snapshot_rejected(self, saved_run, tmp_path_factory, data):
+        _, _, run_dir = saved_run
+        raw = (run_dir / "snapshots" / "task_001.snap").read_bytes()
+        cut = data.draw(st.integers(min_value=0, max_value=len(raw) - 1), label="cut")
+        path = tmp_path_factory.mktemp("cut") / "task_001.snap"
+        path.write_bytes(raw[:cut])
+        with pytest.raises(StoreFormatError):
+            load_snapshot(path)
+
+    def test_swapped_kinds_rejected(self, saved_run):
+        _, _, run_dir = saved_run
+        with pytest.raises(StoreFormatError, match="'task_snapshot'"):
+            load_snapshot(run_dir / "backbone.bin")
+        with pytest.raises(StoreFormatError, match="'backbone'"):
+            load_backbone(run_dir / "snapshots" / "task_001.snap")
+
+    def test_unknown_format_version_rejected(self, saved_run, tmp_path):
+        _, _, run_dir = saved_run
+        header, arrays = read_container(run_dir / "backbone.bin")
+        write_container(tmp_path / "b.bin", {**header, "format_version": 2}, arrays)
+        with pytest.raises(StoreFormatError, match="format_version"):
+            load_backbone(tmp_path / "b.bin")

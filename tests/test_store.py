@@ -59,3 +59,50 @@ def test_trailing_garbage_rejected(tmp_path):
 def test_no_tmp_file_left_behind(tmp_path):
     write_container(tmp_path / "x.bin", {}, {"a": np.zeros(1)})
     assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
+
+
+def small_container(tmp_path):
+    p = tmp_path / "x.bin"
+    write_container(p, {"kind": "test"}, {
+        "a": np.arange(6, dtype=np.float64).reshape(2, 3),
+        "owners": np.array([1, 2], dtype=np.int32),
+        "scalar": np.array(7, dtype=np.int8),
+    })
+    return p
+
+
+def test_empty_and_zero_d_arrays_round_trip(tmp_path):
+    arrays = {"empty": np.zeros((0, 3)), "scalar": np.array(2.5)}
+    write_container(tmp_path / "x.bin", {}, arrays)
+    _, back = read_container(tmp_path / "x.bin")
+    for name, arr in arrays.items():
+        assert back[name].shape == arr.shape
+        assert back[name].tobytes() == arr.tobytes()
+
+
+def test_every_truncation_rejected(tmp_path):
+    p = small_container(tmp_path)
+    raw = p.read_bytes()
+    for cut in range(len(raw)):
+        p.write_bytes(raw[:cut])
+        with pytest.raises(StoreFormatError):
+            read_container(p)
+
+
+def test_bad_dtype_code_rejected(tmp_path):
+    p = tmp_path / "x.bin"
+    write_container(p, {}, {"a": np.zeros(2)})
+    raw = bytearray(p.read_bytes())
+    code_at = 4 + 4 + len(b"{}") + 4 + 2 + len(b"a")
+    assert raw[code_at] == 0   # the float64 code
+    raw[code_at] = 9
+    p.write_bytes(bytes(raw))
+    with pytest.raises(StoreFormatError, match="KeyError"):
+        read_container(p)
+
+
+@pytest.mark.parametrize("header", [[1, 2], "text", 3])
+def test_non_object_header_rejected(tmp_path, header):
+    write_container(tmp_path / "x.bin", header, {})
+    with pytest.raises(StoreFormatError, match="not an object"):
+        read_container(tmp_path / "x.bin")
