@@ -11,6 +11,12 @@ The per-task sub-network is expressed as a kernel multiplier grid plus a
 channel-activity row mask (a ``TaskView``); masked positions are written as
 exact +0.0 so outputs are reproducible byte-for-byte no matter what later
 tasks write into released or not-yet-grown storage.
+
+The passes compute only on the view's on channels: each conv takes the
+previous layer's on channels and produces its own, and relu and maxpool run
+on that compact tensor.  Full width comes back only around group norm and
+before the head.  The channel indices depend on the view alone, so a
+finished task's passes keep their shapes and their bytes.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -185,7 +192,7 @@ class BackboneState:
 class TaskView:
     """Kernel multipliers + channel activity defining one task's network."""
 
-    multipliers: dict[str, np.ndarray]          # [out_cap, in_cap] in {0,1} ... or {0,1} bits
+    multipliers: dict[str, np.ndarray]          # [out_cap, in_cap] {0,1}, 0 on off rows
     channel_on: dict[str, np.ndarray]           # bool [out_cap]
     head_weight: np.ndarray                     # [K, feature_dim]
     head_bias: np.ndarray                       # [K]
@@ -193,51 +200,99 @@ class TaskView:
     norm_shift: dict[str, np.ndarray] | None = None
 
 
+class LayerCache(NamedTuple):
+    conv: tuple
+    norm: tuple | None
+    relu: np.ndarray
+    pool: tuple | None
+    out_index: np.ndarray | None   # the layer's on channels (None: all)
+    in_index: np.ndarray | None    # the previous layer's on channels (None: all)
+
+
 @dataclass
 class ForwardCache:
-    layer_caches: list = field(default_factory=list)
-    flat_shape: tuple = ()
+    layer_caches: list[LayerCache] = field(default_factory=list)
+    feature_shape: tuple = ()   # full-width [N, C, H, W] fed to the head
     head_cache: object = None
-    eff_weights: dict = field(default_factory=dict)
 
 
-def effective_filters(layer: LayerState, mult: np.ndarray) -> np.ndarray:
-    """weights * multiplier, with masked positions forced to exact +0.0."""
-    eff = layer.weights * mult[:, :, None, None]
-    eff[np.broadcast_to((mult == 0.0)[:, :, None, None], eff.shape)] = 0.0
+def _on_index(on: np.ndarray) -> np.ndarray | None:
+    """Indices of the on channels, or None when every channel is on."""
+    return None if on.all() else np.flatnonzero(on)
+
+
+def _gather(h: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
+    """Compact [N, |idx|, H, W] from full width (no copy when idx is None)."""
+    return h if idx is None else np.take(h, idx, axis=1)
+
+
+def _scatter(h: np.ndarray, idx: np.ndarray | None, width: int) -> np.ndarray:
+    """Full width [N, width, H, W] with exact +0.0 on the channels not in idx."""
+    if idx is None:
+        return h
+    out = np.zeros((h.shape[0], width) + h.shape[2:])
+    out[:, idx] = h
+    return out
+
+
+def _block(a: np.ndarray, rows: np.ndarray | None, cols: np.ndarray | None) -> np.ndarray:
+    """The [rows, cols] block of a per-kernel array (None keeps every index)."""
+    if rows is not None and cols is not None:
+        return a[np.ix_(rows, cols)]
+    if rows is not None:
+        return a[rows]
+    if cols is not None:
+        return a[:, cols]
+    return a
+
+
+def effective_filters(layer: LayerState, mult: np.ndarray,
+                      rows: np.ndarray | None = None,
+                      cols: np.ndarray | None = None) -> np.ndarray:
+    """weights * multiplier, with masked positions forced to exact +0.0,
+    on the [rows, cols] block of output and input channels (all by default)."""
+    m = _block(mult, rows, cols)
+    eff = _block(layer.weights, rows, cols) * m[:, :, None, None]
+    eff[np.broadcast_to((m == 0.0)[:, :, None, None], eff.shape)] = 0.0
     return eff
 
 
 def forward_pass(backbone: BackboneState, view: TaskView, x: np.ndarray,
                  want_cache: bool = False):
-    """Run the masked backbone + head; returns logits (and caches)."""
+    """Run the masked backbone + head; returns logits (and caches).
+
+    Each layer computes only its view's on channels from the previous
+    layer's on channels.  Full width comes back for group norm, whose
+    statistics count the off channels' zeros, and before the head."""
     cache = ForwardCache() if want_cache else None
     h = np.asarray(x, dtype=np.float64)
+    ii = None    # the input image: every channel
     for layer in backbone.layers:
         name = layer.spec.name
-        mult = view.multipliers[name]
-        on = view.channel_on[name]
-        eff_w = effective_filters(layer, mult)
-        eff_b = np.where(on, layer.bias, 0.0)
-        h, conv_cache = conv2d(h, eff_w, eff_b, stride=layer.spec.stride, pad=layer.spec.pad)
+        width = layer.spec.out_channels
+        oi = _on_index(view.channel_on[name])
+        eff_w = effective_filters(layer, view.multipliers[name], oi, ii)
+        bias = layer.bias if oi is None else layer.bias[oi]
+        h, conv_cache = conv2d(h, eff_w, bias, stride=layer.spec.stride, pad=layer.spec.pad)
         norm_cache = None
         if view.norm_scale is not None:
             h, norm_cache = group_norm(
-                h, view.norm_scale[name], view.norm_shift[name],
+                _scatter(h, oi, width), view.norm_scale[name], view.norm_shift[name],
                 groups=1, eps=backbone.arch.norm_eps,
             )
-        h[:, ~on] = 0.0   # kill bias/norm leakage from channels outside the task
+            h = _gather(h, oi)
         h, relu_cache = relu(h)
         pool_cache = None
         if layer.spec.pool:
             h, pool_cache = maxpool2d(h, k=layer.spec.pool, stride=layer.spec.pool)
         if want_cache:
-            cache.layer_caches.append((conv_cache, norm_cache, relu_cache, pool_cache, on))
-            cache.eff_weights[name] = eff_w
-    flat = h.reshape(h.shape[0], -1)
-    logits, head_cache = linear(flat, view.head_weight, view.head_bias)
+            cache.layer_caches.append(
+                LayerCache(conv_cache, norm_cache, relu_cache, pool_cache, oi, ii))
+        ii = oi
+    h = _scatter(h, ii, backbone.layers[-1].spec.out_channels)
+    logits, head_cache = linear(h.reshape(h.shape[0], -1), view.head_weight, view.head_bias)
     if want_cache:
-        cache.flat_shape = h.shape
+        cache.feature_shape = h.shape
         cache.head_cache = head_cache
         return logits, cache
     return logits
@@ -255,29 +310,46 @@ class BackwardResult:
 
 def backward_pass(backbone: BackboneState, view: TaskView, cache: ForwardCache,
                   dlogits: np.ndarray) -> BackwardResult:
-    """Backpropagate through head and all layers.
+    """Backpropagate through head and all layers, on the forward's on channels.
 
-    Returns gradients w.r.t. the *effective* (masked) filters; the trainer
+    Returns gradients w.r.t. the *effective* (masked) filters at full
+    [out, in, k, k] capacity, exact +0.0 outside the on block; the trainer
     splits those into weight and mask-logit gradients.
     """
     dflat, d_hw, d_hb = linear_backward(dlogits, cache.head_cache)
-    dh = dflat.reshape(cache.flat_shape)
+    dh = _gather(dflat.reshape(cache.feature_shape), cache.layer_caches[-1].out_index)
     d_eff: dict[str, np.ndarray] = {}
     d_bias: dict[str, np.ndarray] = {}
     d_ns: dict[str, np.ndarray] = {}
     d_nsh: dict[str, np.ndarray] = {}
-    for layer, caches in zip(reversed(backbone.layers), reversed(cache.layer_caches)):
-        conv_cache, norm_cache, relu_cache, pool_cache, on = caches
+    for index in reversed(range(len(backbone.layers))):
+        layer = backbone.layers[index]
+        lc = cache.layer_caches[index]
+        oi, ii = lc.out_index, lc.in_index
         name = layer.spec.name
-        if pool_cache is not None:
-            dh = maxpool2d_backward(dh, pool_cache)
-        dh = relu_backward(dh, relu_cache)
-        dh[:, ~on] = 0.0
-        if norm_cache is not None:
-            dh, dscale, dshift = group_norm_backward(dh, norm_cache)
+        if lc.pool is not None:
+            dh = maxpool2d_backward(dh, lc.pool)
+        dh = relu_backward(dh, lc.relu)
+        full = _scatter(dh, oi, layer.spec.out_channels)
+        if lc.norm is not None:
+            full, dscale, dshift = group_norm_backward(full, lc.norm)
             d_ns[name] = dscale
             d_nsh[name] = dshift
-        dh, dw_eff, db = conv2d_backward(dh, conv_cache)
-        d_eff[name] = dw_eff
-        d_bias[name] = np.where(on, db, 0.0)
+            dh = _gather(full, oi)
+        # the input image needs no gradient
+        dh, dw_eff, db = conv2d_backward(dh, lc.conv, need_dx=index > 0)
+        if oi is not None:
+            # reduced at full width: summing the compact array takes a
+            # different pairwise order and changes the bytes
+            n, c, hh, ww = full.shape
+            db = np.where(view.channel_on[name],
+                          full.reshape(n, c, hh * ww).sum(axis=(0, 2)), 0.0)
+        d_bias[name] = db
+        if oi is None and ii is None:
+            d_eff[name] = dw_eff
+        else:
+            d_eff[name] = np.zeros_like(layer.weights)
+            rows = np.arange(layer.spec.out_channels) if oi is None else oi
+            cols = np.arange(layer.spec.in_channels) if ii is None else ii
+            d_eff[name][np.ix_(rows, cols)] = dw_eff
     return BackwardResult(d_eff, d_bias, d_hw, d_hb, d_ns, d_nsh)

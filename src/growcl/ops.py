@@ -95,24 +95,31 @@ def conv2d(x, filters, bias, stride: int = 1, pad: int = 0):
     if b.shape != (cout,):
         raise ShapeError(f"bias shape {b.shape} != ({cout},)")
     cols, (xp_shape, ho, wo) = _im2col(x, kh, stride, pad)
-    wm = w.reshape(cout, -1)
-    out = np.matmul(wm, cols)            # [N, Cout, Ho*Wo] via broadcasting
+    wm = w.reshape(cout, cin * kh * kw)   # explicit sizes: cout or cin may be 0
+    # numpy hands a one-row product to gemv, which sums in another order
+    # than gemm; a zero second row keeps the gemm, so a channel's bytes do
+    # not depend on how many channels are computed alongside it
+    rows = wm if cout != 1 else np.concatenate([wm, np.zeros_like(wm)])
+    out = np.matmul(rows, cols)[:, :cout]   # [N, Cout, Ho*Wo] via broadcasting
     out += b[None, :, None]
     out = out.reshape(n, cout, ho, wo)
     cache = (cols, w.shape, wm, xp_shape, kh, stride, pad, (ho, wo))
     return out, cache
 
 
-def conv2d_backward(dout: np.ndarray, cache):
-    """Gradients (dx, dfilters, dbias) for conv2d."""
+def conv2d_backward(dout: np.ndarray, cache, need_dx: bool = True):
+    """Gradients (dx, dfilters, dbias) for conv2d; dx is None unless
+    ``need_dx`` (a first layer has no use for its input-image gradient)."""
     cols, w_shape, wm, xp_shape, k, stride, pad, out_hw = cache
     n, cout, ho, wo = dout.shape
     go = dout.reshape(n, cout, ho * wo)
     db = go.sum(axis=(0, 2))
     dwm = np.einsum("nop,ncp->oc", go, cols)
     dw = dwm.reshape(w_shape)
-    dcols = np.matmul(wm.T, go)          # [N, Cin*k*k, Ho*Wo]
-    dx = _col2im(dcols, xp_shape, k, stride, pad, out_hw)
+    dx = None
+    if need_dx:
+        dcols = np.matmul(wm.T, go)      # [N, Cin*k*k, Ho*Wo]
+        dx = _col2im(dcols, xp_shape, k, stride, pad, out_hw)
     return dx, dw, db
 
 

@@ -82,35 +82,68 @@ def _read_kind(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]
     return header, arrays
 
 
+def _field(header: dict, key: str, path: str | Path):
+    if key not in header:
+        raise StoreFormatError(f"{path}: header lacks {key!r}")
+    return header[key]
+
+
+def _array(arrays: dict[str, np.ndarray], key: str, path: str | Path,
+           shape: tuple) -> np.ndarray:
+    """The ``key`` record, checked against ``shape`` (None matches any extent)."""
+    if key not in arrays:
+        raise StoreFormatError(f"{path}: no array record {key!r}")
+    arr = arrays[key]
+    if len(arr.shape) != len(shape) or any(
+            want is not None and got != want for got, want in zip(arr.shape, shape)):
+        raise StoreFormatError(f"{path}: array {key!r} has shape {arr.shape}, "
+                               f"expected {shape}")
+    return arr
+
+
 def load_snapshot(path: str | Path) -> TaskSnapshot:
     header, arrays = _read_kind(path, "task_snapshot")
-    layers = header["layers"]
-    reuse = None
-    if header["has_reuse"]:
-        reuse = {name: _frozen(arrays[f"reuse/{name}"]) for name in layers}
+    layers = _field(header, "layers", path)
+    n_classes = _field(header, "n_classes", path)
+    has_reuse = _field(header, "has_reuse", path)
+    has_norm = _field(header, "has_norm", path)
+
+    def per_layer(prefix: str, grid: bool) -> dict[str, np.ndarray]:
+        # claim bits fix each layer's [out, in] grid; the rest must match it
+        out = {}
+        for name in layers:
+            claim = _array(arrays, f"claim/{name}", path, (None, None))
+            shape = claim.shape if grid else claim.shape[:1]
+            out[name] = _frozen(_array(arrays, f"{prefix}/{name}", path, shape))
+        return out
+
+    reuse = per_layer("reuse", True) if has_reuse else None
     norm_scale = norm_shift = None
-    if header["has_norm"]:
-        norm_scale = {name: _frozen(arrays[f"norm_scale/{name}"]) for name in layers}
-        norm_shift = {name: _frozen(arrays[f"norm_shift/{name}"]) for name in layers}
+    if has_norm:
+        norm_scale = per_layer("norm_scale", False)
+        norm_shift = per_layer("norm_shift", False)
     reuse_logits = claim_logits = None
     if header.get("has_logits"):
-        claim_logits = {name: _frozen(arrays[f"claim_logits/{name}"]) for name in layers}
-        if header["has_reuse"]:
-            reuse_logits = {name: _frozen(arrays[f"reuse_logits/{name}"]) for name in layers}
+        claim_logits = per_layer("claim_logits", True)
+        if has_reuse:
+            reuse_logits = per_layer("reuse_logits", True)
     return TaskSnapshot(
-        task_id=header["task_id"],
-        n_classes=header["n_classes"],
+        task_id=_field(header, "task_id", path),
+        n_classes=n_classes,
         reuse_bits=reuse,
-        claim_bits={name: _frozen(arrays[f"claim/{name}"]) for name in layers},
-        head_weight=_frozen(arrays["head_weight"]),
-        head_bias=_frozen(arrays["head_bias"]),
+        claim_bits=per_layer("claim", True),
+        head_weight=_frozen(_array(arrays, "head_weight", path, (n_classes, None))),
+        head_bias=_frozen(_array(arrays, "head_bias", path, (n_classes,))),
         norm_scale=norm_scale,
         norm_shift=norm_shift,
-        probe_images=_frozen(arrays["probe_images"]),
-        probe_fingerprint=header["probe_fingerprint"],
+        probe_images=_frozen(_array(arrays, "probe_images", path, (None,) * 4)),
+        probe_fingerprint=_field(header, "probe_fingerprint", path),
         reuse_logits=reuse_logits,
         claim_logits=claim_logits,
     )
+
+
+_LAYER_ARRAYS = ("weights", "bias", "slot_state", "slot_owner", "kernel_state", "kernel_owner")
 
 
 def save_backbone(backbone: BackboneState, arch_dict: dict, path: str | Path) -> None:
@@ -122,26 +155,27 @@ def save_backbone(backbone: BackboneState, arch_dict: dict, path: str | Path) ->
     arrays: dict[str, np.ndarray] = {}
     for layer in backbone.layers:
         n = layer.spec.name
-        arrays[f"{n}/weights"] = layer.weights
-        arrays[f"{n}/bias"] = layer.bias
-        arrays[f"{n}/slot_state"] = layer.slot_state
-        arrays[f"{n}/slot_owner"] = layer.slot_owner
-        arrays[f"{n}/kernel_state"] = layer.kernel_state
-        arrays[f"{n}/kernel_owner"] = layer.kernel_owner
+        for attr in _LAYER_ARRAYS:
+            arrays[f"{n}/{attr}"] = getattr(layer, attr)
     write_container(path, header, arrays)
 
 
 def load_backbone(path: str | Path) -> BackboneState:
     header, arrays = _read_kind(path, "backbone")
-    backbone = BackboneState(arch_from_dict(header["arch"]))
+    arch_dict = _field(header, "arch", path)
+    try:
+        arch = arch_from_dict(arch_dict)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StoreFormatError(f"{path}: bad arch in header: {exc!r}") from None
+    backbone = BackboneState(arch)
     for layer in backbone.layers:
-        n = layer.spec.name
-        layer.weights[:] = arrays[f"{n}/weights"]
-        layer.bias[:] = arrays[f"{n}/bias"]
-        layer.slot_state[:] = arrays[f"{n}/slot_state"]
-        layer.slot_owner[:] = arrays[f"{n}/slot_owner"]
-        layer.kernel_state[:] = arrays[f"{n}/kernel_state"]
-        layer.kernel_owner[:] = arrays[f"{n}/kernel_owner"]
+        for attr in _LAYER_ARRAYS:
+            target = getattr(layer, attr)
+            arr = _array(arrays, f"{layer.spec.name}/{attr}", path, target.shape)
+            if arr.dtype != target.dtype:
+                raise StoreFormatError(f"{path}: array '{layer.spec.name}/{attr}' has "
+                                       f"dtype {arr.dtype}, expected {target.dtype}")
+            target[:] = arr
     return backbone
 
 

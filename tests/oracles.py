@@ -1,7 +1,9 @@
-"""Independent brute-force references used by the tests.
+"""Independent references used by the tests.
 
-Everything here is deliberately written as plain nested loops so it shares
-no code path (im2col, BLAS, argmax vectorization) with the package.
+The op references are deliberately written as plain nested loops so they
+share no code path (im2col, BLAS, argmax vectorization) with the package.
+The full-width backbone passes at the end are the reference for the
+compacted ones: they share the ops, not the channel bookkeeping.
 """
 
 from __future__ import annotations
@@ -9,6 +11,20 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from growcl.backbone import BackwardResult, effective_filters
+from growcl.ops import (
+    conv2d,
+    conv2d_backward,
+    group_norm,
+    group_norm_backward,
+    linear,
+    linear_backward,
+    maxpool2d,
+    maxpool2d_backward,
+    relu,
+    relu_backward,
+)
 
 
 def conv2d_loops(x, w, b, stride=1, pad=0):
@@ -88,3 +104,55 @@ def expand_mask_loops(w, bits, granularity):
                 for kj in range(k):
                     out[co, ci, ki, kj] = w[co, ci, ki, kj] * m
     return out
+
+
+# ---------------------------------------------------------------------------
+# full-width backbone passes
+# ---------------------------------------------------------------------------
+#
+# The passes as they ran before compaction: every conv, relu and maxpool at
+# full channel capacity, with off channels zero-filled.  The compacted
+# ``backbone.forward_pass``/``backward_pass`` must reproduce them.
+
+def forward_pass_full(backbone, view, x, want_cache=False):
+    cache = {"layers": []}
+    h = np.asarray(x, dtype=np.float64)
+    for layer in backbone.layers:
+        name = layer.spec.name
+        on = view.channel_on[name]
+        eff_w = effective_filters(layer, view.multipliers[name])
+        eff_b = np.where(on, layer.bias, 0.0)
+        h, conv_cache = conv2d(h, eff_w, eff_b, stride=layer.spec.stride, pad=layer.spec.pad)
+        norm_cache = None
+        if view.norm_scale is not None:
+            h, norm_cache = group_norm(
+                h, view.norm_scale[name], view.norm_shift[name],
+                groups=1, eps=backbone.arch.norm_eps,
+            )
+        h[:, ~on] = 0.0   # kill bias/norm leakage from channels outside the task
+        h, relu_cache = relu(h)
+        pool_cache = None
+        if layer.spec.pool:
+            h, pool_cache = maxpool2d(h, k=layer.spec.pool, stride=layer.spec.pool)
+        cache["layers"].append((conv_cache, norm_cache, relu_cache, pool_cache, on))
+    logits, cache["head"] = linear(h.reshape(h.shape[0], -1), view.head_weight, view.head_bias)
+    cache["flat_shape"] = h.shape
+    return (logits, cache) if want_cache else logits
+
+
+def backward_pass_full(backbone, view, cache, dlogits):
+    dflat, d_hw, d_hb = linear_backward(dlogits, cache["head"])
+    dh = dflat.reshape(cache["flat_shape"])
+    d_eff, d_bias, d_ns, d_nsh = {}, {}, {}, {}
+    for layer, caches in zip(reversed(backbone.layers), reversed(cache["layers"])):
+        conv_cache, norm_cache, relu_cache, pool_cache, on = caches
+        name = layer.spec.name
+        if pool_cache is not None:
+            dh = maxpool2d_backward(dh, pool_cache)
+        dh = relu_backward(dh, relu_cache)
+        dh[:, ~on] = 0.0
+        if norm_cache is not None:
+            dh, d_ns[name], d_nsh[name] = group_norm_backward(dh, norm_cache)
+        dh, d_eff[name], db = conv2d_backward(dh, conv_cache)
+        d_bias[name] = np.where(on, db, 0.0)
+    return BackwardResult(d_eff, d_bias, d_hw, d_hb, d_ns, d_nsh)

@@ -12,9 +12,10 @@ from growcl.backbone import (
     effective_filters,
     forward_pass,
 )
+from growcl.config import parse_config_data
 from growcl.ops import conv2d, cross_entropy, finite_diff_check
 
-from oracles import expand_mask_loops
+from oracles import backward_pass_full, expand_mask_loops, forward_pass_full
 
 
 def tiny_arch(group_norm=False):
@@ -208,3 +209,141 @@ class TestBackwardPass:
         layer.weights[0, 0, 0, 0] += 1e-9
         after = bb.protected_digests()
         assert after != before
+
+
+def wide_arch(group_norm=False):
+    return parse_config_data({"arch": {"group_norm": group_norm, "layers": [
+        {"capacity": 48, "seed_channels": 16}, {"capacity": 64, "seed_channels": 16},
+    ]}}).arch
+
+
+def channel_view(bb, r, kinds, norm):
+    """A view with one channel pattern per layer ("all", "part", "none" or
+    "one" channel on) and random kernel bits on the on rows; off rows carry
+    zero multipliers, as every train and eval view does."""
+    multipliers, channel_on = {}, {}
+    for layer, kind in zip(bb.layers, kinds):
+        oc, ic = layer.spec.out_channels, layer.spec.in_channels
+        on = np.zeros(oc, dtype=bool)
+        count = {"all": oc, "none": 0, "one": 1, "part": r.integers(2, oc)}[kind]
+        on[r.choice(oc, size=count, replace=False)] = True
+        mult = (r.random((oc, ic)) < 0.7).astype(np.float64)
+        mult[~on] = 0.0
+        multipliers[layer.spec.name] = mult
+        channel_on[layer.spec.name] = on
+    view = TaskView(multipliers, channel_on, r.normal(size=(3, bb.arch.feature_dim)) * 0.1,
+                    r.normal(size=3) * 0.1)
+    if norm:
+        view.norm_scale = {l.spec.name: 1.0 + 0.1 * r.normal(size=l.spec.out_channels)
+                           for l in bb.layers}
+        view.norm_shift = {l.spec.name: 0.1 * r.normal(size=l.spec.out_channels)
+                           for l in bb.layers}
+    return view
+
+
+def compacted_and_full(arch, kinds, seed):
+    """(backbone, view, compacted results, full-width oracle results) on one
+    batch; results are (logits, gradients)."""
+    bb = populated_backbone(arch, seed=seed)
+    r = np.random.default_rng(seed + 100)
+    view = channel_view(bb, r, kinds, arch.group_norm)
+    size = arch.image_size
+    x = r.normal(size=(8, arch.in_channels, size, size))
+    y = r.integers(0, 3, size=8)
+    logits, cache = forward_pass(bb, view, x, want_cache=True)
+    ref_logits, ref_cache = forward_pass_full(bb, view, x, want_cache=True)
+    _, dlogits = cross_entropy(ref_logits, y)
+    grads = backward_pass(bb, view, cache, dlogits)
+    ref = backward_pass_full(bb, view, ref_cache, dlogits)
+    return bb, view, (logits, grads), (ref_logits, ref)
+
+
+def on_block(bb, view, name):
+    """bool [out, in, 1, 1]: kernels between on inputs and on outputs."""
+    index = [l.spec.name for l in bb.layers].index(name)
+    rows = view.channel_on[name]
+    cols = (np.ones(bb.arch.in_channels, dtype=bool) if index == 0
+            else view.channel_on[bb.layers[index - 1].spec.name])
+    return (rows[:, None] & cols[None, :])[:, :, None, None]
+
+
+def gradient_pairs(bb, view, grads, ref):
+    """(label, compacted, oracle) per gradient array.  The oracle's filter
+    gradients outside the on block are products with exact zeros or, under
+    group norm, gradients of channels the task does not use, so they are
+    compared as +0.0."""
+    yield "head weight", grads.d_head_weight, ref.d_head_weight
+    yield "head bias", grads.d_head_bias, ref.d_head_bias
+    for layer in bb.layers:
+        name = layer.spec.name
+        expect = np.where(on_block(bb, view, name), ref.d_eff_weights[name], 0.0)
+        yield f"{name} filters", grads.d_eff_weights[name], expect
+        yield f"{name} bias", grads.d_bias[name], ref.d_bias[name]
+        if view.norm_scale is not None:
+            yield f"{name} norm scale", grads.d_norm_scale[name], ref.d_norm_scale[name]
+            yield f"{name} norm shift", grads.d_norm_shift[name], ref.d_norm_shift[name]
+
+
+LAYER_KINDS = [(a, b) for a in ("all", "part", "none", "one")
+               for b in ("all", "part", "none", "one")]
+
+
+class TestCompactedPasses:
+    """Each layer runs on its view's on channels only; the results must be
+    those of the full-width passes (``oracles.forward_pass_full``)."""
+
+    @pytest.mark.parametrize("kinds", LAYER_KINDS)
+    @pytest.mark.parametrize("norm", [False, True])
+    @pytest.mark.parametrize("arch_name", ["tiny", "default"])
+    def test_bitwise_equal_to_full_width(self, arch_name, norm, kinds):
+        arch = (tiny_arch(norm) if arch_name == "tiny"
+                else parse_config_data({"arch": {"group_norm": norm}}).arch)
+        for seed in range(2):
+            bb, view, (logits, grads), (ref_logits, ref) = compacted_and_full(arch, kinds, seed)
+            assert logits.tobytes() == ref_logits.tobytes()
+            for label, got, want in gradient_pairs(bb, view, grads, ref):
+                assert got.shape == want.shape, label
+                assert got.tobytes() == want.tobytes(), label
+
+    @pytest.mark.parametrize("kinds", [("part", "part"), ("one", "part"), ("part", "none")])
+    @pytest.mark.parametrize("norm", [False, True])
+    def test_wide_arch_matches_within_1e_12(self, norm, kinds):
+        # K = 48*9 exceeds one OpenBLAS K block, so dropping the zero
+        # products regroups the sums: equal to rounding, not to the byte
+        bb, view, (logits, grads), (ref_logits, ref) = compacted_and_full(wide_arch(norm), kinds, 3)
+        pairs = [("logits", logits, ref_logits), *gradient_pairs(bb, view, grads, ref)]
+        for label, got, want in pairs:
+            scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-300)
+            assert float(np.max(np.abs(got - want), initial=0.0)) <= 1e-12 * scale, label
+
+    @pytest.mark.parametrize("norm", [False, True])
+    def test_off_channel_gradients_are_positive_zero(self, norm):
+        bb, view, (_, grads), _ = compacted_and_full(tiny_arch(norm), ("part", "part"), 5)
+        for layer in bb.layers:
+            name = layer.spec.name
+            off = np.broadcast_to(~on_block(bb, view, name), layer.weights.shape)
+            d_eff = grads.d_eff_weights[name]
+            assert off.any()
+            assert np.all(d_eff[off] == 0.0) and not np.any(np.signbit(d_eff[off]))
+            d_b = grads.d_bias[name][~view.channel_on[name]]
+            assert np.all(d_b == 0.0) and not np.any(np.signbit(d_b))
+
+    def test_off_channel_storage_is_never_read(self):
+        # NaN in the off rows' weights and biases leaves the results unchanged
+        r = np.random.default_rng(6)
+        bb = populated_backbone(tiny_arch(group_norm=True))
+        bb2 = populated_backbone(tiny_arch(group_norm=True))
+        view = channel_view(bb, r, ("part", "part"), norm=True)
+        for layer in bb2.layers:
+            on = view.channel_on[layer.spec.name]
+            layer.weights[~on] = np.nan
+            layer.bias[~on] = np.nan
+        x = r.normal(size=(8, 1, 8, 8))
+        a, cache = forward_pass(bb, view, x, want_cache=True)
+        b, cache2 = forward_pass(bb2, view, x, want_cache=True)
+        assert a.tobytes() == b.tobytes()
+        d = np.ones_like(a)
+        ga, gb = backward_pass(bb, view, cache, d), backward_pass(bb2, view, cache2, d)
+        for name in view.channel_on:
+            assert ga.d_eff_weights[name].tobytes() == gb.d_eff_weights[name].tobytes()
+            assert ga.d_bias[name].tobytes() == gb.d_bias[name].tobytes()

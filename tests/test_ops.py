@@ -77,6 +77,46 @@ class TestConv2d:
         c, _ = conv2d(x, w, b, pad=1)
         assert a.tobytes() == c.tobytes()
 
+    def test_zero_output_channels(self):
+        x = rng(4).normal(size=(2, 3, 5, 5))
+        out, cache = conv2d(x, np.zeros((0, 3, 3, 3)), np.zeros(0), pad=1)
+        assert out.shape == (2, 0, 5, 5)
+        dx, dw, db = conv2d_backward(np.zeros(out.shape), cache)
+        assert dw.shape == (0, 3, 3, 3) and db.shape == (0,)
+        assert dx.shape == x.shape and np.all(dx == 0.0)
+
+    def test_zero_input_channels(self):
+        b = np.array([0.5, -1.0])
+        out, cache = conv2d(np.zeros((2, 0, 5, 5)), np.zeros((2, 0, 3, 3)), b, pad=1)
+        assert out.shape == (2, 2, 5, 5)
+        assert np.array_equal(out, np.broadcast_to(b[None, :, None, None], out.shape))
+        dout = rng(5).normal(size=out.shape)
+        dx, dw, db = conv2d_backward(dout, cache)
+        assert dx.shape == (2, 0, 5, 5) and dw.shape == (2, 0, 3, 3)
+        assert np.array_equal(db, dout.sum(axis=(0, 2, 3)))
+
+    @pytest.mark.parametrize("rows", [[0], [1, 3], [0, 2, 3]])
+    def test_channel_bytes_independent_of_companions(self, rows):
+        # compaction computes a subset of output channels; each must come out
+        # byte-identical to the same channel of the full-width conv
+        r = rng(6)
+        x = r.normal(size=(4, 5, 8, 8))
+        w = r.normal(size=(4, 5, 3, 3))
+        b = r.normal(size=4)
+        full, _ = conv2d(x, w, b, pad=1)
+        part, _ = conv2d(x, w[rows], b[rows], pad=1)
+        assert part.tobytes() == np.ascontiguousarray(full[:, rows]).tobytes()
+
+    def test_backward_without_input_gradient(self):
+        r = rng(7)
+        x = r.normal(size=(2, 2, 6, 6))
+        out, cache = conv2d(x, r.normal(size=(3, 2, 3, 3)), r.normal(size=3), pad=1)
+        dout = r.normal(size=out.shape)
+        _, dw, db = conv2d_backward(dout, cache)
+        dx, dw_only, db_only = conv2d_backward(dout, cache, need_dx=False)
+        assert dx is None
+        assert dw_only.tobytes() == dw.tobytes() and db_only.tobytes() == db.tobytes()
+
 
 class TestLinear:
     def test_identity_weight(self):

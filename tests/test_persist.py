@@ -170,3 +170,44 @@ class TestMalformedFiles:
         write_container(tmp_path / "b.bin", {**header, "format_version": 2}, arrays)
         with pytest.raises(StoreFormatError, match="format_version"):
             load_backbone(tmp_path / "b.bin")
+
+    def test_missing_header_key_rejected(self, tmp_path):
+        write_container(tmp_path / "s.snap", {"format_version": 1, "kind": "task_snapshot"},
+                        {"head_bias": np.zeros(2)})
+        with pytest.raises(StoreFormatError, match="'layers'"):
+            load_snapshot(tmp_path / "s.snap")
+        write_container(tmp_path / "b.bin", {"format_version": 1, "kind": "backbone"}, {})
+        with pytest.raises(StoreFormatError, match="'arch'"):
+            load_backbone(tmp_path / "b.bin")
+
+    def test_missing_array_record_rejected(self, saved_run, tmp_path):
+        _, _, run_dir = saved_run
+        header, arrays = read_container(run_dir / "snapshots" / "task_002.snap")
+        del arrays["reuse/conv2"]
+        write_container(tmp_path / "s.snap", header, arrays)
+        with pytest.raises(StoreFormatError, match="'reuse/conv2'"):
+            load_snapshot(tmp_path / "s.snap")
+        header, arrays = read_container(run_dir / "backbone.bin")
+        del arrays["conv1/bias"]
+        write_container(tmp_path / "b.bin", header, arrays)
+        with pytest.raises(StoreFormatError, match="'conv1/bias'"):
+            load_backbone(tmp_path / "b.bin")
+
+    def test_wrong_array_shape_rejected(self, saved_run, tmp_path):
+        _, _, run_dir = saved_run
+        header, arrays = read_container(run_dir / "backbone.bin")
+        arrays["conv2/weights"] = arrays["conv2/weights"][:, :-1]
+        write_container(tmp_path / "b.bin", header, arrays)
+        with pytest.raises(StoreFormatError, match="'conv2/weights' has shape"):
+            load_backbone(tmp_path / "b.bin")
+        # a shape that would broadcast into place is rejected too
+        header, arrays = read_container(run_dir / "backbone.bin")
+        arrays["conv1/bias"] = arrays["conv1/bias"][:1]
+        write_container(tmp_path / "b.bin", header, arrays)
+        with pytest.raises(StoreFormatError, match="'conv1/bias' has shape"):
+            load_backbone(tmp_path / "b.bin")
+        header, arrays = read_container(run_dir / "snapshots" / "task_001.snap")
+        arrays["claim_logits/conv1"] = arrays["claim_logits/conv1"].T.copy()
+        write_container(tmp_path / "s.snap", header, arrays)
+        with pytest.raises(StoreFormatError, match="'claim_logits/conv1' has shape"):
+            load_snapshot(tmp_path / "s.snap")
