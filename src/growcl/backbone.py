@@ -205,8 +205,8 @@ class LayerCache(NamedTuple):
     norm: tuple | None
     relu: np.ndarray
     pool: tuple | None
-    out_index: np.ndarray | None   # the layer's on channels (None: all)
-    in_index: np.ndarray | None    # the previous layer's on channels (None: all)
+    out_index: np.ndarray   # the layer's on channels
+    in_index: np.ndarray    # the previous layer's on channels (the image: all)
 
 
 @dataclass
@@ -216,43 +216,24 @@ class ForwardCache:
     head_cache: object = None
 
 
-def _on_index(on: np.ndarray) -> np.ndarray | None:
-    """Indices of the on channels, or None when every channel is on."""
-    return None if on.all() else np.flatnonzero(on)
+# Compact tensors are gathered with np.take(..., axis=1), never h[:, idx]:
+# that indexing can return a non-C-contiguous array, and the sums taken over
+# it later (group norm, the bias gradient) then group their terms differently.
 
-
-def _gather(h: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
-    """Compact [N, |idx|, H, W] from full width (no copy when idx is None)."""
-    return h if idx is None else np.take(h, idx, axis=1)
-
-
-def _scatter(h: np.ndarray, idx: np.ndarray | None, width: int) -> np.ndarray:
+def _scatter(h: np.ndarray, idx: np.ndarray, width: int) -> np.ndarray:
     """Full width [N, width, H, W] with exact +0.0 on the channels not in idx."""
-    if idx is None:
-        return h
     out = np.zeros((h.shape[0], width) + h.shape[2:])
     out[:, idx] = h
     return out
 
 
-def _block(a: np.ndarray, rows: np.ndarray | None, cols: np.ndarray | None) -> np.ndarray:
-    """The [rows, cols] block of a per-kernel array (None keeps every index)."""
-    if rows is not None and cols is not None:
-        return a[np.ix_(rows, cols)]
-    if rows is not None:
-        return a[rows]
-    if cols is not None:
-        return a[:, cols]
-    return a
-
-
 def effective_filters(layer: LayerState, mult: np.ndarray,
-                      rows: np.ndarray | None = None,
-                      cols: np.ndarray | None = None) -> np.ndarray:
-    """weights * multiplier, with masked positions forced to exact +0.0,
-    on the [rows, cols] block of output and input channels (all by default)."""
-    m = _block(mult, rows, cols)
-    eff = _block(layer.weights, rows, cols) * m[:, :, None, None]
+                      rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """weights * multiplier on the [rows, cols] block of output and input
+    channels, with masked positions forced to exact +0.0."""
+    block = np.ix_(rows, cols)
+    m = mult[block]
+    eff = layer.weights[block] * m[:, :, None, None]
     eff[np.broadcast_to((m == 0.0)[:, :, None, None], eff.shape)] = 0.0
     return eff
 
@@ -266,21 +247,20 @@ def forward_pass(backbone: BackboneState, view: TaskView, x: np.ndarray,
     statistics count the off channels' zeros, and before the head."""
     cache = ForwardCache() if want_cache else None
     h = np.asarray(x, dtype=np.float64)
-    ii = None    # the input image: every channel
+    ii = np.arange(backbone.arch.in_channels)
     for layer in backbone.layers:
         name = layer.spec.name
-        width = layer.spec.out_channels
-        oi = _on_index(view.channel_on[name])
+        oi = np.flatnonzero(view.channel_on[name])
         eff_w = effective_filters(layer, view.multipliers[name], oi, ii)
-        bias = layer.bias if oi is None else layer.bias[oi]
-        h, conv_cache = conv2d(h, eff_w, bias, stride=layer.spec.stride, pad=layer.spec.pad)
+        h, conv_cache = conv2d(h, eff_w, layer.bias[oi],
+                               stride=layer.spec.stride, pad=layer.spec.pad)
         norm_cache = None
         if view.norm_scale is not None:
             h, norm_cache = group_norm(
-                _scatter(h, oi, width), view.norm_scale[name], view.norm_shift[name],
-                groups=1, eps=backbone.arch.norm_eps,
+                _scatter(h, oi, layer.spec.out_channels), view.norm_scale[name],
+                view.norm_shift[name], groups=1, eps=backbone.arch.norm_eps,
             )
-            h = _gather(h, oi)
+            h = np.take(h, oi, axis=1)
         h, relu_cache = relu(h)
         pool_cache = None
         if layer.spec.pool:
@@ -308,16 +288,16 @@ class BackwardResult:
     d_norm_shift: dict[str, np.ndarray]
 
 
-def backward_pass(backbone: BackboneState, view: TaskView, cache: ForwardCache,
+def backward_pass(backbone: BackboneState, cache: ForwardCache,
                   dlogits: np.ndarray) -> BackwardResult:
     """Backpropagate through head and all layers, on the forward's on channels.
 
-    Returns gradients w.r.t. the *effective* (masked) filters at full
-    [out, in, k, k] capacity, exact +0.0 outside the on block; the trainer
-    splits those into weight and mask-logit gradients.
+    Returns gradients w.r.t. the *effective* (masked) filters and the biases
+    at full capacity, exact +0.0 outside the on block; the trainer splits
+    the filter gradients into weight and mask-logit gradients.
     """
     dflat, d_hw, d_hb = linear_backward(dlogits, cache.head_cache)
-    dh = _gather(dflat.reshape(cache.feature_shape), cache.layer_caches[-1].out_index)
+    dh = np.take(dflat.reshape(cache.feature_shape), cache.layer_caches[-1].out_index, axis=1)
     d_eff: dict[str, np.ndarray] = {}
     d_bias: dict[str, np.ndarray] = {}
     d_ns: dict[str, np.ndarray] = {}
@@ -325,31 +305,18 @@ def backward_pass(backbone: BackboneState, view: TaskView, cache: ForwardCache,
     for index in reversed(range(len(backbone.layers))):
         layer = backbone.layers[index]
         lc = cache.layer_caches[index]
-        oi, ii = lc.out_index, lc.in_index
         name = layer.spec.name
         if lc.pool is not None:
             dh = maxpool2d_backward(dh, lc.pool)
         dh = relu_backward(dh, lc.relu)
-        full = _scatter(dh, oi, layer.spec.out_channels)
         if lc.norm is not None:
-            full, dscale, dshift = group_norm_backward(full, lc.norm)
-            d_ns[name] = dscale
-            d_nsh[name] = dshift
-            dh = _gather(full, oi)
+            full, d_ns[name], d_nsh[name] = group_norm_backward(
+                _scatter(dh, lc.out_index, layer.spec.out_channels), lc.norm)
+            dh = np.take(full, lc.out_index, axis=1)
         # the input image needs no gradient
         dh, dw_eff, db = conv2d_backward(dh, lc.conv, need_dx=index > 0)
-        if oi is not None:
-            # reduced at full width: summing the compact array takes a
-            # different pairwise order and changes the bytes
-            n, c, hh, ww = full.shape
-            db = np.where(view.channel_on[name],
-                          full.reshape(n, c, hh * ww).sum(axis=(0, 2)), 0.0)
-        d_bias[name] = db
-        if oi is None and ii is None:
-            d_eff[name] = dw_eff
-        else:
-            d_eff[name] = np.zeros_like(layer.weights)
-            rows = np.arange(layer.spec.out_channels) if oi is None else oi
-            cols = np.arange(layer.spec.in_channels) if ii is None else ii
-            d_eff[name][np.ix_(rows, cols)] = dw_eff
+        d_bias[name] = np.zeros_like(layer.bias)
+        d_bias[name][lc.out_index] = db
+        d_eff[name] = np.zeros_like(layer.weights)
+        d_eff[name][np.ix_(lc.out_index, lc.in_index)] = dw_eff
     return BackwardResult(d_eff, d_bias, d_hw, d_hb, d_ns, d_nsh)

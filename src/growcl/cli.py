@@ -41,7 +41,7 @@ def _output_root(config_output_dir: str | None) -> Path:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         config = parse_config(args.config)
-    except (ConfigError, FileNotFoundError) as e:
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -25,6 +25,7 @@ _LAYER_DEFAULTS = [
     {"capacity": 12, "seed_channels": 4, "kernel": 3, "stride": 1, "pad": 1, "pool": 2},
     {"capacity": 16, "seed_channels": 4, "kernel": 3, "stride": 1, "pad": 1, "pool": 2},
 ]
+_LAYER_KEYS = {"name", *_LAYER_DEFAULTS[0]}
 
 DEFAULTS: dict = {
     "seed": 0,
@@ -59,6 +60,16 @@ def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in {where}")
+
+
+def _section(value, where: str, allowed: set[str] | None) -> dict:
+    """``value`` checked to be an object holding only ``allowed`` keys
+    (any keys when ``allowed`` is None)."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    if allowed is not None:
+        _require_keys(value, allowed, where)
+    return value
 
 
 def _num(obj: dict, key: str, default, lo, hi, where: str,
@@ -112,10 +123,65 @@ class RunConfig:
         return len(load_group_file(self.task_source["groups"]))
 
 
+def parse_arch(value, where: str) -> ArchSpec:
+    """An arch object (a config's ``arch`` or a backbone header's) as an
+    ``ArchSpec``, with defaults filled in and every range checked."""
+    arch_in = _section(value, where, set(DEFAULTS["arch"]))
+    image_size = _num(arch_in, "image_size", DEFAULTS["arch"]["image_size"],
+                      8, 256, where, integer=True)
+    in_channels = _num(arch_in, "in_channels", DEFAULTS["arch"]["in_channels"],
+                       1, 16, where, integer=True)
+    gn = arch_in.get("group_norm", DEFAULTS["arch"]["group_norm"])
+    if not isinstance(gn, bool):
+        raise ConfigError(f"{where}.group_norm must be true/false, got {gn!r}")
+    layers_in = arch_in.get("layers", _LAYER_DEFAULTS)
+    if not isinstance(layers_in, list) or not layers_in:
+        raise ConfigError(f"{where}.layers must be a non-empty list")
+    specs = []
+    prev = in_channels
+    for i, ldata in enumerate(layers_in):
+        lw = f"{where}.layers[{i}]"
+        _section(ldata, lw, _LAYER_KEYS)
+        capacity = _num(ldata, "capacity", None, 1, 4096, lw, integer=True)
+        seed_ch = _num(ldata, "seed_channels", min(4, capacity), 0, capacity,
+                       lw, integer=True)
+        kernel = _num(ldata, "kernel", 3, 1, 9, lw, integer=True)
+        stride = _num(ldata, "stride", 1, 1, 4, lw, integer=True)
+        pad = _num(ldata, "pad", 1, 0, 8, lw, integer=True)
+        pool = _num(ldata, "pool", 2, 0, 8, lw, integer=True)
+        name = ldata.get("name", f"conv{i + 1}")
+        if not isinstance(name, str) or not name:
+            raise ConfigError(f"{lw}.name must be a non-empty string")
+        specs.append(ConvLayerSpec(name, prev, capacity, seed_ch, kernel, stride, pad, pool))
+        prev = capacity
+    if len({s.name for s in specs}) != len(specs):
+        raise ConfigError(f"{where}.layers names must be unique")
+    try:
+        arch = ArchSpec(image_size, in_channels, tuple(specs), group_norm=gn)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    if arch.spatial_after(len(specs) - 1) < 1:
+        raise ConfigError(f"{where} pools the image away; reduce pooling or layers")
+    return arch
+
+
+def arch_dict(arch: ArchSpec) -> dict:
+    """The arch object ``parse_arch`` reads back as ``arch``."""
+    return {
+        "image_size": arch.image_size,
+        "in_channels": arch.in_channels,
+        "group_norm": arch.group_norm,
+        "layers": [
+            {"name": s.name, "capacity": s.out_channels,
+             "seed_channels": s.seed_channels, "kernel": s.kernel,
+             "stride": s.stride, "pad": s.pad, "pool": s.pool}
+            for s in arch.layers
+        ],
+    }
+
+
 def parse_config_data(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError(f"config root must be an object, got {type(data).__name__}")
-    _require_keys(data, set(DEFAULTS), "config")
+    _section(data, "config", set(DEFAULTS))
 
     seed = _num(data, "seed", DEFAULTS["seed"], 0, 2**64 - 1, "config", integer=True)
     lam = _num(data, "lambda_l0", DEFAULTS["lambda_l0"], 0.0, float("inf"),
@@ -131,60 +197,19 @@ def parse_config_data(data: dict) -> RunConfig:
     slack = _num(data, "target_slack", DEFAULTS["target_slack"], 0.0, 1.0,
                  "config", hi_open=True)
 
-    temp = dict(data.get("temperature", {}))
-    _require_keys(temp, {"start", "end"}, "config.temperature")
+    temp = _section(data.get("temperature", {}), "config.temperature", {"start", "end"})
     t_start = _num(temp, "start", DEFAULTS["temperature"]["start"], 0.0,
                    float("inf"), "config.temperature", lo_open=True, hi_open=True)
     t_end = _num(temp, "end", DEFAULTS["temperature"]["end"], 0.0,
                  float("inf"), "config.temperature", lo_open=True, hi_open=True)
 
-    epochs_in = dict(data.get("epochs", {}))
-    _require_keys(epochs_in, set(DEFAULTS["epochs"]), "config.epochs")
+    epochs_in = _section(data.get("epochs", {}), "config.epochs", set(DEFAULTS["epochs"]))
     epochs = {
         phase: _num(epochs_in, phase, default, 1, 10**6, "config.epochs", integer=True)
         for phase, default in DEFAULTS["epochs"].items()
     }
 
-    arch_in = dict(data.get("arch", {}))
-    _require_keys(arch_in, set(DEFAULTS["arch"]), "config.arch")
-    image_size = _num(arch_in, "image_size", DEFAULTS["arch"]["image_size"],
-                      8, 256, "config.arch", integer=True)
-    in_channels = _num(arch_in, "in_channels", DEFAULTS["arch"]["in_channels"],
-                       1, 16, "config.arch", integer=True)
-    gn = arch_in.get("group_norm", DEFAULTS["arch"]["group_norm"])
-    if not isinstance(gn, bool):
-        raise ConfigError(f"config.arch.group_norm must be true/false, got {gn!r}")
-    layers_in = arch_in.get("layers", _LAYER_DEFAULTS)
-    if not isinstance(layers_in, list) or not layers_in:
-        raise ConfigError("config.arch.layers must be a non-empty list")
-    specs = []
-    prev = in_channels
-    layer_keys = {"name", "capacity", "seed_channels", "kernel", "stride", "pad", "pool"}
-    for i, ldata in enumerate(layers_in):
-        where = f"config.arch.layers[{i}]"
-        if not isinstance(ldata, dict):
-            raise ConfigError(f"{where} must be an object")
-        _require_keys(ldata, layer_keys, where)
-        capacity = _num(ldata, "capacity", None, 1, 4096, where, integer=True)
-        seed_ch = _num(ldata, "seed_channels", min(4, capacity), 0, capacity,
-                       where, integer=True)
-        kernel = _num(ldata, "kernel", 3, 1, 9, where, integer=True)
-        stride = _num(ldata, "stride", 1, 1, 4, where, integer=True)
-        pad = _num(ldata, "pad", 1, 0, 8, where, integer=True)
-        pool = _num(ldata, "pool", 2, 0, 8, where, integer=True)
-        name = ldata.get("name", f"conv{i + 1}")
-        if not isinstance(name, str) or not name:
-            raise ConfigError(f"{where}.name must be a non-empty string")
-        specs.append(ConvLayerSpec(name, prev, capacity, seed_ch, kernel, stride, pad, pool))
-        prev = capacity
-    if len({s.name for s in specs}) != len(specs):
-        raise ConfigError("config.arch.layers names must be unique")
-    try:
-        arch = ArchSpec(image_size, in_channels, tuple(specs), group_norm=gn)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    if arch.spatial_after(len(specs) - 1) < 1:
-        raise ConfigError("config.arch pools the image away; reduce pooling or layers")
+    arch = parse_arch(data.get("arch", {}), "config.arch")
 
     target = data.get("target_accuracy", DEFAULTS["target_accuracy"])
     if target is not None:
@@ -197,7 +222,7 @@ def parse_config_data(data: dict) -> RunConfig:
             )
         target = tuple(float(t) for t in target)
 
-    tasks_in = dict(data.get("tasks", {}))
+    tasks_in = _section(data.get("tasks", {}), "config.tasks", None)
     source = tasks_in.get("source", "synthetic")
     if source == "synthetic":
         _require_keys(tasks_in, set(DEFAULTS["tasks"]), "config.tasks")
@@ -217,10 +242,10 @@ def parse_config_data(data: dict) -> RunConfig:
             "difficulty": _num(tasks_in, "difficulty", d["difficulty"], 0.0, 1.0,
                                "config.tasks", lo_open=True),
         }
-        if task_source["image_size"] != image_size:
+        if task_source["image_size"] != arch.image_size:
             raise ConfigError(
                 f"config.tasks.image_size {task_source['image_size']} != "
-                f"config.arch.image_size {image_size}"
+                f"config.arch.image_size {arch.image_size}"
             )
     elif source == "idx":
         _require_keys(tasks_in, {"source", "images", "labels", "groups"}, "config.tasks")
@@ -244,17 +269,7 @@ def parse_config_data(data: dict) -> RunConfig:
 
     resolved = {
         "seed": seed,
-        "arch": {
-            "image_size": image_size,
-            "in_channels": in_channels,
-            "group_norm": gn,
-            "layers": [
-                {"name": s.name, "capacity": s.out_channels,
-                 "seed_channels": s.seed_channels, "kernel": s.kernel,
-                 "stride": s.stride, "pad": s.pad, "pool": s.pool}
-                for s in specs
-            ],
-        },
+        "arch": arch_dict(arch),
         "lambda_l0": lam,
         "temperature": {"start": t_start, "end": t_end},
         "learning_rate": lr,
@@ -276,7 +291,10 @@ def parse_config_data(data: dict) -> RunConfig:
 
 
 def parse_config(path: str | Path) -> RunConfig:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: cannot read config: {e}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

@@ -377,7 +377,7 @@ class TaskTrainer:
         tv = self.build_train_view()
         logits, cache = forward_pass(self.backbone, tv.view, images, want_cache=True)
         loss, dlogits = cross_entropy(logits, labels)
-        grads = backward_pass(self.backbone, tv.view, cache, dlogits)
+        grads = backward_pass(self.backbone, cache, dlogits)
         learns_masks = self.kernel_masks or self.grow_phase
 
         penalty_value = 0.0

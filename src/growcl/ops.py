@@ -5,6 +5,11 @@ outputs, so layer outputs can be fingerprinted byte-for-byte.  Each forward
 returns ``(output, cache)`` and has a matching ``*_backward(dout, cache)``
 returning gradients for every differentiable input.
 
+Per-channel bytes: a conv output channel, and its bias gradient, come out
+byte-identical whichever other output channels are computed alongside it
+(none, some or all).  The backbone relies on this to compute only a task's
+on channels and still reproduce the full-width results.
+
 Documented tie-breaks (oracles in the tests rely on these):
   * relu subgradient at exactly 0 is 0;
   * maxpool routes the gradient to the first maximal element in row-major
@@ -113,7 +118,10 @@ def conv2d_backward(dout: np.ndarray, cache, need_dx: bool = True):
     cols, w_shape, wm, xp_shape, k, stride, pad, out_hw = cache
     n, cout, ho, wo = dout.shape
     go = dout.reshape(n, cout, ho * wo)
-    db = go.sum(axis=(0, 2))
+    # a lone channel gets a zero companion, as in conv2d: numpy would merge
+    # the summed axes of [N, 1, HW] into one pairwise sum in another order
+    rows = go if cout != 1 else np.concatenate([go, np.zeros_like(go)], axis=1)
+    db = rows.sum(axis=(0, 2))[:cout]
     dwm = np.einsum("nop,ncp->oc", go, cols)
     dw = dwm.reshape(w_shape)
     dx = None

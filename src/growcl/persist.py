@@ -12,25 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import ArchSpec, BackboneState, ConvLayerSpec
+from .backbone import BackboneState
+from .config import ConfigError, arch_dict, parse_arch
 from .driver import EpochLogEntry, RunResult, TaskSnapshot, _frozen
 from .growth import ratio_label
 from .store import StoreFormatError, read_container, write_container, write_text_atomic
 
 FORMAT_VERSION = 1
-
-
-def arch_from_dict(d: dict) -> ArchSpec:
-    prev = d["in_channels"]
-    specs = []
-    for ld in d["layers"]:
-        specs.append(ConvLayerSpec(
-            ld["name"], prev, ld["capacity"], ld["seed_channels"],
-            ld["kernel"], ld["stride"], ld["pad"], ld["pool"],
-        ))
-        prev = ld["capacity"]
-    return ArchSpec(d["image_size"], d["in_channels"], tuple(specs),
-                    group_norm=d["group_norm"])
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +134,11 @@ def load_snapshot(path: str | Path) -> TaskSnapshot:
 _LAYER_ARRAYS = ("weights", "bias", "slot_state", "slot_owner", "kernel_state", "kernel_owner")
 
 
-def save_backbone(backbone: BackboneState, arch_dict: dict, path: str | Path) -> None:
+def save_backbone(backbone: BackboneState, path: str | Path) -> None:
     header = {
         "format_version": FORMAT_VERSION,
         "kind": "backbone",
-        "arch": arch_dict,
+        "arch": arch_dict(backbone.arch),
     }
     arrays: dict[str, np.ndarray] = {}
     for layer in backbone.layers:
@@ -162,11 +150,10 @@ def save_backbone(backbone: BackboneState, arch_dict: dict, path: str | Path) ->
 
 def load_backbone(path: str | Path) -> BackboneState:
     header, arrays = _read_kind(path, "backbone")
-    arch_dict = _field(header, "arch", path)
     try:
-        arch = arch_from_dict(arch_dict)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StoreFormatError(f"{path}: bad arch in header: {exc!r}") from None
+        arch = parse_arch(_field(header, "arch", path), "arch")
+    except ConfigError as exc:
+        raise StoreFormatError(f"{path}: bad arch in header: {exc}") from None
     backbone = BackboneState(arch)
     for layer in backbone.layers:
         for attr in _LAYER_ARRAYS:
@@ -269,8 +256,7 @@ def save_run(result: RunResult, run_dir: str | Path) -> Path:
     if result.ledger is not None:
         write_text_atomic(run_dir / "ledger.csv", result.ledger.to_csv())
     if result.backbone is not None:
-        save_backbone(result.backbone, result.config.resolved["arch"],
-                      run_dir / "backbone.bin")
+        save_backbone(result.backbone, run_dir / "backbone.bin")
     if result.snapshots:
         snap_dir = run_dir / "snapshots"
         snap_dir.mkdir(exist_ok=True)

@@ -21,13 +21,7 @@ def _name_key(name: str) -> tuple[int, ...]:
 
 
 class SeededRng:
-    """A named, reproducible PCG64 stream.
-
-    ``position`` counts values drawn so far; two streams with the same seed
-    and path that have drawn the same amount are interchangeable.
-    """
-
-    algorithm = "pcg64"
+    """A named, reproducible PCG64 stream."""
 
     def __init__(self, seed: int, path: tuple[str, ...] = ()):
         if not 0 <= int(seed) < 2**64:
@@ -40,36 +34,25 @@ class SeededRng:
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=spawn_key))
         )
-        self.position = 0
 
     def substream(self, name: str) -> "SeededRng":
         """Fresh independent stream addressed by ``path + (name,)``."""
         return SeededRng(self.seed, self.path + (name,))
 
-    def _count(self, size) -> int:
-        if size is None:
-            return 1
-        return int(np.prod(size))
-
     def random(self, size=None) -> np.ndarray | float:
-        self.position += self._count(size)
         return self._gen.random(size)
 
     def uniform(self, low: float, high: float, size=None) -> np.ndarray | float:
-        self.position += self._count(size)
         return self._gen.uniform(low, high, size)
 
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
-        self.position += self._count(size)
         return self._gen.normal(loc, scale, size)
 
     def integers(self, low: int, high: int, size=None):
-        self.position += self._count(size)
         return self._gen.integers(low, high, size)
 
     def permutation(self, n: int) -> np.ndarray:
-        self.position += int(n)
         return self._gen.permutation(n)
 
     def __repr__(self) -> str:
-        return f"SeededRng(seed={self.seed}, path={'/'.join(self.path) or '<root>'}, position={self.position})"
+        return f"SeededRng(seed={self.seed}, path={'/'.join(self.path) or '<root>'})"

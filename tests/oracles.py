@@ -114,13 +114,19 @@ def expand_mask_loops(w, bits, granularity):
 # full channel capacity, with off channels zero-filled.  The compacted
 # ``backbone.forward_pass``/``backward_pass`` must reproduce them.
 
+def all_channel_filters(layer, mult):
+    """``effective_filters`` on every output and input channel."""
+    return effective_filters(layer, mult, np.arange(layer.spec.out_channels),
+                             np.arange(layer.spec.in_channels))
+
+
 def forward_pass_full(backbone, view, x, want_cache=False):
     cache = {"layers": []}
     h = np.asarray(x, dtype=np.float64)
     for layer in backbone.layers:
         name = layer.spec.name
         on = view.channel_on[name]
-        eff_w = effective_filters(layer, view.multipliers[name])
+        eff_w = all_channel_filters(layer, view.multipliers[name])
         eff_b = np.where(on, layer.bias, 0.0)
         h, conv_cache = conv2d(h, eff_w, eff_b, stride=layer.spec.stride, pad=layer.spec.pad)
         norm_cache = None
@@ -140,7 +146,7 @@ def forward_pass_full(backbone, view, x, want_cache=False):
     return (logits, cache) if want_cache else logits
 
 
-def backward_pass_full(backbone, view, cache, dlogits):
+def backward_pass_full(backbone, cache, dlogits):
     dflat, d_hw, d_hb = linear_backward(dlogits, cache["head"])
     dh = dflat.reshape(cache["flat_shape"])
     d_eff, d_bias, d_ns, d_nsh = {}, {}, {}, {}

@@ -9,13 +9,17 @@ from growcl.backbone import (
     SlotState,
     TaskView,
     backward_pass,
-    effective_filters,
     forward_pass,
 )
 from growcl.config import parse_config_data
 from growcl.ops import conv2d, cross_entropy, finite_diff_check
 
-from oracles import backward_pass_full, expand_mask_loops, forward_pass_full
+from oracles import (
+    all_channel_filters,
+    backward_pass_full,
+    expand_mask_loops,
+    forward_pass_full,
+)
 
 
 def tiny_arch(group_norm=False):
@@ -84,7 +88,7 @@ class TestEffectiveFilters:
         bb = populated_backbone()
         layer = bb.layers[1]
         mult = np.ones((4, 3))
-        eff = effective_filters(layer, mult)
+        eff = all_channel_filters(layer, mult)
         assert eff.tobytes() == layer.weights.tobytes()
 
     def test_masked_positions_are_positive_zero(self):
@@ -93,7 +97,7 @@ class TestEffectiveFilters:
         layer.weights[0, 0] = -2.0
         mult = np.ones((4, 3))
         mult[0, 0] = 0.0
-        eff = effective_filters(layer, mult)
+        eff = all_channel_filters(layer, mult)
         assert np.all(eff[0, 0] == 0.0)
         assert not np.any(np.signbit(eff[0, 0]))
 
@@ -103,7 +107,7 @@ class TestEffectiveFilters:
         bb = populated_backbone()
         layer = bb.layers[1]
         bits = (np.random.default_rng(9).random((4, 3)) > 0.5).astype(np.float64)
-        eff = effective_filters(layer, bits)
+        eff = all_channel_filters(layer, bits)
         assert np.array_equal(eff, expand_mask_loops(layer.weights, bits, "kernel"))
 
     def test_conv_with_ones_mask_equals_raw_conv_bitwise(self):
@@ -111,7 +115,7 @@ class TestEffectiveFilters:
         layer = bb.layers[0]
         x = np.random.default_rng(3).normal(size=(2, 1, 8, 8))
         raw, _ = conv2d(x, layer.weights, layer.bias, pad=1)
-        eff = effective_filters(layer, np.ones((3, 1)))
+        eff = all_channel_filters(layer, np.ones((3, 1)))
         masked, _ = conv2d(x, eff, layer.bias, pad=1)
         assert masked.tobytes() == raw.tobytes()
 
@@ -169,7 +173,7 @@ class TestBackwardPass:
             return loss, cache, dlogits
 
         loss, cache, dlogits = loss_with()
-        grads = backward_pass(bb, view, cache, dlogits)
+        grads = backward_pass(bb, cache, dlogits)
 
         def f_head(wflat):
             view.head_weight = wflat.reshape(view.head_weight.shape)
@@ -253,8 +257,8 @@ def compacted_and_full(arch, kinds, seed):
     logits, cache = forward_pass(bb, view, x, want_cache=True)
     ref_logits, ref_cache = forward_pass_full(bb, view, x, want_cache=True)
     _, dlogits = cross_entropy(ref_logits, y)
-    grads = backward_pass(bb, view, cache, dlogits)
-    ref = backward_pass_full(bb, view, ref_cache, dlogits)
+    grads = backward_pass(bb, cache, dlogits)
+    ref = backward_pass_full(bb, ref_cache, dlogits)
     return bb, view, (logits, grads), (ref_logits, ref)
 
 
@@ -343,7 +347,7 @@ class TestCompactedPasses:
         b, cache2 = forward_pass(bb2, view, x, want_cache=True)
         assert a.tobytes() == b.tobytes()
         d = np.ones_like(a)
-        ga, gb = backward_pass(bb, view, cache, d), backward_pass(bb2, view, cache2, d)
+        ga, gb = backward_pass(bb, cache, d), backward_pass(bb2, cache2, d)
         for name in view.channel_on:
             assert ga.d_eff_weights[name].tobytes() == gb.d_eff_weights[name].tobytes()
             assert ga.d_bias[name].tobytes() == gb.d_bias[name].tobytes()

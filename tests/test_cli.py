@@ -59,10 +59,24 @@ class TestRunCommand:
         }
         assert before == after
 
-    def test_bad_config_is_usage_error(self, tmp_path, out_root):
+    @pytest.mark.parametrize("content", [
+        b'{"lamda": 1}',
+        b'{"tasks": 5}',
+        b'{"temperature": "ab"}',
+        b'{"arch": [1]}',
+        b'{"epochs": null}',
+        b'{"seed": "\xff"}',
+        None,    # --config names a directory
+    ], ids=["unknown-key", "tasks-int", "temperature-str", "arch-list", "epochs-null",
+            "not-utf8", "directory"])
+    def test_bad_config_is_usage_error(self, tmp_path, out_root, capsys, content):
         cfg = tmp_path / "bad.json"
-        cfg.write_text('{"lamda": 1}')
+        if content is None:
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(content)
         assert main(["run", "--config", str(cfg), "--mode", "grown"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_idx_sourced_tasks_run_end_to_end(self, tmp_path, out_root):
         import numpy as np

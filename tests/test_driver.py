@@ -318,9 +318,9 @@ class TestPickTransferOracle:
             ds = getattr(tasks[1], split)
             h = ds.images
             for layer in backbone.layers:
-                from growcl.backbone import effective_filters
                 from growcl.ops import conv2d, maxpool2d, relu
-                eff = effective_filters(layer, tv.view.multipliers[layer.spec.name])
+                from oracles import all_channel_filters
+                eff = all_channel_filters(layer, tv.view.multipliers[layer.spec.name])
                 eb = np.where(tv.view.channel_on[layer.spec.name], layer.bias, 0.0)
                 h, _ = conv2d(h, eff, eb, stride=layer.spec.stride, pad=layer.spec.pad)
                 h[:, ~tv.view.channel_on[layer.spec.name]] = 0.0

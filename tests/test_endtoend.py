@@ -81,12 +81,14 @@ class TestChanceLevelSanity:
 
 class TestCompactionKeepsRunBytes:
     """At the default arch, compacted passes write the run directory the
-    full-width passes write, byte for byte."""
+    full-width passes write, byte for byte.  Group norm is on, so the
+    scatter and gather around it run through the trainer too."""
 
     @pytest.mark.parametrize("mode", ["grown", "grow_only"])
     def test_run_directory_matches_full_width_passes(self, mode, tmp_path, monkeypatch):
         cfg = parse_config_data({
             "seed": 0,
+            "arch": {"group_norm": True},
             "tasks": {"n_tasks": 2},
             "epochs": {"task1": 1, "pick": 1, "expand": 1, "scratch": 1},
         })

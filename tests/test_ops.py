@@ -95,17 +95,22 @@ class TestConv2d:
         assert dx.shape == (2, 0, 5, 5) and dw.shape == (2, 0, 3, 3)
         assert np.array_equal(db, dout.sum(axis=(0, 2, 3)))
 
-    @pytest.mark.parametrize("rows", [[0], [1, 3], [0, 2, 3]])
+    @pytest.mark.parametrize("rows", [[0], [2], [1, 3], [0, 2, 3]])
     def test_channel_bytes_independent_of_companions(self, rows):
         # compaction computes a subset of output channels; each must come out
-        # byte-identical to the same channel of the full-width conv
+        # byte-identical to the same channel of the full-width conv, and so
+        # must its bias gradient
         r = rng(6)
         x = r.normal(size=(4, 5, 8, 8))
         w = r.normal(size=(4, 5, 3, 3))
         b = r.normal(size=4)
-        full, _ = conv2d(x, w, b, pad=1)
-        part, _ = conv2d(x, w[rows], b[rows], pad=1)
+        full, full_cache = conv2d(x, w, b, pad=1)
+        part, part_cache = conv2d(x, w[rows], b[rows], pad=1)
         assert part.tobytes() == np.ascontiguousarray(full[:, rows]).tobytes()
+        dout = r.normal(size=full.shape)
+        _, _, db_full = conv2d_backward(dout, full_cache)
+        _, _, db_part = conv2d_backward(np.take(dout, rows, axis=1), part_cache)
+        assert db_part.tobytes() == db_full[rows].tobytes()
 
     def test_backward_without_input_gradient(self):
         r = rng(7)

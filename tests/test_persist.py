@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growcl.config import parse_config_data
+from growcl.config import arch_dict, parse_arch, parse_config_data
 from growcl.driver import evaluate, forgetting_check, run_pipeline, build_tasks
 from growcl.persist import (
-    arch_from_dict,
     build_manifest,
     load_backbone,
     load_run,
@@ -60,17 +59,17 @@ class TestRoundTrips:
 
     def test_backbone_round_trip(self, saved_run, tmp_path):
         cfg, result, _ = saved_run
-        save_backbone(result.backbone, cfg.resolved["arch"], tmp_path / "b.bin")
+        save_backbone(result.backbone, tmp_path / "b.bin")
         back = load_backbone(tmp_path / "b.bin")
         for la, lb in zip(result.backbone.layers, back.layers):
             assert la.weights.tobytes() == lb.weights.tobytes()
             assert la.slot_state.tobytes() == lb.slot_state.tobytes()
             assert la.kernel_owner.tobytes() == lb.kernel_owner.tobytes()
 
-    def test_arch_from_dict_round_trip(self, saved_run):
+    def test_arch_dict_round_trip(self, saved_run):
         cfg, _, _ = saved_run
-        arch = arch_from_dict(cfg.resolved["arch"])
-        assert arch == cfg.arch
+        assert arch_dict(cfg.arch) == cfg.resolved["arch"]
+        assert parse_arch(cfg.resolved["arch"], "arch") == cfg.arch
 
 
 class TestSnapshotSufficiency:
@@ -178,6 +177,21 @@ class TestMalformedFiles:
             load_snapshot(tmp_path / "s.snap")
         write_container(tmp_path / "b.bin", {"format_version": 1, "kind": "backbone"}, {})
         with pytest.raises(StoreFormatError, match="'arch'"):
+            load_backbone(tmp_path / "b.bin")
+
+    @pytest.mark.parametrize("layer0, gn, match", [
+        ({"capacity": 0, "seed_channels": 0}, False, r"capacity = 0 outside \[1, 4096\]"),
+        ({}, "yes", "group_norm must be true/false"),
+    ])
+    def test_out_of_range_arch_rejected(self, saved_run, tmp_path, layer0, gn, match):
+        # the header's arch is held to the ranges a config's arch is
+        _, _, run_dir = saved_run
+        header, arrays = read_container(run_dir / "backbone.bin")
+        arch = header["arch"]
+        arch["layers"][0].update(layer0)
+        arch["group_norm"] = gn
+        write_container(tmp_path / "b.bin", header, arrays)
+        with pytest.raises(StoreFormatError, match=match):
             load_backbone(tmp_path / "b.bin")
 
     def test_missing_array_record_rejected(self, saved_run, tmp_path):

@@ -31,14 +31,6 @@ def test_nested_paths_are_stable():
     assert np.array_equal(a, b)
 
 
-def test_position_counts_draws():
-    r = SeededRng(5)
-    r.random()
-    r.random(size=(3, 4))
-    r.permutation(6)
-    assert r.position == 1 + 12 + 6
-
-
 def test_known_pcg64_fixture():
     # frozen from numpy's PCG64 stream; guards against algorithm drift
     got = SeededRng(123).integers(0, 1000, size=4)
