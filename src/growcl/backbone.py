@@ -153,12 +153,6 @@ class BackboneState:
         self.arch = arch
         self.layers = [LayerState(spec) for spec in arch.layers]
 
-    def layer(self, name: str) -> LayerState:
-        for layer in self.layers:
-            if layer.spec.name == name:
-                return layer
-        raise KeyError(name)
-
     def active_params(self, include_training: bool = True) -> int:
         return sum(l.active_params(include_training) for l in self.layers)
 
@@ -258,13 +252,13 @@ def forward_pass(backbone: BackboneState, view: TaskView, x: np.ndarray,
         if view.norm_scale is not None:
             h, norm_cache = group_norm(
                 _scatter(h, oi, layer.spec.out_channels), view.norm_scale[name],
-                view.norm_shift[name], groups=1, eps=backbone.arch.norm_eps,
+                view.norm_shift[name], eps=backbone.arch.norm_eps,
             )
             h = np.take(h, oi, axis=1)
         h, relu_cache = relu(h)
         pool_cache = None
         if layer.spec.pool:
-            h, pool_cache = maxpool2d(h, k=layer.spec.pool, stride=layer.spec.pool)
+            h, pool_cache = maxpool2d(h, k=layer.spec.pool)
         if want_cache:
             cache.layer_caches.append(
                 LayerCache(conv_cache, norm_cache, relu_cache, pool_cache, oi, ii))

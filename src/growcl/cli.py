@@ -44,6 +44,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    root = _output_root(config.output_dir)
+    try:   # fail before training, not after it
+        root.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        print(f"error: cannot use output root {root}: {e}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         result = run_pipeline(config, args.mode)
     except (IdxFormatError, FileNotFoundError, ValueError) as e:
@@ -52,7 +58,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (ContractViolation, GrowthCapError, FloatingPointError) as e:
         print(f"invariant failure: {e}", file=sys.stderr)
         return EXIT_INVARIANT
-    run_dir = _output_root(config.output_dir) / result.run_id
+    run_dir = root / result.run_id
     save_run(result, run_dir)
     print(f"{result.run_id}: avg accuracy {result.avg_accuracy:.4f} "
           f"-> {run_dir}")

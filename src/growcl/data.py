@@ -51,9 +51,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.n_classes)
-
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.images[idx], self.labels[idx], self.n_classes)
 
@@ -108,20 +105,6 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
         raise IdxFormatError(f"{n} images but {nl} labels")
     labels = np.frombuffer(raw, dtype=np.uint8, offset=8).astype(np.int64)
     return Dataset(images / 255.0, labels, n_classes=int(labels.max()) + 1)
-
-
-def save_idx(dataset: Dataset, images_path: str | Path, labels_path: str | Path) -> None:
-    """Write a dataset back out as an IDX pair (values quantized to bytes)."""
-    n, c, h, w = dataset.images.shape
-    if c != 1:
-        raise ValueError(f"IDX stores single-channel images, got C={c}")
-    pixels = np.clip(np.rint(dataset.images * 255.0), 0, 255).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, h, w))
-        f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
-        f.write(dataset.labels.astype(np.uint8).tobytes())
 
 
 # ---------------------------------------------------------------------------

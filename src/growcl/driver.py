@@ -195,17 +195,6 @@ class TrainView:
 # trainer
 # ---------------------------------------------------------------------------
 
-def _masked_momentum_step(param: np.ndarray, grad: np.ndarray, keep: np.ndarray,
-                          lr: float, momentum: float, velocity: np.ndarray) -> None:
-    """Momentum SGD on the ``keep`` entries only.  The velocity is zeroed
-    outside ``keep`` before the parameter moves, so those entries stay
-    bit-identical even when they were trainable in an earlier step."""
-    velocity *= momentum
-    velocity += grad
-    velocity[~keep] = 0.0
-    param -= lr * velocity
-
-
 class TaskTrainer:
     """Owns one task's trainable state across its phases (grow, or pick then
     expand); a scratch model is one more such task on its own backbone.
@@ -243,9 +232,6 @@ class TaskTrainer:
         self.grow_masks: dict[str, MaskParam] = {}
         self.claim_masks: dict[str, MaskParam] = {}
         self.reuse_masks: dict[str, MaskParam] = {}
-        self.w_vel: dict[str, np.ndarray] = {}
-        self.b_vel: dict[str, np.ndarray] = {}
-        self.logit_vel: dict[str, np.ndarray] = {}
         for layer in backbone.layers:
             name = layer.spec.name
             grow_logits = np.full(layer.spec.out_channels, -1.0)
@@ -254,26 +240,31 @@ class TaskTrainer:
             self.grow_masks[name] = MaskParam(grow_logits)
             self.claim_masks[name] = MaskParam(np.full(kernels, CLAIM_INIT))
             self.reuse_masks[name] = MaskParam(np.full(kernels, CLAIM_INIT))
-            self.w_vel[name] = np.zeros_like(layer.weights)
-            self.b_vel[name] = np.zeros_like(layer.bias)
-            self.logit_vel[f"{name}/grow"] = np.zeros_like(grow_logits)
-            self.logit_vel[f"{name}/claim"] = np.zeros_like(self.claim_masks[name].logits)
-            self.logit_vel[f"{name}/reuse"] = np.zeros_like(self.reuse_masks[name].logits)
 
         d = backbone.arch.feature_dim
         k = self.task.n_classes
         self.head_weight = init.uniform(-np.sqrt(6.0 / d), np.sqrt(6.0 / d), size=(k, d))
         self.head_bias = np.zeros(k)
-        self.head_w_vel = np.zeros_like(self.head_weight)
-        self.head_b_vel = np.zeros_like(self.head_bias)
 
         self.norm_scale = self.norm_shift = None
-        self.norm_vel = {}
         if backbone.arch.group_norm:
             self.norm_scale = {l.spec.name: np.ones(l.spec.out_channels) for l in backbone.layers}
             self.norm_shift = {l.spec.name: np.zeros(l.spec.out_channels) for l in backbone.layers}
-            self.norm_vel = {f"{l.spec.name}/{p}": np.zeros(l.spec.out_channels)
-                             for l in backbone.layers for p in ("scale", "shift")}
+
+        # every array this trainer updates, each with its own velocity; the
+        # order is the one _check_finite reports a bad array in
+        self.params = {"head weight": self.head_weight, "head bias": self.head_bias}
+        for layer in backbone.layers:
+            name = layer.spec.name
+            self.params[f"{name} weights"] = layer.weights
+            self.params[f"{name} bias"] = layer.bias
+            for role, masks in (("grow", self.grow_masks), ("claim", self.claim_masks),
+                                ("reuse", self.reuse_masks)):
+                self.params[f"{name} {role} logits"] = masks[name].logits
+            if self.norm_scale is not None:
+                self.params[f"{name} norm scale"] = self.norm_scale[name]
+                self.params[f"{name} norm shift"] = self.norm_shift[name]
+        self.velocity = {label: np.zeros_like(p) for label, p in self.params.items()}
 
         self.lam_eff = config.lambda_l0
         self.gate_lr = config.learning_rate * GATE_LR_SCALE
@@ -313,10 +304,6 @@ class TaskTrainer:
 
     # -- growth queries -----------------------------------------------------
 
-    def _reset_slot_velocity(self, layer_name: str, index: int) -> None:
-        self.w_vel[layer_name][index] = 0.0
-        self.b_vel[layer_name][index] = 0.0
-
     def query_epoch(self, temperature: float, need_growth: bool) -> None:
         """Start-of-epoch mask query + transitions + cap enforcement.
 
@@ -348,15 +335,13 @@ class TaskTrainer:
                 bits[ungrown] = 0.0
             bits[layer.slot_state == SlotState.FIXED] = np.nan
             for action in query_and_transition(layer, bits, self.growth):
-                self._reset_slot_velocity(name, action.index)
                 if action.action == "grow":
                     logits[action.index] = 1.0
         self._enforce_cap()
 
     def _enforce_cap(self) -> None:
         logits = {name: m.logits for name, m in self.grow_masks.items()}
-        for action in enforce_growth_cap(self.backbone, logits, self.spec.growth_cap):
-            self._reset_slot_velocity(action.layer, action.index)
+        enforce_growth_cap(self.backbone, logits, self.spec.growth_cap)
 
     # -- one optimization step ---------------------------------------------
 
@@ -371,9 +356,14 @@ class TaskTrainer:
         g1 = gumbel_noise(self.gumbel, mask.logits.shape)
         return temperature * ste_logit_grad(d_bits, mask.logits, g0, g1, temperature)
 
+    def _update(self, label: str, grad: np.ndarray, lr: float,
+                keep: np.ndarray | None = None) -> None:
+        sgd_step(self.params[label], grad, lr, self.config.momentum,
+                 self.velocity[label], keep)
+
     def train_step(self, images: np.ndarray, labels: np.ndarray,
                    temperature: float) -> float:
-        lr, momentum = self.config.learning_rate, self.config.momentum
+        lr = self.config.learning_rate
         tv = self.build_train_view()
         logits, cache = forward_pass(self.backbone, tv.view, images, want_cache=True)
         loss, dlogits = cross_entropy(logits, labels)
@@ -393,34 +383,26 @@ class TaskTrainer:
             trainable = np.broadcast_to(
                 tv.trainable_kernels[name][:, :, None, None], layer.weights.shape
             )
-            _masked_momentum_step(layer.weights, d_eff * mult[:, :, None, None],
-                                  trainable, lr, momentum, self.w_vel[name])
-            _masked_momentum_step(layer.bias, grads.d_bias[name], rows,
-                                  lr, momentum, self.b_vel[name])
+            self._update(f"{name} weights", d_eff * mult[:, :, None, None], lr, trainable)
+            self._update(f"{name} bias", grads.d_bias[name], lr, rows)
 
             # per-task normalization affine
             if self.norm_scale is not None:
-                sgd_step(self.norm_scale[name], grads.d_norm_scale[name],
-                         lr, momentum, self.norm_vel[f"{name}/scale"])
-                sgd_step(self.norm_shift[name], grads.d_norm_shift[name],
-                         lr, momentum, self.norm_vel[f"{name}/shift"])
+                self._update(f"{name} norm scale", grads.d_norm_scale[name], lr)
+                self._update(f"{name} norm shift", grads.d_norm_shift[name], lr)
 
             if self.kernel_masks:
                 # reuse-mask logits (frozen used kernels of earlier tasks)
                 used = tv.used_old[name]
-                reuse = self.reuse_masks[name]
-                d_logits = self._relaxed_grad(reuse, np.where(used, d_mult, 0.0),
-                                              temperature)
-                _masked_momentum_step(reuse.logits, d_logits, used, self.select_lr,
-                                      momentum, self.logit_vel[f"{name}/reuse"])
+                d_logits = self._relaxed_grad(self.reuse_masks[name],
+                                              np.where(used, d_mult, 0.0), temperature)
+                self._update(f"{name} reuse logits", d_logits, self.select_lr, used)
 
                 # claim-mask logits (kernels of this task's growing channels)
-                claim = self.claim_masks[name]
-                row_grid = np.broadcast_to(rows[:, None], claim.logits.shape)
-                d_logits = self._relaxed_grad(claim, np.where(row_grid, d_mult, 0.0),
-                                              temperature)
-                _masked_momentum_step(claim.logits, d_logits, row_grid, self.select_lr,
-                                      momentum, self.logit_vel[f"{name}/claim"])
+                row_grid = np.broadcast_to(rows[:, None], used.shape)
+                d_logits = self._relaxed_grad(self.claim_masks[name],
+                                              np.where(row_grid, d_mult, 0.0), temperature)
+                self._update(f"{name} claim logits", d_logits, self.select_lr, row_grid)
 
             # channel-gate logits: data sensitivity plus the sparsity surrogate
             if self.grow_phase:
@@ -432,11 +414,10 @@ class TaskTrainer:
                 value, d_l0 = l0_penalty(gate_bits, grow.logits, self.lam_eff)
                 penalty_value += value
                 d_logits = self._relaxed_grad(grow, d_gate, temperature) + d_l0
-                _masked_momentum_step(grow.logits, d_logits, queryable, self.gate_lr,
-                                      momentum, self.logit_vel[f"{name}/grow"])
+                self._update(f"{name} grow logits", d_logits, self.gate_lr, queryable)
 
-        sgd_step(self.head_weight, grads.d_head_weight, lr, momentum, self.head_w_vel)
-        sgd_step(self.head_bias, grads.d_head_bias, lr, momentum, self.head_b_vel)
+        self._update("head weight", grads.d_head_weight, lr)
+        self._update("head bias", grads.d_head_bias, lr)
         return loss + penalty_value
 
     # -- phases --------------------------------------------------------------
@@ -485,19 +466,8 @@ class TaskTrainer:
     def _check_finite(self, loss: float, where: str) -> None:
         """Raise FloatingPointError when the epoch loss or any array this
         trainer updates holds a NaN or infinity, before it can be snapshot."""
-        arrays = {"head weight": self.head_weight, "head bias": self.head_bias}
-        for layer in self.backbone.layers:
-            name = layer.spec.name
-            arrays[f"{name} weights"] = layer.weights
-            arrays[f"{name} bias"] = layer.bias
-            for role, masks in (("grow", self.grow_masks), ("claim", self.claim_masks),
-                                ("reuse", self.reuse_masks)):
-                arrays[f"{name} {role} logits"] = masks[name].logits
-            if self.norm_scale is not None:
-                arrays[f"{name} norm scale"] = self.norm_scale[name]
-                arrays[f"{name} norm shift"] = self.norm_shift[name]
-        arrays["loss"] = np.array(loss)   # last, so a bad parameter is named first
-        for what, values in arrays.items():
+        # the loss goes last, so a bad parameter is named first
+        for what, values in [*self.params.items(), ("loss", loss)]:
             if not np.all(np.isfinite(values)):
                 raise FloatingPointError(f"non-finite {what} ({where})")
 
@@ -614,9 +584,7 @@ def train_scratch_model(task: Task, config: RunConfig, seed: int) -> ScratchOutc
     init = rng.substream("init")
     backbone = BackboneState(config.arch)
     for layer in backbone.layers:
-        bound = np.sqrt(6.0 / (layer.spec.in_channels * layer.spec.kernel ** 2))
-        layer.weights[:] = init.uniform(-bound, bound, size=layer.weights.shape)
-        layer.slot_state[:] = SlotState.GROWN_TRAINING
+        query_and_transition(layer, np.ones(layer.spec.out_channels), init)
     spec = TaskSpec(task.task_id, task, target_accuracy=1.0, growth_cap=1.0)
     trainer = TaskTrainer(backbone, spec, config, False, rng,
                           streams={"init": init, "batches": rng.substream("batches")})

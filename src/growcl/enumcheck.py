@@ -66,14 +66,6 @@ class MicroInstance:
                 * 2 ** self.n_weights)
 
 
-@dataclass
-class EnumResult:
-    min_loss: float
-    argmin_weights: np.ndarray        # [Cout, Cin]
-    argmin_gate: np.ndarray           # [Cout]
-    argmin_kernel_mask: np.ndarray    # [Cout, Cin]
-
-
 def _loss_table(instance: MicroInstance,
                 kernel_configs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Penalized loss for every (w, gate, kernel mask) combination.
@@ -109,38 +101,6 @@ def _all_kernel_configs(instance: MicroInstance) -> np.ndarray:
     return np.array(
         list(itertools.product((0.0, 1.0), repeat=instance.n_weights))
     ).reshape(-1, co, ci)
-
-
-def enumerate_min_loss(instance: MicroInstance, attentive_free: bool) -> EnumResult:
-    """Exact global minimum over the discretized configuration space.
-
-    With ``attentive_free`` the kernel mask ranges over all {0,1} grids;
-    otherwise it is pinned to all-ones, which leaves every weight in play.
-    """
-    if attentive_free:
-        kernel_configs = _all_kernel_configs(instance)
-    else:
-        kernel_configs = np.ones((1, instance.out_channels, instance.in_channels))
-    losses, w_configs, gate_configs = _loss_table(instance, kernel_configs)
-    flat = int(np.argmin(losses))           # first minimum = lexicographic tie-break
-    iw, ig, ik = np.unravel_index(flat, losses.shape)
-    return EnumResult(
-        min_loss=float(losses[iw, ig, ik]),
-        argmin_weights=w_configs[iw].copy(),
-        argmin_gate=gate_configs[ig].copy(),
-        argmin_kernel_mask=kernel_configs[ik].copy(),
-    )
-
-
-def evaluate_configuration(instance: MicroInstance, weights: np.ndarray,
-                           gate: np.ndarray, kernel_mask: np.ndarray) -> float:
-    """Loss of a single configuration (used to re-check reported argmins)."""
-    eff = weights * gate[:, None] * kernel_mask
-    logits = instance.inputs @ eff.T
-    zmax = logits.max(axis=1, keepdims=True)
-    logp = logits - zmax - np.log(np.exp(logits - zmax).sum(axis=1, keepdims=True))
-    data = -logp[np.arange(len(instance.labels)), instance.labels].mean()
-    return float(data + instance.lam * gate.sum())
 
 
 # mathematically tied configurations can differ by ~1 ulp through different

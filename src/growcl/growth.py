@@ -167,10 +167,6 @@ def enforce_growth_cap(backbone: BackboneState,
 # size accounting
 # ---------------------------------------------------------------------------
 
-def growth_ratio(active_params: int, full_params: int) -> float:
-    return active_params / full_params
-
-
 def ratio_label(ratio: float) -> str:
     """Human form of a size ratio: 0.3 -> '0.3x', 1.0 -> '1x', 0.48 -> '0.48x'."""
     text = f"{ratio:.2f}".rstrip("0").rstrip(".")
@@ -204,7 +200,7 @@ class GrowthLedger:
                 for l in backbone.layers
             },
             active_params=active,
-            growth_ratio=growth_ratio(active, self.full_params),
+            growth_ratio=active / self.full_params,
         )
         if self.rows and row.growth_ratio < self.rows[-1].growth_ratio - 1e-15:
             raise ContractViolation(
@@ -213,9 +209,6 @@ class GrowthLedger:
             )
         self.rows.append(row)
         return row
-
-    def ratios(self) -> list[float]:
-        return [r.growth_ratio for r in self.rows]
 
     def to_csv(self) -> str:
         lines = ["task_id,layer,active_channels,active_params,growth_ratio"]

@@ -101,12 +101,10 @@ def gumbel_sigmoid_grad(m_r, g0, g1, temperature: float) -> np.ndarray:
 # straight-through binarization
 # ---------------------------------------------------------------------------
 
-def binarize_ste(p, threshold: float = 0.5) -> np.ndarray:
-    """1.0 where p >= threshold else 0.0 (ties round up)."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0,1), got {threshold}")
+def binarize_ste(p) -> np.ndarray:
+    """1.0 where p >= 0.5 else 0.0 (ties round up)."""
     p = np.asarray(p, dtype=np.float64)
-    return np.where(p >= threshold, 1.0, 0.0)
+    return np.where(p >= 0.5, 1.0, 0.0)
 
 
 def ste_logit_grad(dbits, logits, g0, g1, temperature: float) -> np.ndarray:

@@ -172,38 +172,36 @@ def relu_backward(dout: np.ndarray, cache) -> np.ndarray:
     return np.where(cache, dout, 0.0)
 
 
-def maxpool2d(x, k: int, stride: int | None = None):
-    """Windowed max over [N,C,H,W]; ties go to the first row-major element."""
+def maxpool2d(x, k: int):
+    """Max over non-overlapping k x k windows (stride k) of [N,C,H,W]; ties
+    go to the first row-major element."""
     x = _as_array(x)
-    if stride is None:
-        stride = k
     n, c, h, w = x.shape
     if k > h or k > w:
         raise ShapeError(f"pool window {k} exceeds input {h}x{w}")
-    ho = (h - k) // stride + 1
-    wo = (w - k) // stride + 1
+    ho, wo = h // k, w // k
     sn, sc, sh, sw = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x,
         shape=(n, c, ho, wo, k, k),
-        strides=(sn, sc, stride * sh, stride * sw, sh, sw),
+        strides=(sn, sc, k * sh, k * sw, sh, sw),
         writeable=False,
     )
     flat = windows.reshape(n, c, ho, wo, k * k)
     arg = flat.argmax(axis=-1)           # first max in row-major window order
     out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    cache = (x.shape, k, stride, arg)
+    cache = (x.shape, k, arg)
     return np.ascontiguousarray(out), cache
 
 
 def maxpool2d_backward(dout: np.ndarray, cache) -> np.ndarray:
-    x_shape, k, stride, arg = cache
+    x_shape, k, arg = cache
     n, c, h, w = x_shape
     ho, wo = arg.shape[2], arg.shape[3]
     dx = np.zeros(x_shape, dtype=dout.dtype)
     ki, kj = np.divmod(arg, k)
-    rows = (np.arange(ho)[None, None, :, None] * stride + ki)
-    colz = (np.arange(wo)[None, None, None, :] * stride + kj)
+    rows = (np.arange(ho)[None, None, :, None] * k + ki)
+    colz = (np.arange(wo)[None, None, None, :] * k + kj)
     ns = np.arange(n)[:, None, None, None]
     cs = np.arange(c)[None, :, None, None]
     np.add.at(dx, (ns, cs, rows, colz), dout)
@@ -245,31 +243,30 @@ def cross_entropy(logits, labels):
 # group normalization (optional per-task layer)
 # ---------------------------------------------------------------------------
 
-def group_norm(x, scale, shift, groups: int = 1, eps: float = 1e-5):
-    """Normalize [N,C,H,W] per sample over channel groups, then affine."""
+def group_norm(x, scale, shift, eps: float = 1e-5):
+    """Normalize [N,C,H,W] per sample over all channels (one group), then
+    a per-channel affine."""
     x = _as_array(x)
     g, b = _as_array(scale), _as_array(shift)
     n, c, h, w = x.shape
-    if c % groups != 0:
-        raise ShapeError(f"channels {c} not divisible by groups {groups}")
     if g.shape != (c,) or b.shape != (c,):
         raise ShapeError(f"affine params must be shape ({c},)")
-    xg = x.reshape(n, groups, -1)
+    xg = x.reshape(n, 1, -1)
     mean = xg.mean(axis=2, keepdims=True)
     var = xg.var(axis=2, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = ((xg - mean) * inv).reshape(n, c, h, w)
     out = xhat * g[None, :, None, None] + b[None, :, None, None]
-    return out, (xhat, inv, g, (n, c, h, w), groups)
+    return out, (xhat, inv, g, (n, c, h, w))
 
 
 def group_norm_backward(dout: np.ndarray, cache):
-    xhat, inv, g, shape, groups = cache
+    xhat, inv, g, shape = cache
     n, c, h, w = shape
     dshift = dout.sum(axis=(0, 2, 3))
     dscale = (dout * xhat).sum(axis=(0, 2, 3))
-    dxhat = (dout * g[None, :, None, None]).reshape(n, groups, -1)
-    xh = xhat.reshape(n, groups, -1)
+    dxhat = (dout * g[None, :, None, None]).reshape(n, 1, -1)
+    xh = xhat.reshape(n, 1, -1)
     dxg = inv * (dxhat - dxhat.mean(axis=2, keepdims=True)
                  - xh * (dxhat * xh).mean(axis=2, keepdims=True))
     return dxg.reshape(n, c, h, w), dscale, dshift
@@ -280,18 +277,28 @@ def group_norm_backward(dout: np.ndarray, cache):
 # ---------------------------------------------------------------------------
 
 def sgd_step(param: np.ndarray, grad: np.ndarray, lr: float, momentum: float,
-             velocity: np.ndarray) -> None:
-    """v <- momentum*v + grad; param <- param - lr*v  (both updated in place)."""
+             velocity: np.ndarray, keep: np.ndarray | None = None) -> None:
+    """v <- momentum*v + grad; param <- param - lr*v  (both updated in place).
+
+    With a bool ``keep``, v is zeroed outside ``keep`` before param moves, so
+    those entries stay bit-identical and carry no velocity into a later step:
+    an entry that stops or starts being trainable needs no velocity reset.
+    """
     if param.shape != grad.shape or param.shape != velocity.shape:
         raise ShapeError(
             f"param {param.shape}, grad {grad.shape}, velocity {velocity.shape} disagree"
         )
+    if keep is not None and (keep.shape != param.shape or keep.dtype != bool):
+        raise ShapeError(f"keep must be a bool array of shape {param.shape}, "
+                         f"got {keep.dtype} {keep.shape}")
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
     if not 0.0 <= momentum < 1.0:
         raise ValueError(f"momentum must be in [0,1), got {momentum}")
     velocity *= momentum
     velocity += grad
+    if keep is not None:
+        velocity[~keep] = 0.0
     param -= lr * velocity
 
 

@@ -2,17 +2,23 @@
 
 The op references are deliberately written as plain nested loops so they
 share no code path (im2col, BLAS, argmax vectorization) with the package.
-The full-width backbone passes at the end are the reference for the
-compacted ones: they share the ops, not the channel bookkeeping.
+The full-width backbone passes are the reference for the compacted ones:
+they share the ops, not the channel bookkeeping.  The enumeration argmin
+and single-configuration loss re-check ``growcl.enumcheck``'s shared table,
+and ``save_idx`` writes the IDX files that ``growcl.data.load_idx`` reads.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+from dataclasses import dataclass
 
 import numpy as np
 
 from growcl.backbone import BackwardResult, effective_filters
+from growcl.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, Dataset
+from growcl.enumcheck import MicroInstance, _all_kernel_configs, _loss_table
 from growcl.ops import (
     conv2d,
     conv2d_backward,
@@ -133,13 +139,13 @@ def forward_pass_full(backbone, view, x, want_cache=False):
         if view.norm_scale is not None:
             h, norm_cache = group_norm(
                 h, view.norm_scale[name], view.norm_shift[name],
-                groups=1, eps=backbone.arch.norm_eps,
+                eps=backbone.arch.norm_eps,
             )
         h[:, ~on] = 0.0   # kill bias/norm leakage from channels outside the task
         h, relu_cache = relu(h)
         pool_cache = None
         if layer.spec.pool:
-            h, pool_cache = maxpool2d(h, k=layer.spec.pool, stride=layer.spec.pool)
+            h, pool_cache = maxpool2d(h, k=layer.spec.pool)
         cache["layers"].append((conv_cache, norm_cache, relu_cache, pool_cache, on))
     logits, cache["head"] = linear(h.reshape(h.shape[0], -1), view.head_weight, view.head_bias)
     cache["flat_shape"] = h.shape
@@ -162,3 +168,65 @@ def backward_pass_full(backbone, cache, dlogits):
         dh, d_eff[name], db = conv2d_backward(dh, conv_cache)
         d_bias[name] = np.where(on, db, 0.0)
     return BackwardResult(d_eff, d_bias, d_hw, d_hb, d_ns, d_nsh)
+
+
+# ---------------------------------------------------------------------------
+# enumeration: argmin of one branch, loss of one configuration
+# ---------------------------------------------------------------------------
+
+@dataclass
+class EnumResult:
+    min_loss: float
+    argmin_weights: np.ndarray        # [Cout, Cin]
+    argmin_gate: np.ndarray           # [Cout]
+    argmin_kernel_mask: np.ndarray    # [Cout, Cin]
+
+
+def enumerate_min_loss(instance: MicroInstance, attentive_free: bool) -> EnumResult:
+    """Exact global minimum over the discretized configuration space.
+
+    With ``attentive_free`` the kernel mask ranges over all {0,1} grids;
+    otherwise it is pinned to all-ones, which leaves every weight in play.
+    """
+    if attentive_free:
+        kernel_configs = _all_kernel_configs(instance)
+    else:
+        kernel_configs = np.ones((1, instance.out_channels, instance.in_channels))
+    losses, w_configs, gate_configs = _loss_table(instance, kernel_configs)
+    flat = int(np.argmin(losses))           # first minimum = lexicographic tie-break
+    iw, ig, ik = np.unravel_index(flat, losses.shape)
+    return EnumResult(
+        min_loss=float(losses[iw, ig, ik]),
+        argmin_weights=w_configs[iw].copy(),
+        argmin_gate=gate_configs[ig].copy(),
+        argmin_kernel_mask=kernel_configs[ik].copy(),
+    )
+
+
+def evaluate_configuration(instance: MicroInstance, weights: np.ndarray,
+                           gate: np.ndarray, kernel_mask: np.ndarray) -> float:
+    """Loss of a single configuration (used to re-check reported argmins)."""
+    eff = weights * gate[:, None] * kernel_mask
+    logits = instance.inputs @ eff.T
+    zmax = logits.max(axis=1, keepdims=True)
+    logp = logits - zmax - np.log(np.exp(logits - zmax).sum(axis=1, keepdims=True))
+    data = -logp[np.arange(len(instance.labels)), instance.labels].mean()
+    return float(data + instance.lam * gate.sum())
+
+
+# ---------------------------------------------------------------------------
+# IDX writer
+# ---------------------------------------------------------------------------
+
+def save_idx(dataset: Dataset, images_path, labels_path) -> None:
+    """Write a dataset out as an IDX pair (values quantized to bytes)."""
+    n, c, h, w = dataset.images.shape
+    if c != 1:
+        raise ValueError(f"IDX stores single-channel images, got C={c}")
+    pixels = np.clip(np.rint(dataset.images * 255.0), 0, 255).astype(np.uint8)
+    with open(images_path, "wb") as f:
+        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, h, w))
+        f.write(pixels.tobytes())
+    with open(labels_path, "wb") as f:
+        f.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
+        f.write(dataset.labels.astype(np.uint8).tobytes())

@@ -78,9 +78,31 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--mode", "grown"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("via", ["output_dir", "env"])
+    def test_file_as_output_root_is_usage_error_before_training(
+            self, tmp_path, monkeypatch, capsys, via):
+        import growcl.cli
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("run_pipeline called")
+
+        monkeypatch.setattr(growcl.cli, "run_pipeline", no_training)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        if via == "env":
+            monkeypatch.setenv("GROWCL_OUTPUT_ROOT", str(afile))
+            cfg = write_config(tmp_path)
+        else:
+            monkeypatch.delenv("GROWCL_OUTPUT_ROOT", raising=False)
+            cfg = write_config(tmp_path, output_dir=str(afile))
+        assert main(["run", "--config", str(cfg), "--mode", "grown"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert afile.read_text() == ""
+
     def test_idx_sourced_tasks_run_end_to_end(self, tmp_path, out_root):
         import numpy as np
-        from growcl.data import Dataset, save_idx
+        from growcl.data import Dataset
+        from oracles import save_idx
 
         r = np.random.default_rng(0)
         n_per = 40

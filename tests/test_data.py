@@ -10,11 +10,12 @@ from growcl.data import (
     IdxFormatError,
     load_group_file,
     load_idx,
-    save_idx,
     split_by_class,
     synth_tasks,
 )
 from growcl.rng import SeededRng
+
+from oracles import save_idx
 
 
 def random_dataset(n=40, k=4, size=8, seed=0):
@@ -92,8 +93,8 @@ class TestSynthTasks:
     def test_per_class_counts_exact(self):
         tasks = synth_tasks(SeededRng(2).substream("data"), 2, 3, 30)
         for task in tasks:
-            total = (task.train.class_counts() + task.val.class_counts()
-                     + task.test.class_counts())
+            total = sum(np.bincount(split.labels, minlength=task.n_classes)
+                        for split in (task.train, task.val, task.test))
             assert list(total) == [30, 30, 30]
 
     def test_splits_disjoint_and_complete(self):

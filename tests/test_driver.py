@@ -326,7 +326,7 @@ class TestPickTransferOracle:
                 h[:, ~tv.view.channel_on[layer.spec.name]] = 0.0
                 h, _ = relu(h)
                 if layer.spec.pool:
-                    h, _ = maxpool2d(h, layer.spec.pool, layer.spec.pool)
+                    h, _ = maxpool2d(h, layer.spec.pool)
             feats[split] = h.reshape(len(ds), -1)
 
         init = root2.substream("task2/init")
@@ -351,6 +351,32 @@ class TestPickTransferOracle:
         assert candidate == pytest.approx(probe_acc, abs=1e-12)
 
 
+class TestDetachedSlotFreezes:
+    def test_slot_detached_at_query_keeps_its_bytes_despite_velocity(self):
+        # the slot trains for an epoch, so its weight and bias velocities are
+        # nonzero when the next epoch's query detaches it
+        cfg = tiny_config(n_tasks=1)
+        (task,) = build_tasks(cfg)
+        root = SeededRng(cfg.seed)
+        backbone = BackboneState(cfg.arch)
+        from growcl.driver import _grow_seed_channels
+        _grow_seed_channels(backbone, root.substream("growth"))
+        trainer = TaskTrainer(backbone, TaskSpec(1, task, 1.0, 1.0), cfg, True, root)
+        trainer.train_phase("grow", 1, grow=True, epoch_log=[])
+        layer = backbone.layers[0]
+        (j, *_) = np.flatnonzero(layer.slot_state == SlotState.GROWN_TRAINING)
+        assert np.any(trainer.velocity["conv1 weights"][j] != 0.0)
+        assert trainer.velocity["conv1 bias"][j] != 0.0
+        weights, bias = layer.weights[j].tobytes(), layer.bias[j].tobytes()
+
+        trainer.grow_masks["conv1"].logits[j] = -5.0
+        trainer.train_phase("grow", 1, grow=True, epoch_log=[])
+        assert layer.slot_state[j] == SlotState.DETACHED
+        assert layer.weights[j].tobytes() == weights
+        assert layer.bias[j].tobytes() == bias
+        assert np.all(trainer.velocity["conv1 weights"][j] == 0.0)
+
+
 class TestReleasedKernelFlow:
     def test_released_kernels_claimed_and_frozen_by_next_task(self):
         cfg = tiny_config(n_tasks=2)
@@ -364,7 +390,8 @@ class TestReleasedKernelFlow:
         tr1.train_phase("grow", cfg.epochs["task1"], grow=True, epoch_log=[])
         # force some releases over a live input channel (a pruned input
         # would leave the released kernels with legitimately zero gradient)
-        conv1 = backbone.layer("conv1")
+        layers = {l.spec.name: l for l in backbone.layers}
+        conv1 = layers["conv1"]
         live = int(np.flatnonzero(conv1.slot_state == SlotState.GROWN_TRAINING)[0])
         tr1.claim_masks["conv2"].logits[:, live] = -1.0
         snap1 = tr1.finalize()
@@ -375,7 +402,7 @@ class TestReleasedKernelFlow:
         ]
         assert released
 
-        before = {key: backbone.layer(key[0]).weights[key[1]].copy()
+        before = {key: layers[key[0]].weights[key[1]].copy()
                   for key in released}
         spec2 = TaskSpec(2, tasks[1], 0.9, cfg.growth_cap)
         tr2 = TaskTrainer(backbone, spec2, cfg, True, root)
@@ -384,7 +411,7 @@ class TestReleasedKernelFlow:
 
         moved = 0
         for name, idx in released:
-            layer = backbone.layer(name)
+            layer = layers[name]
             assert layer.kernel_state[idx] == KernelState.USED
             assert layer.kernel_owner[idx] == 2
             if not np.array_equal(layer.weights[idx], before[(name, idx)]):

@@ -4,15 +4,17 @@ import pytest
 from growcl.enumcheck import (
     EnumBudgetError,
     MicroInstance,
-    enumerate_min_loss,
-    evaluate_configuration,
     random_instance,
     run_sweep,
     verify_mask_freedom,
 )
 from growcl.rng import SeededRng
 
-from oracles import cross_entropy_direct
+from oracles import (
+    cross_entropy_direct,
+    enumerate_min_loss,
+    evaluate_configuration,
+)
 
 
 def make_instance(grid=(-1.0, -0.5, 0.0, 0.5, 1.0), ci=2, lam=0.1, seed=0):

@@ -18,7 +18,6 @@ from growcl.growth import (
     enforce_growth_cap,
     finalize_task,
     grow_filter,
-    growth_ratio,
     query_and_transition,
     ratio_label,
 )
@@ -249,9 +248,6 @@ class TestGrowthCap:
 
 
 class TestAccounting:
-    def test_ratio_arithmetic(self):
-        assert growth_ratio(300, 1000) == pytest.approx(0.3)
-
     def test_ratio_label_formats(self):
         # first-task figure style: compact, trailing zeros trimmed
         assert ratio_label(0.3) == "0.3x"
@@ -274,7 +270,7 @@ class TestAccounting:
                 finalize_task(layer, np.ones_like(layer.kernel_state, dtype=float), task)
             ledger.record(task, bb)
         assert len(ledger.rows) == 2
-        r = ledger.ratios()
+        r = [row.growth_ratio for row in ledger.rows]
         assert r[1] >= r[0]
         csv = ledger.to_csv()
         assert csv.splitlines()[0] == "task_id,layer,active_channels,active_params,growth_ratio"

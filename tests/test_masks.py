@@ -80,12 +80,8 @@ class TestGumbelSigmoid:
 
 class TestBinarize:
     def test_threshold_with_tie_rounding_up(self):
-        bits = binarize_ste(np.array([0.2, 0.5, 0.9]), threshold=0.5)
+        bits = binarize_ste(np.array([0.2, 0.5, 0.9]))
         assert np.array_equal(bits, [0.0, 1.0, 1.0])
-
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError):
-            binarize_ste(np.zeros(3), threshold=0.0)
 
     def test_surrogate_matches_finite_differences_of_relaxed_path(self):
         rng = SeededRng(3).substream("gumbel")

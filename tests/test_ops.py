@@ -195,7 +195,7 @@ class TestMaxpool:
     def test_matches_loop_oracle(self):
         r = rng(8)
         x = r.normal(size=(2, 3, 6, 6))
-        out, _ = maxpool2d(x, k=2, stride=2)
+        out, _ = maxpool2d(x, k=2)
         assert np.array_equal(out, maxpool2d_loops(x, 2, 2))
 
     def test_window_exceeding_input_rejected(self):
@@ -209,7 +209,7 @@ class TestMaxpool:
         x0 += np.arange(x0.size).reshape(x0.shape) * 1e-3
 
         def f(x):
-            out, cache = maxpool2d(x, k=2, stride=2)
+            out, cache = maxpool2d(x, k=2)
             loss = float((out ** 2).sum())
             return loss, maxpool2d_backward(2.0 * out, cache)
 
@@ -277,6 +277,35 @@ class TestSgdStep:
         with pytest.raises(ShapeError):
             sgd_step(np.zeros(2), np.zeros(3), 0.1, 0.0, np.zeros(2))
 
+    def test_keep_freezes_entries_with_momentum_behind_them(self):
+        r = rng(18)
+        p = r.normal(size=(3, 4))
+        p[0, 0] = -0.0
+        v = r.normal(size=(3, 4))    # nonzero everywhere, as after trainable steps
+        g = r.normal(size=(3, 4))
+        keep = np.zeros((3, 4), dtype=bool)
+        keep[1] = True
+        before, v0 = p.copy(), v.copy()
+        sgd_step(p, g, lr=0.1, momentum=0.9, velocity=v, keep=keep)
+        assert p[~keep].tobytes() == before[~keep].tobytes()
+        assert np.all(v[~keep] == 0.0)
+        v_kept = 0.9 * v0[keep] + g[keep]
+        assert v[keep].tobytes() == v_kept.tobytes()
+        assert p[keep].tobytes() == (before[keep] - 0.1 * v_kept).tobytes()
+
+    def test_keep_all_matches_plain_step(self):
+        r = rng(19)
+        p, v, g = (r.normal(size=5) for _ in range(3))
+        p2, v2 = p.copy(), v.copy()
+        sgd_step(p, g, 0.1, 0.9, v)
+        sgd_step(p2, g, 0.1, 0.9, v2, keep=np.ones(5, dtype=bool))
+        assert p.tobytes() == p2.tobytes() and v.tobytes() == v2.tobytes()
+
+    @pytest.mark.parametrize("keep", [np.ones(3, dtype=bool), np.ones(2)])
+    def test_keep_must_be_bool_of_param_shape(self, keep):
+        with pytest.raises(ShapeError):
+            sgd_step(np.zeros(2), np.zeros(2), 0.1, 0.0, np.zeros(2), keep=keep)
+
 
 class TestFiniteDiffCheck:
     def test_quadratic_is_exact(self):
@@ -312,7 +341,7 @@ class TestFiniteDiffCheck:
             w = wflat.reshape(2, 1, 3, 3)
             h1, c1 = conv2d(x, w, b, pad=1)
             h2, c2 = relu(h1)
-            h3, c3 = maxpool2d(h2, k=5, stride=5)
+            h3, c3 = maxpool2d(h2, k=5)
             loss, dz = cross_entropy(h3.reshape(2, 2), y)
             dh3 = dz.reshape(h3.shape)
             dh2 = maxpool2d_backward(dh3, c3)
@@ -373,11 +402,11 @@ class TestBackwardPasses:
         sh = r.normal(size=4)
         dout = r.normal(size=x.shape)
 
-        out, cache = group_norm(x, g, sh, groups=1)
+        out, cache = group_norm(x, g, sh)
         dx, dg, dsh = group_norm_backward(dout, cache)
 
         def loss_of(xv, gv, sv):
-            o, _ = group_norm(xv, gv, sv, groups=1)
+            o, _ = group_norm(xv, gv, sv)
             return float((o * dout).sum())
 
         assert finite_diff_check(lambda v: (loss_of(v.reshape(x.shape), g, sh), dx.ravel()), x.ravel()).max_rel_error < 1e-5
