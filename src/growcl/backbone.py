@@ -31,12 +31,14 @@ import numpy as np
 from .ops import (
     conv2d,
     conv2d_backward,
+    conv_out_size,
     group_norm,
     group_norm_backward,
     linear,
     linear_backward,
     maxpool2d,
     maxpool2d_backward,
+    pool_out_size,
     relu,
     relu_backward,
 )
@@ -102,12 +104,13 @@ class ArchSpec:
             prev = spec.out_channels
 
     def spatial_after(self, index: int) -> int:
-        """Spatial extent after layer ``index`` (conv + optional pool)."""
+        """Spatial extent after layer ``index`` (conv + optional pool), by
+        the rules of ``ops``: ShapeError where a layer cannot run."""
         size = self.image_size
         for spec in self.layers[: index + 1]:
-            size = (size + 2 * spec.pad - spec.kernel) // spec.stride + 1
+            size = conv_out_size(size, spec.kernel, spec.stride, spec.pad)
             if spec.pool:
-                size = size // spec.pool
+                size = pool_out_size(size, spec.pool)
         return size
 
     @property

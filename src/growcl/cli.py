@@ -8,7 +8,6 @@ environment variable, defaulting to ./runs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -16,11 +15,11 @@ from pathlib import Path
 from . import __version__
 from .config import ConfigError, parse_config
 from .data import IdxFormatError
-from .driver import run_pipeline
+from .driver import run_id, run_pipeline
 from .enumcheck import run_sweep
 from .growth import ContractViolation, GrowthCapError
-from .persist import accuracy_csv, save_run, size_csv, report_rows
-from .store import write_text_atomic
+from .persist import accuracy_csv, read_manifest, save_run, size_csv
+from .store import StoreFormatError, write_text_atomic
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -44,11 +43,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    root = _output_root(config.output_dir)
+    run_dir = _output_root(config.output_dir) / run_id(args.mode, config)
     try:   # fail before training, not after it
-        root.mkdir(parents=True, exist_ok=True)
+        run_dir.parent.mkdir(parents=True, exist_ok=True)
+        if run_dir.exists() and not run_dir.is_dir():
+            raise FileExistsError(f"{run_dir} exists and is not a directory")
     except OSError as e:
-        print(f"error: cannot use output root {root}: {e}", file=sys.stderr)
+        print(f"error: cannot write run directory {run_dir}: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
         result = run_pipeline(config, args.mode)
@@ -58,16 +59,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (ContractViolation, GrowthCapError, FloatingPointError) as e:
         print(f"invariant failure: {e}", file=sys.stderr)
         return EXIT_INVARIANT
-    run_dir = root / result.run_id
     save_run(result, run_dir)
-    print(f"{result.run_id}: avg accuracy {result.avg_accuracy:.4f} "
-          f"-> {run_dir}")
+    print(f"{run_dir.name}: avg accuracy {result.avg_accuracy:.4f} -> {run_dir}")
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.instances < 1:
         print("error: --instances must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        print(f"error: --out {args.out} is not a file in an existing directory",
+              file=sys.stderr)
         return EXIT_USAGE
     failures = []
 
@@ -152,48 +155,29 @@ def _gradient_suite(plant_fault: bool = False) -> str | None:
     return None
 
 
-def _check_manifest_types(m: dict, acc_row: dict, size_row: dict) -> None:
-    """Raise TypeError for a field the report sorts, compares or formats
-    that holds the wrong JSON type (a bool is not a number here)."""
-    fields = [("seed", m["seed"], int), ("n_tasks", m["n_tasks"], int), ("mode", m["mode"], str)]
-    fields += [("accuracy", v, (int, float)) for v in (acc_row["avg"], *acc_row["accuracies"])]
-    fields += [("ratio label", v, str) for v in size_row["labels"]]
-    for what, value, types in fields:
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise TypeError(f"{what} has the wrong type: {value!r}")
-
-
 def cmd_report(args: argparse.Namespace) -> int:
-    acc_rows, size_rows, task_counts = [], [], set()
-    by_seed: dict[int, dict[str, float]] = {}   # seed -> mode -> avg accuracy
-    for d in args.run_dirs:
-        path = Path(d) / "manifest.json"
-        if not path.exists():
-            print(f"error: missing manifest in {d}", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            m = json.loads(path.read_text())
-            a, s = report_rows(m)
-            _check_manifest_types(m, a, s)
-            task_counts.add(m["n_tasks"])
-            by_seed.setdefault(m["seed"], {})[m["mode"]] = m["avg_accuracy"]
-        except (ValueError, KeyError, TypeError) as e:   # not JSON, a key missing, a bad type
-            print(f"error: malformed manifest {path}: {type(e).__name__}: {e}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        acc_rows.append(a)
-        size_rows.append(s)
-    if len(task_counts) != 1:
+    try:
+        manifests = [read_manifest(d) for d in args.run_dirs]
+    except (OSError, StoreFormatError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    if len({m["n_tasks"] for m in manifests}) != 1:
         print("error: runs have different task counts", file=sys.stderr)
         return EXIT_USAGE
-    (n_tasks,) = task_counts
 
     out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(out_dir / "consolidated.csv", accuracy_csv(acc_rows, n_tasks))
-    write_text_atomic(out_dir / "consolidated_size.csv", size_csv(size_rows, n_tasks))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        print(f"error: cannot use --out {out_dir}: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    write_text_atomic(out_dir / "consolidated.csv", accuracy_csv(manifests))
+    write_text_atomic(out_dir / "consolidated_size.csv", size_csv(manifests))
 
     # paired per-seed deltas: full pipeline minus growth-only baseline
+    by_seed: dict[int, dict[str, float]] = {}   # seed -> mode -> avg accuracy
+    for m in manifests:
+        by_seed.setdefault(m["seed"], {})[m["mode"]] = m["avg_accuracy"]
     delta_lines = ["seed,grown_avg,grow_only_avg,delta"]
     for seed in sorted(by_seed):
         pair = by_seed[seed]

@@ -156,12 +156,11 @@ def parse_arch(value, where: str) -> ArchSpec:
         prev = capacity
     if len({s.name for s in specs}) != len(specs):
         raise ConfigError(f"{where}.layers names must be unique")
-    try:
+    try:   # ArchSpec checks the channel chain, spatial_after each layer's extent
         arch = ArchSpec(image_size, in_channels, tuple(specs), group_norm=gn)
+        arch.spatial_after(len(specs) - 1)
     except ValueError as e:
-        raise ConfigError(str(e)) from None
-    if arch.spatial_after(len(specs) - 1) < 1:
-        raise ConfigError(f"{where} pools the image away; reduce pooling or layers")
+        raise ConfigError(f"{where}: {e}") from None
     return arch
 
 

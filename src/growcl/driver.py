@@ -627,9 +627,10 @@ class RunResult:
     def avg_accuracy(self) -> float:
         return float(np.mean([self.test_accuracies[t] for t in self.task_ids]))
 
-    @property
-    def run_id(self) -> str:
-        return f"{self.mode}-seed{self.config.seed}-{self.config.digest[:8]}"
+
+def run_id(mode: str, config: RunConfig) -> str:
+    """The name of a run's directory under the output root."""
+    return f"{mode}-seed{config.seed}-{config.digest[:8]}"
 
 
 def build_tasks(config: RunConfig) -> TaskSequence:
@@ -764,7 +765,7 @@ def run_pipeline(config: RunConfig, mode: str) -> RunResult:
     root = SeededRng(config.seed)
     backbone = BackboneState(config.arch)
     _grow_seed_channels(backbone, root.substream("growth"))
-    ledger = GrowthLedger(full_params=config.arch.full_params)
+    ledger = GrowthLedger()
     result = RunResult(mode=mode, config=config, backbone=backbone, ledger=ledger,
                        targets=targets)
     digests: dict = {}
@@ -788,9 +789,8 @@ def run_pipeline(config: RunConfig, mode: str) -> RunResult:
                                 grow=True, epoch_log=result.epoch_log)
             snapshot = trainer.finalize()
         result.snapshots[t] = snapshot
-        row = ledger.record(t, backbone)
-        result.ratios[t] = row.growth_ratio
-        result.val_accuracies[t] = evaluate(t, backbone, snapshot, task.val)
+        result.ratios[t] = ledger.record(t, backbone).growth_ratio
+        result.val_accuracies[t] = result.epoch_log[-1].val_accuracy
         result.test_accuracies[t] = evaluate(t, backbone, snapshot, task.test)
         digests = _check_boundary(result, digests, t)
     return result

@@ -184,11 +184,9 @@ class LedgerRow:
 
 @dataclass
 class GrowthLedger:
-    full_params: int
     rows: list[LedgerRow] = field(default_factory=list)
 
     def record(self, task_id: int, backbone: BackboneState) -> LedgerRow:
-        active = backbone.active_params(include_training=False)
         row = LedgerRow(
             task_id=task_id,
             active_channels={
@@ -199,8 +197,8 @@ class GrowthLedger:
                 l.spec.name: l.active_params(include_training=False)
                 for l in backbone.layers
             },
-            active_params=active,
-            growth_ratio=active / self.full_params,
+            active_params=backbone.active_params(include_training=False),
+            growth_ratio=backbone.growth_ratio(include_training=False),
         )
         if self.rows and row.growth_ratio < self.rows[-1].growth_ratio - 1e-15:
             raise ContractViolation(

@@ -35,7 +35,7 @@ def _as_array(x) -> np.ndarray:
 # conv2d
 # ---------------------------------------------------------------------------
 
-def _conv_out_size(extent: int, k: int, stride: int, pad: int) -> int:
+def conv_out_size(extent: int, k: int, stride: int, pad: int) -> int:
     span = extent + 2 * pad - k
     if span < 0:
         raise ShapeError(f"kernel {k} with pad {pad} exceeds input extent {extent}")
@@ -49,8 +49,8 @@ def _conv_out_size(extent: int, k: int, stride: int, pad: int) -> int:
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> tuple[np.ndarray, tuple]:
     """[N,C,H,W] -> [N, C*k*k, Ho*Wo] patch matrix (copy, C-contiguous)."""
     n, c, h, w = x.shape
-    ho = _conv_out_size(h, k, stride, pad)
-    wo = _conv_out_size(w, k, stride, pad)
+    ho = conv_out_size(h, k, stride, pad)
+    wo = conv_out_size(w, k, stride, pad)
     if pad > 0:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     sn, sc, sh, sw = x.strides
@@ -172,14 +172,18 @@ def relu_backward(dout: np.ndarray, cache) -> np.ndarray:
     return np.where(cache, dout, 0.0)
 
 
+def pool_out_size(extent: int, k: int) -> int:
+    if k > extent:
+        raise ShapeError(f"pool window {k} exceeds input extent {extent}")
+    return extent // k
+
+
 def maxpool2d(x, k: int):
     """Max over non-overlapping k x k windows (stride k) of [N,C,H,W]; ties
     go to the first row-major element."""
     x = _as_array(x)
     n, c, h, w = x.shape
-    if k > h or k > w:
-        raise ShapeError(f"pool window {k} exceeds input {h}x{w}")
-    ho, wo = h // k, w // k
+    ho, wo = pool_out_size(h, k), pool_out_size(w, k)
     sn, sc, sh, sw = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x,

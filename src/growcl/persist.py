@@ -8,13 +8,14 @@ yields byte-identical files.  Nothing here writes wall-clock time.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .backbone import BackboneState
 from .config import ConfigError, arch_dict, parse_arch
-from .driver import EpochLogEntry, RunResult, TaskSnapshot, _frozen
+from .driver import EpochLogEntry, RunResult, TaskSnapshot, _frozen, run_id
 from .growth import ratio_label
 from .store import StoreFormatError, read_container, write_container, write_text_atomic
 
@@ -25,38 +26,45 @@ FORMAT_VERSION = 1
 # snapshot / backbone containers
 # ---------------------------------------------------------------------------
 
+# record prefix -> (TaskSnapshot field, header flags it needs, grid-shaped);
+# a grid record is [out, in] per layer like the claim bits, the rest [out]
+_SNAPSHOT_RECORDS = {
+    "claim": ("claim_bits", (), True),
+    "claim_logits": ("claim_logits", ("has_logits",), True),
+    "reuse": ("reuse_bits", ("has_reuse",), True),
+    "reuse_logits": ("reuse_logits", ("has_logits", "has_reuse"), True),
+    "norm_scale": ("norm_scale", ("has_norm",), False),
+    "norm_shift": ("norm_shift", ("has_norm",), False),
+}
+# header flag -> the TaskSnapshot field whose presence it records
+_SNAPSHOT_FLAGS = {"has_reuse": "reuse_bits", "has_norm": "norm_scale",
+                   "has_logits": "claim_logits"}
+
+
 def save_snapshot(snapshot: TaskSnapshot, path: str | Path) -> None:
     layers = sorted(snapshot.claim_bits)
+    flags = {flag: getattr(snapshot, attr) is not None for flag, attr in _SNAPSHOT_FLAGS.items()}
     header = {
         "format_version": FORMAT_VERSION,
         "kind": "task_snapshot",
         "task_id": snapshot.task_id,
         "n_classes": snapshot.n_classes,
         "probe_fingerprint": snapshot.probe_fingerprint,
-        "has_reuse": snapshot.reuse_bits is not None,
-        "has_norm": snapshot.norm_scale is not None,
-        "has_logits": snapshot.claim_logits is not None,
         "layers": layers,
         # mask granularity tag: claim and reuse masks are
         # kernel-wise grids bound to each layer's (out, in) capacity
         "mask_granularity": "kernel",
+        **flags,
     }
     arrays: dict[str, np.ndarray] = {
         "head_weight": snapshot.head_weight,
         "head_bias": snapshot.head_bias,
         "probe_images": snapshot.probe_images,
     }
-    for name in layers:
-        arrays[f"claim/{name}"] = snapshot.claim_bits[name]
-        if snapshot.claim_logits is not None:
-            arrays[f"claim_logits/{name}"] = snapshot.claim_logits[name]
-        if snapshot.reuse_bits is not None:
-            arrays[f"reuse/{name}"] = snapshot.reuse_bits[name]
-        if snapshot.reuse_logits is not None:
-            arrays[f"reuse_logits/{name}"] = snapshot.reuse_logits[name]
-        if snapshot.norm_scale is not None:
-            arrays[f"norm_scale/{name}"] = snapshot.norm_scale[name]
-            arrays[f"norm_shift/{name}"] = snapshot.norm_shift[name]
+    for prefix, (attr, needs, _) in _SNAPSHOT_RECORDS.items():
+        if all(flags[f] for f in needs):
+            per_layer = getattr(snapshot, attr)
+            arrays.update((f"{prefix}/{name}", per_layer[name]) for name in layers)
     write_container(path, header, arrays)
 
 
@@ -93,8 +101,7 @@ def load_snapshot(path: str | Path) -> TaskSnapshot:
     header, arrays = _read_kind(path, "task_snapshot")
     layers = _field(header, "layers", path)
     n_classes = _field(header, "n_classes", path)
-    has_reuse = _field(header, "has_reuse", path)
-    has_norm = _field(header, "has_norm", path)
+    flags = {flag: _field(header, flag, path) for flag in _SNAPSHOT_FLAGS}
 
     def per_layer(prefix: str, grid: bool) -> dict[str, np.ndarray]:
         # claim bits fix each layer's [out, in] grid; the rest must match it
@@ -105,29 +112,18 @@ def load_snapshot(path: str | Path) -> TaskSnapshot:
             out[name] = _frozen(_array(arrays, f"{prefix}/{name}", path, shape))
         return out
 
-    reuse = per_layer("reuse", True) if has_reuse else None
-    norm_scale = norm_shift = None
-    if has_norm:
-        norm_scale = per_layer("norm_scale", False)
-        norm_shift = per_layer("norm_shift", False)
-    reuse_logits = claim_logits = None
-    if header.get("has_logits"):
-        claim_logits = per_layer("claim_logits", True)
-        if has_reuse:
-            reuse_logits = per_layer("reuse_logits", True)
+    records = {
+        attr: per_layer(prefix, grid) if all(flags[f] for f in needs) else None
+        for prefix, (attr, needs, grid) in _SNAPSHOT_RECORDS.items()
+    }
     return TaskSnapshot(
         task_id=_field(header, "task_id", path),
         n_classes=n_classes,
-        reuse_bits=reuse,
-        claim_bits=per_layer("claim", True),
         head_weight=_frozen(_array(arrays, "head_weight", path, (n_classes, None))),
         head_bias=_frozen(_array(arrays, "head_bias", path, (n_classes,))),
-        norm_scale=norm_scale,
-        norm_shift=norm_shift,
         probe_images=_frozen(_array(arrays, "probe_images", path, (None,) * 4)),
         probe_fingerprint=_field(header, "probe_fingerprint", path),
-        reuse_logits=reuse_logits,
-        claim_logits=claim_logits,
+        **records,
     )
 
 
@@ -174,7 +170,7 @@ def build_manifest(result: RunResult) -> dict:
     ids = result.task_ids
     return {
         "format_version": FORMAT_VERSION,
-        "run_id": result.run_id,
+        "run_id": run_id(result.mode, result.config),
         "mode": result.mode,
         "seed": result.config.seed,
         "config_digest": result.config.digest,
@@ -187,59 +183,69 @@ def build_manifest(result: RunResult) -> dict:
         "avg_accuracy": result.avg_accuracy,
         "ratios": {str(t): result.ratios[t] for t in ids},
         "ratio_labels": {str(t): ratio_label(result.ratios[t]) for t in ids},
-        "gate_log": [
-            {
-                "task_id": e.task_id,
-                "pick_accuracy": e.pick_accuracy,
-                "target_accuracy": e.target_accuracy,
-                "expanded": e.expanded,
-            }
-            for e in result.gate_log
-        ],
+        "gate_log": [asdict(e) for e in result.gate_log],
         "forgetting": result.forgetting_log,
     }
 
 
-def accuracy_csv(rows: list[dict], n_tasks: int) -> str:
-    """rows: {"method", "accuracies" (by task order), "avg", "size_label"}."""
-    header = "method," + ",".join(str(i) for i in range(1, n_tasks + 1)) + ",avg,model_size"
-    lines = [header]
-    for row in rows:
-        accs = ",".join(f"{a:.4f}" for a in row["accuracies"])
-        lines.append(f"{row['method']},{accs},{row['avg']:.4f},{row['size_label']}")
+def _csv(manifests: list[dict], tail: str, row) -> str:
+    """One ``row(manifest, size labels)`` per manifest, under the columns
+    method, 1..n_tasks (the first manifest's) and ``tail``."""
+    n_tasks = manifests[0]["n_tasks"]
+    lines = ["method," + ",".join(str(i) for i in range(1, n_tasks + 1)) + tail]
+    for m in manifests:
+        labels = [m["ratio_labels"][str(t)] for t in m["task_ids"]]
+        lines.append(",".join([m["mode"], *row(m, labels)]))
     return "\n".join(lines) + "\n"
 
 
-def size_csv(rows: list[dict], n_tasks: int) -> str:
-    """rows: {"method", "labels" (per-task size labels), "final_label"}."""
-    header = "method," + ",".join(str(i) for i in range(1, n_tasks + 1)) + ",model_size"
-    lines = [header]
-    for row in rows:
-        lines.append(f"{row['method']}," + ",".join(row["labels"]) + f",{row['final_label']}")
-    return "\n".join(lines) + "\n"
+def accuracy_csv(manifests: list[dict]) -> str:
+    """Test accuracy per task, the average and the final model size."""
+    return _csv(manifests, ",avg,model_size", lambda m, labels: [
+        *(f"{m['test_accuracies'][str(t)]:.4f}" for t in m["task_ids"]),
+        f"{m['avg_accuracy']:.4f}", labels[-1]])
+
+
+def size_csv(manifests: list[dict]) -> str:
+    """Model size after each task and at the end."""
+    return _csv(manifests, ",model_size", lambda m, labels: [*labels, labels[-1]])
 
 
 def curves_csv(epoch_log: list[EpochLogEntry]) -> str:
     lines = ["task_id,phase,epoch,loss,val_accuracy,growth_ratio"]
-    for e in epoch_log:
-        lines.append(
-            f"{e.task_id},{e.phase},{e.epoch},{e.loss:.6f},"
-            f"{e.val_accuracy:.4f},{e.growth_ratio:.6f}"
-        )
+    lines += [f"{e.task_id},{e.phase},{e.epoch},{e.loss:.6f},"
+              f"{e.val_accuracy:.4f},{e.growth_ratio:.6f}" for e in epoch_log]
     return "\n".join(lines) + "\n"
 
 
-def report_rows(manifest: dict) -> tuple[dict, dict]:
-    ids = manifest["task_ids"]
-    labels = [manifest["ratio_labels"][str(t)] for t in ids]
-    acc_row = {
-        "method": manifest["mode"],
-        "accuracies": [manifest["test_accuracies"][str(t)] for t in ids],
-        "avg": manifest["avg_accuracy"],
-        "size_label": labels[-1],
-    }
-    size_row = {"method": manifest["mode"], "labels": labels, "final_label": labels[-1]}
-    return acc_row, size_row
+# manifest key -> the JSON type its readers need (a bool is not a number);
+# each per-task key maps str(task id) to such a value for every task id
+_MANIFEST_TYPES = {"seed": int, "n_tasks": int, "mode": str, "avg_accuracy": (int, float)}
+_PER_TASK_TYPES = {"test_accuracies": (int, float), "ratio_labels": str}
+
+
+def read_manifest(run_dir: str | Path) -> dict:
+    """A run directory's manifest: FileNotFoundError when it has none,
+    StoreFormatError when it breaks the schema ``build_manifest`` writes."""
+    path = Path(run_dir) / "manifest.json"
+    try:   # ValueError: not JSON; KeyError: a key missing; TypeError: a bad type
+        m = json.loads(path.read_text())
+        if not isinstance(m, dict):
+            raise TypeError(f"{type(m).__name__}, not an object")
+        ids = m["task_ids"]
+        if not isinstance(ids, list) or not ids or len(ids) != m["n_tasks"]:
+            raise ValueError(f"task_ids {ids!r} are not n_tasks = {m['n_tasks']!r} ids")
+        values = [(key, m[key], types) for key, types in _MANIFEST_TYPES.items()]
+        values += [("task id", t, int) for t in ids]
+        values += [(key, m[key][str(t)], types)
+                   for key, types in _PER_TASK_TYPES.items() for t in ids]
+        for key, value, types in values:
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise TypeError(f"{key} has the wrong type: {value!r}")
+    except (ValueError, KeyError, TypeError) as e:
+        raise StoreFormatError(
+            f"malformed manifest {path}: {type(e).__name__}: {e}") from None
+    return m
 
 
 def save_run(result: RunResult, run_dir: str | Path) -> Path:
@@ -248,10 +254,8 @@ def save_run(result: RunResult, run_dir: str | Path) -> Path:
     manifest = build_manifest(result)
     write_text_atomic(run_dir / "manifest.json",
                       json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    acc_row, size_row = report_rows(manifest)
-    n = manifest["n_tasks"]
-    write_text_atomic(run_dir / "accuracy.csv", accuracy_csv([acc_row], n))
-    write_text_atomic(run_dir / "size.csv", size_csv([size_row], n))
+    write_text_atomic(run_dir / "accuracy.csv", accuracy_csv([manifest]))
+    write_text_atomic(run_dir / "size.csv", size_csv([manifest]))
     write_text_atomic(run_dir / "curves.csv", curves_csv(result.epoch_log))
     if result.ledger is not None:
         write_text_atomic(run_dir / "ledger.csv", result.ledger.to_csv())
@@ -267,17 +271,12 @@ def save_run(result: RunResult, run_dir: str | Path) -> Path:
 
 def load_run(run_dir: str | Path) -> tuple[dict, BackboneState | None, dict[int, TaskSnapshot]]:
     run_dir = Path(run_dir)
-    manifest_path = run_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"missing manifest: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_manifest(run_dir)
     backbone = None
     if (run_dir / "backbone.bin").exists():
         backbone = load_backbone(run_dir / "backbone.bin")
     snapshots: dict[int, TaskSnapshot] = {}
-    snap_dir = run_dir / "snapshots"
-    if snap_dir.exists():
-        for path in sorted(snap_dir.glob("task_*.snap")):
-            snap = load_snapshot(path)
-            snapshots[snap.task_id] = snap
+    for path in sorted((run_dir / "snapshots").glob("task_*.snap")):
+        snap = load_snapshot(path)
+        snapshots[snap.task_id] = snap
     return manifest, backbone, snapshots

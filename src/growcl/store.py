@@ -19,14 +19,8 @@ import numpy as np
 
 MAGIC = b"GCL1"
 
-_DTYPE_CODES = {"<f8": 0, "|i1": 1, "<i4": 2, "<i8": 3}
-_CODE_DTYPES = {0: "<f8", 1: "|i1", 2: "<i4", 3: "<i8"}
-_CANONICAL = {
-    np.dtype(np.float64): "<f8",
-    np.dtype(np.int8): "|i1",
-    np.dtype(np.int32): "<i4",
-    np.dtype(np.int64): "<i8",
-}
+# dtype code of an array record -> the little-endian dtype of its payload
+_DTYPES = {0: np.dtype("<f8"), 1: np.dtype("|i1"), 2: np.dtype("<i4"), 3: np.dtype("<i8")}
 
 
 class StoreFormatError(ValueError):
@@ -47,14 +41,14 @@ def write_container(path: str | Path, header: dict,
     chunks.append(struct.pack("<I", len(arrays)))
     for name in sorted(arrays):
         arr = np.asanyarray(arrays[name])
-        if arr.dtype not in _CANONICAL:
+        codes = [code for code, dt in _DTYPES.items() if dt == arr.dtype]
+        if not codes:
             raise StoreFormatError(f"{name}: unsupported dtype {arr.dtype}")
-        dt = _CANONICAL[arr.dtype]
-        payload = np.ascontiguousarray(arr, dtype=np.dtype(dt)).tobytes()
+        payload = np.ascontiguousarray(arr).tobytes()
         name_bytes = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(name_bytes)))
         chunks.append(name_bytes)
-        chunks.append(struct.pack("<BB", _DTYPE_CODES[dt], arr.ndim))
+        chunks.append(struct.pack("<BB", codes[0], arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(payload)
     blob = b"".join(chunks)
@@ -98,7 +92,7 @@ def _parse_records(raw: bytes) -> tuple[object, dict[str, np.ndarray], int]:
         pos += 2
         shape = struct.unpack_from(f"<{ndim}I", raw, pos)
         pos += 4 * ndim
-        dt = np.dtype(_CODE_DTYPES[code])
+        dt = _DTYPES[code]
         count = math.prod(shape)   # 1 for a 0-d array, 0 for an empty one
         arr = np.frombuffer(raw, dtype=dt, count=count, offset=pos).reshape(shape)
         pos += count * dt.itemsize

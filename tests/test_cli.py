@@ -99,6 +99,25 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert afile.read_text() == ""
 
+    def test_file_as_run_directory_is_usage_error_before_training(
+            self, tmp_path, out_root, monkeypatch, capsys):
+        import growcl.cli
+        from growcl.config import parse_config
+        from growcl.driver import run_id
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("run_pipeline called")
+
+        monkeypatch.setattr(growcl.cli, "run_pipeline", no_training)
+        cfg = write_config(tmp_path)
+        out_root.mkdir()
+        afile = out_root / run_id("grown", parse_config(cfg))
+        afile.write_text("")
+        assert main(["run", "--config", str(cfg), "--mode", "grown"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert afile.read_text() == ""
+
     def test_idx_sourced_tasks_run_end_to_end(self, tmp_path, out_root):
         import numpy as np
         from growcl.data import Dataset
@@ -165,6 +184,20 @@ class TestVerifyCommand:
     def test_zero_instances_usage_error(self):
         assert main(["verify", "--instances", "0"]) == 2
 
+    def test_out_in_missing_directory_is_usage_error_before_sweep(
+            self, tmp_path, monkeypatch, capsys):
+        import growcl.cli
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(growcl.cli, "run_sweep", no_sweep)
+        out = tmp_path / "missing" / "sweep.csv"
+        assert main(["verify", "--instances", "10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.parent.exists()
+
 
 class TestReportCommand:
     def test_merges_runs_and_reports_deltas(self, tmp_path, out_root):
@@ -191,6 +224,15 @@ class TestReportCommand:
                      "--out", str(report_dir)]) == 0
         lines = (report_dir / "consolidated.csv").read_text().splitlines()
         assert lines[1] == lines[2]
+
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
+        dirs = self.write_manifests(tmp_path)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["report", *dirs, "--out", str(afile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert afile.read_text() == ""
 
     def test_missing_manifest_usage_error(self, tmp_path):
         empty = tmp_path / "not_a_run"
@@ -234,6 +276,18 @@ class TestReportCommand:
     def test_mistyped_manifest_usage_error(self, tmp_path, capsys, changes):
         dirs = self.write_manifests(tmp_path, **changes)
         assert main(["report", *dirs, "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed manifest")
+        assert "Traceback" not in err
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("changes", [
+        {"task_ids": []}, {"n_tasks": 3}, {"test_accuracies": {"1": 0.9}},
+    ], ids=["no-task-ids", "n-tasks-not-len-task-ids", "id-without-accuracy"])
+    def test_inconsistent_manifest_usage_error(self, tmp_path, capsys, changes):
+        # one run only, so no other manifest's task count can disagree
+        dirs = self.write_manifests(tmp_path, **changes)
+        assert main(["report", dirs[1], "--out", str(tmp_path / "report")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed manifest")
         assert "Traceback" not in err

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growcl.config import ConfigError, parse_config, parse_config_data
 
@@ -109,3 +111,71 @@ def test_resolved_dict_covers_every_field():
         "batch_size", "epochs", "growth_cap", "target_slack", "target_accuracy",
         "tasks", "output_dir",
     }
+
+
+def _layer(capacity: int):
+    return st.fixed_dictionaries({"capacity": st.just(capacity)}, optional={
+        "seed_channels": st.integers(0, capacity),
+        "kernel": st.sampled_from([1, 3, 5]),
+        "pool": st.sampled_from([0, 2]),
+    })
+
+
+_FRACTION = st.floats(0.01, 1.0)
+CONFIGS = st.fixed_dictionaries({}, optional={
+    "seed": st.integers(0, 2**64 - 1),
+    "arch": st.fixed_dictionaries({}, optional={
+        "group_norm": st.booleans(),
+        "layers": st.lists(st.integers(1, 24).flatmap(_layer), min_size=1, max_size=2),
+    }),
+    "lambda_l0": st.floats(0.0, 1e3),
+    "temperature": st.fixed_dictionaries({}, optional={
+        "start": st.floats(0.01, 10.0), "end": st.floats(0.01, 10.0)}),
+    "learning_rate": st.floats(1e-4, 1.0),
+    "momentum": st.floats(0.0, 0.99),
+    "batch_size": st.integers(1, 512),
+    "epochs": st.fixed_dictionaries({}, optional={
+        phase: st.integers(1, 100) for phase in ("task1", "pick", "expand", "scratch")}),
+    "growth_cap": _FRACTION,
+    "target_slack": st.floats(0.0, 0.5),
+    "target_accuracy": st.none() | _FRACTION | st.lists(_FRACTION, min_size=1, max_size=5),
+    "tasks": st.fixed_dictionaries({}, optional={
+        "n_tasks": st.integers(1, 64), "classes_per_task": st.integers(2, 10),
+        "samples_per_class": st.integers(10, 500), "difficulty": _FRACTION,
+    }) | st.fixed_dictionaries({
+        "source": st.just("idx"), "images": st.text(), "labels": st.text(),
+        "groups": st.text(),
+    }),
+    "output_dir": st.none() | st.text(),
+})
+
+
+@given(data=CONFIGS)
+@settings(max_examples=200, deadline=None)
+def test_resolved_config_reparses_to_the_same_digest(data):
+    # a saved run's manifest holds ``resolved`` as JSON; re-verifying the run
+    # cold parses it back and must arrive at the same config digest
+    cfg = parse_config_data(data)
+    again = parse_config_data(json.loads(json.dumps(cfg.resolved)))
+    assert again.resolved == cfg.resolved
+    assert again.digest == cfg.digest
+
+
+@pytest.mark.parametrize("layers, match", [
+    ([{"capacity": 12, "stride": 2}, {"capacity": 16}], "not divisible by stride 2"),
+    # a pool window wider than its input, which the padded conv after it
+    # would otherwise hide
+    ([{"capacity": 4, "kernel": 5, "pad": 0, "pool": 0}, {"capacity": 4, "pool": 8},
+      {"capacity": 4, "kernel": 1, "pad": 2, "pool": 0}], "pool window 8 exceeds"),
+])
+def test_layer_that_cannot_run_is_rejected(layers, match):
+    # the extents parse_arch accepts are the ones ops.conv2d and maxpool2d run
+    with pytest.raises(ConfigError, match=match):
+        parse_config_data({"arch": {"image_size": 8, "layers": layers},
+                           "tasks": {"image_size": 8}})
+
+
+def test_strided_layer_with_divisible_extent_accepted():
+    cfg = parse_config_data({"arch": {"layers": [
+        {"capacity": 12, "stride": 2, "kernel": 4}, {"capacity": 16}]}})
+    assert cfg.arch.spatial_after(0) == 4

@@ -1,9 +1,11 @@
 """Golden run-directory digests: a refactor that keeps run bytes keeps these.
 
 One subprocess, with BLAS and OpenMP pinned to one thread, runs
-``growcl run`` for four small configs; each run directory's ``tree_digest``
-(``bench/rundiff.py``) must equal the constant recorded for it.  A change
-that alters numerics on purpose updates the constants once and says so.
+``growcl run`` for four small configs and then ``growcl report`` over the
+four run directories; each run directory's ``tree_digest``
+(``bench/rundiff.py``) and the report directory's must equal the constants
+recorded for them.  A change that alters numerics on purpose updates the
+constants once and says so.
 """
 
 import importlib.util
@@ -28,12 +30,20 @@ GOLDEN = {
     "grown-gn": "c48296b026d5a1e2bbb5db277e005183c887bf7463ceec94e0d8a2735f9ef28d",
 }
 
+# tree_digest of ``growcl report`` over the four runs above, in GOLDEN order
+GOLDEN_REPORT = "46c3d94fb964ebf78039e29e742290ce2a39b329d6c4558aa01ffc99d4d9d24f"
+
 RUNNER = """
 import sys
+from pathlib import Path
 from growcl.cli import main
-for mode, config in zip(sys.argv[1::2], sys.argv[2::2]):
+names, modes, configs = sys.argv[1::3], sys.argv[2::3], sys.argv[3::3]
+for mode, config in zip(modes, configs):
     if main(["run", "--config", config, "--mode", mode]) != 0:
         sys.exit(f"growcl run --mode {mode} failed")
+run_dirs = [str(d) for name in names for d in Path(name).iterdir()]
+if main(["report", *run_dirs, "--out", "report"]) != 0:
+    sys.exit("growcl report failed")
 """
 
 
@@ -52,7 +62,7 @@ def test_run_directories_match_golden_digests(tmp_path):
             data["arch"] = {"group_norm": True}
         config = tmp_path / f"{name}.json"
         config.write_text(json.dumps(data))
-        args += [name.removesuffix("-gn"), str(config)]
+        args += [name, name.removesuffix("-gn"), str(config)]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     env.pop("GROWCL_OUTPUT_ROOT", None)
@@ -67,3 +77,4 @@ def test_run_directories_match_golden_digests(tmp_path):
         (run_dir,) = (tmp_path / name).iterdir()
         digests[name] = tree_digest(run_dir)
     assert digests == GOLDEN
+    assert tree_digest(tmp_path / "report") == GOLDEN_REPORT

@@ -258,7 +258,7 @@ class TestAccounting:
 
     def test_ledger_rows_and_monotonicity(self):
         bb = BackboneState(small_arch())
-        ledger = GrowthLedger(full_params=bb.arch.full_params)
+        ledger = GrowthLedger()
         rng = SeededRng(0)
         for task in (1, 2):
             for layer in bb.layers:
@@ -279,7 +279,7 @@ class TestAccounting:
 
     def test_ledger_rejects_regression(self):
         bb = BackboneState(small_arch())
-        ledger = GrowthLedger(full_params=bb.arch.full_params)
+        ledger = GrowthLedger()
         layer = bb.layers[0]
         query_and_transition(layer, bits_for(layer, {0: 1.0, 1: 1.0}), SeededRng(0))
         finalize_task(layer, np.ones_like(layer.kernel_state, dtype=float), 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growcl.config import arch_dict, parse_arch, parse_config_data
-from growcl.driver import evaluate, forgetting_check, run_pipeline, build_tasks
+from growcl.driver import (
+    TaskSnapshot, build_tasks, evaluate, forgetting_check, run_id, run_pipeline,
+)
 from growcl.persist import (
     build_manifest,
     load_backbone,
     load_run,
     load_snapshot,
+    read_manifest,
     save_backbone,
     save_run,
     save_snapshot,
@@ -20,14 +24,14 @@ from growcl.persist import (
 from growcl.store import StoreFormatError, read_container, write_container
 
 
-def tiny_config(seed=0):
+def tiny_config(seed=0, group_norm=False, n_tasks=2):
     return parse_config_data({
         "seed": seed,
-        "arch": {"layers": [
+        "arch": {"group_norm": group_norm, "layers": [
             {"capacity": 6, "seed_channels": 2},
             {"capacity": 8, "seed_channels": 2},
         ]},
-        "tasks": {"n_tasks": 2, "samples_per_class": 40},
+        "tasks": {"n_tasks": n_tasks, "samples_per_class": 40},
         "epochs": {"task1": 6, "pick": 4, "expand": 5, "scratch": 6},
     })
 
@@ -36,7 +40,7 @@ def tiny_config(seed=0):
 def saved_run(tmp_path_factory):
     cfg = tiny_config()
     result = run_pipeline(cfg, "grown")
-    run_dir = tmp_path_factory.mktemp("runs") / result.run_id
+    run_dir = tmp_path_factory.mktemp("runs") / run_id(result.mode, cfg)
     save_run(result, run_dir)
     return cfg, result, run_dir
 
@@ -70,6 +74,57 @@ class TestRoundTrips:
         cfg, _, _ = saved_run
         assert arch_dict(cfg.arch) == cfg.resolved["arch"]
         assert parse_arch(cfg.resolved["arch"], "arch") == cfg.arch
+
+
+# run name -> (mode, group_norm); each run has three tasks, so grown has
+# at least one picked task after task 1
+RUNS = {"grown": ("grown", False), "grow_only": ("grow_only", False),
+        "grown-gn": ("grown", True)}
+
+
+@pytest.fixture(scope="module", params=list(RUNS))
+def mode_run(request):
+    mode, group_norm = RUNS[request.param]
+    cfg = tiny_config(group_norm=group_norm, n_tasks=3)
+    return cfg, run_pipeline(cfg, mode)
+
+
+def assert_same_snapshot(a: TaskSnapshot, b: TaskSnapshot) -> None:
+    for f in dataclasses.fields(TaskSnapshot):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            x, y = {"": x}, {"": y}
+        if not isinstance(x, dict):
+            assert x == y, f.name
+            continue
+        assert isinstance(y, dict) and x.keys() == y.keys(), f.name
+        for key in x:
+            assert (x[key].dtype, x[key].shape) == (y[key].dtype, y[key].shape), f.name
+            assert x[key].tobytes() == y[key].tobytes(), (f.name, key)
+
+
+class TestModeRuns:
+    def test_snapshot_round_trip(self, mode_run, tmp_path):
+        cfg, result = mode_run
+        for t, snap in result.snapshots.items():
+            save_snapshot(snap, tmp_path / "a.snap")
+            back = load_snapshot(tmp_path / "a.snap")
+            assert_same_snapshot(back, snap)
+            save_snapshot(back, tmp_path / "b.snap")
+            assert (tmp_path / "a.snap").read_bytes() == (tmp_path / "b.snap").read_bytes()
+            # every optional record the mode writes is really read back
+            assert (back.reuse_bits is not None) == (result.mode == "grown")
+            assert (back.claim_logits is not None) == (result.mode == "grown")
+            assert (back.norm_scale is not None) == cfg.arch.group_norm
+
+    def test_val_accuracy_is_the_frozen_tasks(self, mode_run):
+        cfg, result = mode_run
+        tasks = build_tasks(cfg)
+        assert sorted(result.val_accuracies) == [task.task_id for task in tasks]
+        for task in tasks:
+            t = task.task_id
+            assert evaluate(t, result.backbone, result.snapshots[t], task.val) == \
+                result.val_accuracies[t]
 
 
 class TestSnapshotSufficiency:
@@ -144,6 +199,31 @@ class TestRunDirectory:
         assert a == b
 
 
+class TestManifest:
+    def test_read_manifest_is_the_written_json(self, saved_run):
+        _, _, run_dir = saved_run
+        assert read_manifest(run_dir) == json.loads((run_dir / "manifest.json").read_text())
+
+    def test_missing_manifest(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_run(tmp_path)
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda m: "not json {",
+        lambda m: json.dumps([m]),
+        lambda m: json.dumps({**m, "task_ids": []}),
+        lambda m: json.dumps({**m, "n_tasks": 3}),
+        lambda m: json.dumps({**m, "test_accuracies": {"1": m["test_accuracies"]["1"]}}),
+    ], ids=["not-json", "json-list", "no-task-ids", "n-tasks-not-len-task-ids",
+            "id-without-accuracy"])
+    def test_malformed_manifest_rejected(self, saved_run, tmp_path, rewrite):
+        _, _, run_dir = saved_run
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        (tmp_path / "manifest.json").write_text(rewrite(manifest))
+        with pytest.raises(StoreFormatError, match="^malformed manifest"):
+            load_run(tmp_path)
+
+
 class TestMalformedFiles:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -193,6 +273,15 @@ class TestMalformedFiles:
         write_container(tmp_path / "b.bin", header, arrays)
         with pytest.raises(StoreFormatError, match=match):
             load_backbone(tmp_path / "b.bin")
+
+    def test_missing_snapshot_flag_rejected(self, saved_run, tmp_path):
+        # has_logits is required like has_reuse and has_norm
+        _, _, run_dir = saved_run
+        header, arrays = read_container(run_dir / "snapshots" / "task_001.snap")
+        del header["has_logits"]
+        write_container(tmp_path / "s.snap", header, arrays)
+        with pytest.raises(StoreFormatError, match="'has_logits'"):
+            load_snapshot(tmp_path / "s.snap")
 
     def test_missing_array_record_rejected(self, saved_run, tmp_path):
         _, _, run_dir = saved_run
