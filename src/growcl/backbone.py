@@ -13,8 +13,9 @@ exact +0.0 so outputs are reproducible byte-for-byte no matter what later
 tasks write into released or not-yet-grown storage.
 
 The passes compute only on the view's on channels: each conv takes the
-previous layer's on channels and produces its own, and relu and maxpool run
-on that compact tensor.  Full width comes back only around group norm and
+previous layer's on channels and produces its own, and maxpool and then relu
+run on that compact tensor (pooling first gives relu's bytes on a smaller
+tensor; see ``ops``).  Full width comes back only around group norm and
 before the head.  The channel indices depend on the view alone, so a
 finished task's passes keep their shapes and their bytes.
 """
@@ -67,7 +68,7 @@ class ConvLayerSpec:
     kernel: int = 3
     stride: int = 1
     pad: int = 1
-    pool: int = 2           # maxpool window after relu; 0 disables
+    pool: int = 2           # maxpool window, ahead of relu; 0 disables
 
     def __post_init__(self):
         if not 0 <= self.seed_channels <= self.out_channels:
@@ -200,8 +201,8 @@ class TaskView:
 class LayerCache(NamedTuple):
     conv: tuple
     norm: tuple | None
-    relu: np.ndarray
     pool: tuple | None
+    relu: np.ndarray
     out_index: np.ndarray   # the layer's on channels
     in_index: np.ndarray    # the previous layer's on channels (the image: all)
 
@@ -258,13 +259,13 @@ def forward_pass(backbone: BackboneState, view: TaskView, x: np.ndarray,
                 view.norm_shift[name], eps=backbone.arch.norm_eps,
             )
             h = np.take(h, oi, axis=1)
-        h, relu_cache = relu(h)
         pool_cache = None
         if layer.spec.pool:
             h, pool_cache = maxpool2d(h, k=layer.spec.pool)
+        h, relu_cache = relu(h)
         if want_cache:
             cache.layer_caches.append(
-                LayerCache(conv_cache, norm_cache, relu_cache, pool_cache, oi, ii))
+                LayerCache(conv_cache, norm_cache, pool_cache, relu_cache, oi, ii))
         ii = oi
     h = _scatter(h, ii, backbone.layers[-1].spec.out_channels)
     logits, head_cache = linear(h.reshape(h.shape[0], -1), view.head_weight, view.head_bias)
@@ -303,9 +304,9 @@ def backward_pass(backbone: BackboneState, cache: ForwardCache,
         layer = backbone.layers[index]
         lc = cache.layer_caches[index]
         name = layer.spec.name
+        dh = relu_backward(dh, lc.relu)
         if lc.pool is not None:
             dh = maxpool2d_backward(dh, lc.pool)
-        dh = relu_backward(dh, lc.relu)
         if lc.norm is not None:
             full, d_ns[name], d_nsh[name] = group_norm_backward(
                 _scatter(dh, lc.out_index, layer.spec.out_channels), lc.norm)

@@ -164,6 +164,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     if len({m["n_tasks"] for m in manifests}) != 1:
         print("error: runs have different task counts", file=sys.stderr)
         return EXIT_USAGE
+    # runs of one config pair up: grown and grow_only share its digest
+    pairs: dict[tuple[int, str], dict[str, float]] = {}   # (seed, digest) -> mode -> avg
+    for run_dir, m in zip(args.run_dirs, manifests):
+        modes = pairs.setdefault((m["seed"], m["config_digest"]), {})
+        if m["mode"] in modes:
+            print(f"error: {run_dir} repeats the seed, mode and config digest of "
+                  f"another run", file=sys.stderr)
+            return EXIT_USAGE
+        modes[m["mode"]] = m["avg_accuracy"]
 
     out_dir = Path(args.out) if args.out else Path(".")
     try:
@@ -174,13 +183,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     write_text_atomic(out_dir / "consolidated.csv", accuracy_csv(manifests))
     write_text_atomic(out_dir / "consolidated_size.csv", size_csv(manifests))
 
-    # paired per-seed deltas: full pipeline minus growth-only baseline
-    by_seed: dict[int, dict[str, float]] = {}   # seed -> mode -> avg accuracy
-    for m in manifests:
-        by_seed.setdefault(m["seed"], {})[m["mode"]] = m["avg_accuracy"]
+    # paired deltas: full pipeline minus growth-only baseline
     delta_lines = ["seed,grown_avg,grow_only_avg,delta"]
-    for seed in sorted(by_seed):
-        pair = by_seed[seed]
+    for (seed, _), pair in sorted(pairs.items()):
         if "grown" in pair and "grow_only" in pair:
             delta = pair["grown"] - pair["grow_only"]
             delta_lines.append(

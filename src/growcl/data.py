@@ -111,18 +111,20 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
 # synthetic tasks
 # ---------------------------------------------------------------------------
 
-def _stripe_image(size: int, angle: float, freq: float, phase: float) -> np.ndarray:
+def _stripe_images(size: int, angle, freq: float, phase) -> np.ndarray:
+    """Stripe gratings; an [S, 1, 1] ``angle`` or ``phase`` renders S of them."""
     ax = np.arange(size) / size
     yy, xx = np.meshgrid(ax, ax, indexing="ij")
     t = xx * np.cos(angle) + yy * np.sin(angle)
     return 0.5 + 0.5 * np.sin(2.0 * np.pi * freq * t + phase)
 
 
-def _blob_image(size: int, centers: np.ndarray, width: float,
-                dx: float, dy: float) -> np.ndarray:
+def _blob_images(size: int, centers: np.ndarray, width: float,
+                 dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Blob constellations, one per [S, 1, 1] entry of the shifts dx, dy."""
     ax = np.arange(size)
     yy, xx = np.meshgrid(ax, ax, indexing="ij")
-    img = np.zeros((size, size))
+    img = np.zeros((len(dx), size, size))
     for cy, cx in centers:
         # toroidal shift keeps full blob mass in frame
         ddy = (yy - (cy + dy) + size / 2) % size - size / 2
@@ -199,7 +201,6 @@ def synth_tasks(rng: SeededRng, n_tasks: int, classes_per_task: int,
         base = float(trng.uniform(0.0, np.pi))
         layouts: list[np.ndarray] = []
         images = []
-        labels = []
         for c in range(classes_per_task):
             crng = trng.substream(f"class{c}")
             noise = crng.normal(0.0, noise_sigma,
@@ -209,10 +210,7 @@ def synth_tasks(rng: SeededRng, n_tasks: int, classes_per_task: int,
                 angle = base + np.pi * c / classes_per_task + jitter
                 freq = 2.0 + float(crng.integers(0, 2))
                 phases = crng.uniform(0.0, 2.0 * np.pi, size=samples_per_class)
-                protos = [
-                    _stripe_image(image_size, angle, freq, phases[s])
-                    for s in range(samples_per_class)
-                ]
+                protos = _stripe_images(image_size, angle, freq, phases[:, None, None])
             else:
                 centers = _separated_layout(
                     crng, layouts, image_size, n_blobs=3,
@@ -226,16 +224,15 @@ def synth_tasks(rng: SeededRng, n_tasks: int, classes_per_task: int,
                 # well requires masking, not just head reweighting
                 angles = crng.uniform(0.0, np.pi, size=samples_per_class)
                 phases = crng.uniform(0.0, 2.0 * np.pi, size=samples_per_class)
-                protos = [
-                    _blob_image(image_size, centers, width, shifts[s, 0], shifts[s, 1])
-                    + 0.35 * (_stripe_image(image_size, angles[s], 2.0, phases[s]) - 0.5)
-                    for s in range(samples_per_class)
-                ]
-            for s in range(samples_per_class):
-                images.append(np.clip(protos[s] + noise[s], 0.0, 1.0))
-                labels.append(c)
-        images = np.stack(images)[:, None, :, :]
-        labels = np.asarray(labels, dtype=np.int64)
+                protos = (
+                    _blob_images(image_size, centers, width,
+                                 shifts[:, 0, None, None], shifts[:, 1, None, None])
+                    + 0.35 * (_stripe_images(image_size, angles[:, None, None], 2.0,
+                                             phases[:, None, None]) - 0.5)
+                )
+            images.append(np.clip(protos + noise, 0.0, 1.0))
+        images = np.concatenate(images)[:, None, :, :]
+        labels = np.repeat(np.arange(classes_per_task, dtype=np.int64), samples_per_class)
         full = Dataset(images, labels, n_classes=classes_per_task)
         tr, va, te = _split_indices(len(full), trng.substream("split"))
         tasks.append(Task(t, full.subset(tr), full.subset(va), full.subset(te)))

@@ -13,7 +13,9 @@ on channels and still reproduce the full-width results.
 Documented tie-breaks (oracles in the tests rely on these):
   * relu subgradient at exactly 0 is 0;
   * maxpool routes the gradient to the first maximal element in row-major
-    window order.
+    window order, and NaN counts as below every number.  With these two
+    rules relu commutes with maxpool, forward and backward, byte for byte:
+    the backbone pools first and runs relu on the k*k times smaller tensor.
 """
 
 from __future__ import annotations
@@ -180,35 +182,32 @@ def pool_out_size(extent: int, k: int) -> int:
 
 def maxpool2d(x, k: int):
     """Max over non-overlapping k x k windows (stride k) of [N,C,H,W]; ties
-    go to the first row-major element."""
+    go to the first row-major element, and NaN loses to every number.
+
+    One strided compare per window slot; the cache keeps the winning slot."""
     x = _as_array(x)
     n, c, h, w = x.shape
-    ho, wo = pool_out_size(h, k), pool_out_size(w, k)
-    sn, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, ho, wo, k, k),
-        strides=(sn, sc, k * sh, k * sw, sh, sw),
-        writeable=False,
-    )
-    flat = windows.reshape(n, c, ho, wo, k * k)
-    arg = flat.argmax(axis=-1)           # first max in row-major window order
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    cache = (x.shape, k, arg)
-    return np.ascontiguousarray(out), cache
+    hk, wk = pool_out_size(h, k) * k, pool_out_size(w, k) * k
+    out = x[:, :, 0:hk:k, 0:wk:k].copy()
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1))
+    for s in range(1, k * k):
+        ki, kj = divmod(s, k)
+        v = x[:, :, ki:hk:k, kj:wk:k]
+        take = (v > out) | (np.isnan(out) & ~np.isnan(v))
+        np.copyto(out, v, where=take)
+        np.copyto(arg, s, where=take)
+    return out, (x.shape, k, arg)
 
 
 def maxpool2d_backward(dout: np.ndarray, cache) -> np.ndarray:
+    """Each window's gradient goes to its winning slot, added into zeros (a
+    -0.0 gradient lands as +0.0)."""
     x_shape, k, arg = cache
-    n, c, h, w = x_shape
-    ho, wo = arg.shape[2], arg.shape[3]
+    hk, wk = arg.shape[2] * k, arg.shape[3] * k
     dx = np.zeros(x_shape, dtype=dout.dtype)
-    ki, kj = np.divmod(arg, k)
-    rows = (np.arange(ho)[None, None, :, None] * k + ki)
-    colz = (np.arange(wo)[None, None, None, :] * k + kj)
-    ns = np.arange(n)[:, None, None, None]
-    cs = np.arange(c)[None, :, None, None]
-    np.add.at(dx, (ns, cs, rows, colz), dout)
+    for s in range(k * k):
+        ki, kj = divmod(s, k)
+        dx[:, :, ki:hk:k, kj:wk:k] += np.where(arg == s, dout, 0.0)
     return dx
 
 

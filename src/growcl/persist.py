@@ -220,7 +220,8 @@ def curves_csv(epoch_log: list[EpochLogEntry]) -> str:
 
 # manifest key -> the JSON type its readers need (a bool is not a number);
 # each per-task key maps str(task id) to such a value for every task id
-_MANIFEST_TYPES = {"seed": int, "n_tasks": int, "mode": str, "avg_accuracy": (int, float)}
+_MANIFEST_TYPES = {"seed": int, "n_tasks": int, "mode": str, "config_digest": str,
+                   "avg_accuracy": (int, float)}
 _PER_TASK_TYPES = {"test_accuracies": (int, float), "ratio_labels": str}
 
 

@@ -1,9 +1,13 @@
 """Independent references used by the tests.
 
 The op references are deliberately written as plain nested loops so they
-share no code path (im2col, BLAS, argmax vectorization) with the package.
+share no code path (im2col, BLAS, strided compares) with the package.  The
+argmax maxpool with its scatter-add backward is the kernel the package ran
+before it pooled ahead of relu; after relu, it is the reference for both.
 The full-width backbone passes are the reference for the compacted ones:
-they share the ops, not the channel bookkeeping.  The enumeration argmin
+they run relu before that maxpool, and share conv and norm, not the channel
+bookkeeping.  The per-sample renderers and ``synth_tasks_per_sample`` are
+the reference for ``growcl.data.synth_tasks``, which renders a class at once.  The enumeration argmin
 and single-configuration loss re-check ``growcl.enumcheck``'s shared table,
 and ``save_idx`` writes the IDX files that ``growcl.data.load_idx`` reads.
 """
@@ -17,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from growcl.backbone import BackwardResult, effective_filters
-from growcl.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, Dataset
+from growcl.data import (
+    IDX_IMAGE_MAGIC,
+    IDX_LABEL_MAGIC,
+    Dataset,
+    Task,
+    _separated_layout,
+    _split_indices,
+)
 from growcl.enumcheck import MicroInstance, _all_kernel_configs, _loss_table
 from growcl.ops import (
     conv2d,
@@ -26,8 +37,7 @@ from growcl.ops import (
     group_norm_backward,
     linear,
     linear_backward,
-    maxpool2d,
-    maxpool2d_backward,
+    pool_out_size,
     relu,
     relu_backward,
 )
@@ -87,6 +97,40 @@ def maxpool2d_loops(x, k, stride):
     return out
 
 
+def maxpool2d_argmax(x, k):
+    """Max over k x k windows by argmax: the first maximal element in
+    row-major window order, the first NaN where a window holds one."""
+    x = np.asarray(x, dtype=np.float64)
+    n, c, h, w = x.shape
+    ho, wo = pool_out_size(h, k), pool_out_size(w, k)
+    sn, sc, sh, sw = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, ho, wo, k, k),
+        strides=(sn, sc, k * sh, k * sw, sh, sw),
+        writeable=False,
+    )
+    flat = windows.reshape(n, c, ho, wo, k * k)
+    arg = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    return np.ascontiguousarray(out), (x.shape, k, arg)
+
+
+def maxpool2d_argmax_backward(dout, cache):
+    """Scatter-add of each window's gradient to its argmax."""
+    x_shape, k, arg = cache
+    n, c, h, w = x_shape
+    ho, wo = arg.shape[2], arg.shape[3]
+    dx = np.zeros(x_shape, dtype=dout.dtype)
+    ki, kj = np.divmod(arg, k)
+    rows = (np.arange(ho)[None, None, :, None] * k + ki)
+    colz = (np.arange(wo)[None, None, None, :] * k + kj)
+    ns = np.arange(n)[:, None, None, None]
+    cs = np.arange(c)[None, :, None, None]
+    np.add.at(dx, (ns, cs, rows, colz), dout)
+    return dx
+
+
 def cross_entropy_direct(logits, labels):
     """Mean -log softmax via the direct (unvectorized) formula."""
     n, k = logits.shape
@@ -117,7 +161,8 @@ def expand_mask_loops(w, bits, granularity):
 # ---------------------------------------------------------------------------
 #
 # The passes as they ran before compaction: every conv, relu and maxpool at
-# full channel capacity, with off channels zero-filled.  The compacted
+# full channel capacity, with off channels zero-filled, and relu ahead of
+# the argmax maxpool.  The compacted
 # ``backbone.forward_pass``/``backward_pass`` must reproduce them.
 
 def all_channel_filters(layer, mult):
@@ -145,7 +190,7 @@ def forward_pass_full(backbone, view, x, want_cache=False):
         h, relu_cache = relu(h)
         pool_cache = None
         if layer.spec.pool:
-            h, pool_cache = maxpool2d(h, k=layer.spec.pool)
+            h, pool_cache = maxpool2d_argmax(h, k=layer.spec.pool)
         cache["layers"].append((conv_cache, norm_cache, relu_cache, pool_cache, on))
     logits, cache["head"] = linear(h.reshape(h.shape[0], -1), view.head_weight, view.head_bias)
     cache["flat_shape"] = h.shape
@@ -160,7 +205,7 @@ def backward_pass_full(backbone, cache, dlogits):
         conv_cache, norm_cache, relu_cache, pool_cache, on = caches
         name = layer.spec.name
         if pool_cache is not None:
-            dh = maxpool2d_backward(dh, pool_cache)
+            dh = maxpool2d_argmax_backward(dh, pool_cache)
         dh = relu_backward(dh, relu_cache)
         dh[:, ~on] = 0.0
         if norm_cache is not None:
@@ -212,6 +257,75 @@ def evaluate_configuration(instance: MicroInstance, weights: np.ndarray,
     logp = logits - zmax - np.log(np.exp(logits - zmax).sum(axis=1, keepdims=True))
     data = -logp[np.arange(len(instance.labels)), instance.labels].mean()
     return float(data + instance.lam * gate.sum())
+
+
+# ---------------------------------------------------------------------------
+# synthetic tasks, one sample at a time
+# ---------------------------------------------------------------------------
+
+def stripe_image(size, angle, freq, phase):
+    ax = np.arange(size) / size
+    yy, xx = np.meshgrid(ax, ax, indexing="ij")
+    t = xx * np.cos(angle) + yy * np.sin(angle)
+    return 0.5 + 0.5 * np.sin(2.0 * np.pi * freq * t + phase)
+
+
+def blob_image(size, centers, width, dx, dy):
+    ax = np.arange(size)
+    yy, xx = np.meshgrid(ax, ax, indexing="ij")
+    img = np.zeros((size, size))
+    for cy, cx in centers:
+        ddy = (yy - (cy + dy) + size / 2) % size - size / 2
+        ddx = (xx - (cx + dx) + size / 2) % size - size / 2
+        img += np.exp(-(ddx**2 + ddy**2) / (2.0 * width**2))
+    return np.clip(img, 0.0, 1.0)
+
+
+def synth_tasks_per_sample(rng, n_tasks, classes_per_task, samples_per_class,
+                           image_size=16, difficulty=1.0):
+    """``growcl.data.synth_tasks`` rendering and clipping each sample alone,
+    with the same draws."""
+    sigma_stripe = 0.55 * (2.0 - difficulty)
+    sigma_blob = 0.70 * (2.0 - difficulty)
+    tasks = []
+    for t in range(1, n_tasks + 1):
+        trng = rng.substream(f"task{t}")
+        stripes = t % 2 == 1
+        noise_sigma = sigma_stripe if stripes else sigma_blob
+        base = float(trng.uniform(0.0, np.pi))
+        layouts, images, labels = [], [], []
+        for c in range(classes_per_task):
+            crng = trng.substream(f"class{c}")
+            noise = crng.normal(0.0, noise_sigma,
+                                size=(samples_per_class, image_size, image_size))
+            if stripes:
+                jitter = float(crng.uniform(-0.08, 0.08)) * difficulty
+                angle = base + np.pi * c / classes_per_task + jitter
+                freq = 2.0 + float(crng.integers(0, 2))
+                phases = crng.uniform(0.0, 2.0 * np.pi, size=samples_per_class)
+                protos = [stripe_image(image_size, angle, freq, phases[s])
+                          for s in range(samples_per_class)]
+            else:
+                centers = _separated_layout(crng, layouts, image_size, n_blobs=3,
+                                            min_sep=image_size / 4.0 * difficulty)
+                layouts.append(centers)
+                width = image_size / 10.0
+                shifts = crng.uniform(-2.0, 2.0, size=(samples_per_class, 2))
+                angles = crng.uniform(0.0, np.pi, size=samples_per_class)
+                phases = crng.uniform(0.0, 2.0 * np.pi, size=samples_per_class)
+                protos = [
+                    blob_image(image_size, centers, width, shifts[s, 0], shifts[s, 1])
+                    + 0.35 * (stripe_image(image_size, angles[s], 2.0, phases[s]) - 0.5)
+                    for s in range(samples_per_class)
+                ]
+            for s in range(samples_per_class):
+                images.append(np.clip(protos[s] + noise[s], 0.0, 1.0))
+                labels.append(c)
+        full = Dataset(np.stack(images)[:, None, :, :], np.asarray(labels, dtype=np.int64),
+                       n_classes=classes_per_task)
+        tr, va, te = _split_indices(len(full), trng.substream("split"))
+        tasks.append(Task(t, full.subset(tr), full.subset(va), full.subset(te)))
+    return tasks
 
 
 # ---------------------------------------------------------------------------

@@ -215,15 +215,16 @@ class TestReportCommand:
         assert deltas[0] == "seed,grown_avg,grow_only_avg,delta"
         assert len(deltas) == 2
 
-    def test_identical_runs_give_identical_rows(self, tmp_path, out_root):
+    def test_repeated_run_is_usage_error(self, tmp_path, out_root, capsys):
         cfg = write_config(tmp_path)
         main(["run", "--config", str(cfg), "--mode", "grown"])
         (run_dir,) = out_root.iterdir()
         report_dir = tmp_path / "report"
         assert main(["report", str(run_dir), str(run_dir),
-                     "--out", str(report_dir)]) == 0
-        lines = (report_dir / "consolidated.csv").read_text().splitlines()
-        assert lines[1] == lines[2]
+                     "--out", str(report_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not report_dir.exists()
 
     def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
         dirs = self.write_manifests(tmp_path)
@@ -253,7 +254,8 @@ class TestReportCommand:
     def write_manifests(self, tmp_path, **changes):
         """Two run directories with the fields ``report`` reads; ``changes``
         edits the second manifest."""
-        base = {"mode": "grown", "seed": 0, "n_tasks": 2, "task_ids": [1, 2],
+        base = {"mode": "grown", "seed": 0, "config_digest": "c0", "n_tasks": 2,
+                "task_ids": [1, 2],
                 "test_accuracies": {"1": 0.9, "2": 0.8}, "avg_accuracy": 0.85,
                 "ratio_labels": {"1": "0.3x", "2": "0.4x"}}
         dirs = []
@@ -268,10 +270,26 @@ class TestReportCommand:
         assert main(["report", *dirs, "--out", str(tmp_path / "report")]) == 0
         assert (tmp_path / "report" / "deltas.csv").exists()
 
+    def test_deltas_pair_runs_of_one_config(self, tmp_path):
+        runs = [("grown", "a", 0.5), ("grow_only", "a", 0.625),
+                ("grown", "b", 0.875), ("grow_only", "b", 0.75), ("grown", "c", 1.0)]
+        dirs = []
+        for i, (mode, digest, avg) in enumerate(runs):
+            m = {"mode": mode, "seed": 3, "config_digest": digest, "n_tasks": 1,
+                 "task_ids": [1], "test_accuracies": {"1": avg}, "avg_accuracy": avg,
+                 "ratio_labels": {"1": "0.5x"}}
+            (tmp_path / str(i)).mkdir()
+            (tmp_path / str(i) / "manifest.json").write_text(json.dumps(m))
+            dirs.append(str(tmp_path / str(i)))
+        assert main(["report", *dirs, "--out", str(tmp_path / "report")]) == 0
+        deltas = (tmp_path / "report" / "deltas.csv").read_text().splitlines()
+        assert deltas == ["seed,grown_avg,grow_only_avg,delta",
+                          "3,0.5000,0.6250,-0.1250", "3,0.8750,0.7500,+0.1250"]
+
     @pytest.mark.parametrize("changes", [
         {"seed": "4"}, {"avg_accuracy": "0.9"}, {"seed": True}, {"n_tasks": 2.0},
         {"mode": 3}, {"test_accuracies": {"1": 0.9, "2": None}},
-        {"ratio_labels": {"1": "0.3x", "2": 0.4}},
+        {"ratio_labels": {"1": "0.3x", "2": 0.4}}, {"config_digest": 5},
     ])
     def test_mistyped_manifest_usage_error(self, tmp_path, capsys, changes):
         dirs = self.write_manifests(tmp_path, **changes)

@@ -15,7 +15,7 @@ from growcl.data import (
 )
 from growcl.rng import SeededRng
 
-from oracles import save_idx
+from oracles import save_idx, synth_tasks_per_sample
 
 
 def random_dataset(n=40, k=4, size=8, seed=0):
@@ -120,6 +120,26 @@ class TestSynthTasks:
             synth_tasks(rng, 1, 2, 20, difficulty=0.0)
         with pytest.raises(ValueError):
             synth_tasks(rng, 1, 2, 20, image_size=4)
+
+
+class TestSynthBytes:
+    """One array op per class renders the bytes of one render per sample."""
+
+    @pytest.mark.parametrize("size", [8, 16, 20])
+    @pytest.mark.parametrize("difficulty", [0.5, 1.0])
+    @pytest.mark.parametrize("classes", [2, 3])
+    @pytest.mark.parametrize("samples", [10, 37])
+    def test_matches_per_sample_oracle(self, size, difficulty, classes, samples):
+        for seed in (0, 11):
+            args = (3, classes, samples, size, difficulty)   # stripe, blob, stripe
+            got = synth_tasks(SeededRng(seed), *args)
+            want = synth_tasks_per_sample(SeededRng(seed), *args)
+            for a, b in zip(got, want, strict=True):
+                for split in ("train", "val", "test"):
+                    da, db = getattr(a, split), getattr(b, split)
+                    assert da.images.tobytes() == db.images.tobytes()
+                    assert da.images.shape == db.images.shape
+                    assert da.labels.tobytes() == db.labels.tobytes()
 
 
 class TestSplitByClass:

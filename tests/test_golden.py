@@ -30,8 +30,10 @@ GOLDEN = {
     "grown-gn": "c48296b026d5a1e2bbb5db277e005183c887bf7463ceec94e0d8a2735f9ef28d",
 }
 
-# tree_digest of ``growcl report`` over the four runs above, in GOLDEN order
-GOLDEN_REPORT = "46c3d94fb964ebf78039e29e742290ce2a39b329d6c4558aa01ffc99d4d9d24f"
+# tree_digest of ``growcl report`` over the four runs above, in GOLDEN order;
+# each run's config names its own output_dir, so no two share a config digest
+# and the report pairs none of them into deltas.csv
+GOLDEN_REPORT = "91ff4022e18dbd1752b719626a99d8c5151edc22cf04b3ab42baf5e28373d227"
 
 RUNNER = """
 import sys

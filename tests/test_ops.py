@@ -20,7 +20,14 @@ from growcl.ops import (
     sgd_step,
 )
 
-from oracles import conv2d_loops, cross_entropy_direct, linear_loops, maxpool2d_loops
+from oracles import (
+    conv2d_loops,
+    cross_entropy_direct,
+    linear_loops,
+    maxpool2d_argmax,
+    maxpool2d_argmax_backward,
+    maxpool2d_loops,
+)
 
 
 def rng(seed=0):
@@ -215,6 +222,78 @@ class TestMaxpool:
 
         res = finite_diff_check(f, x0, eps=1e-6)
         assert res.max_rel_error < 1e-6
+
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0])
+
+
+def special_array(r, shape, frac=0.3):
+    """Normals rounded half the time (ties), with a fraction replaced by
+    +-0.0, +-inf, NaN and +-1."""
+    x = r.normal(size=shape).round(int(r.integers(0, 2)))
+    hit = r.random(shape) < frac
+    x[hit] = r.choice(SPECIALS, size=int(hit.sum()))
+    return x
+
+
+class TestPoolBeforeRelu:
+    """maxpool then relu gives the bytes of relu then the argmax maxpool,
+    forward and backward: the order the backbone runs them in."""
+
+    def check(self, x, k, dout):
+        relu_out, relu_cache = relu(x)
+        want, pool_cache = maxpool2d_argmax(relu_out, k)
+        want_dx = relu_backward(maxpool2d_argmax_backward(dout, pool_cache), relu_cache)
+        pooled, pool_cache = maxpool2d(x, k)
+        got, relu_cache = relu(pooled)
+        got_dx = maxpool2d_backward(relu_backward(dout, relu_cache), pool_cache)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got_dx.shape == want_dx.shape and got_dx.tobytes() == want_dx.tobytes()
+
+    def test_random_inputs_with_ties_zeros_infs_and_nans(self):
+        r = rng(20)
+        for _ in range(300):
+            k = int(r.integers(2, 4))
+            shape = (int(r.integers(1, 3)), int(r.integers(0, 3)),
+                     int(r.integers(k, 3 * k + 2)), int(r.integers(k, 3 * k + 2)))
+            x = special_array(r, shape)
+            ho, wo = shape[2] // k, shape[3] // k
+            self.check(x, k, special_array(r, shape[:2] + (ho, wo)))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_windows_of_nan_and_numbers(self, k):
+        # every window of k*k slots holding NaN in one slot and a number,
+        # +-0.0 or +-inf in the others, in every slot order
+        r = rng(21)
+        for value in (-1.0, 2.0, 0.0, -0.0, np.inf, -np.inf):
+            for nan_slot in range(k * k):
+                window = np.full(k * k, value)
+                window[nan_slot] = np.nan
+                x = window.reshape(1, 1, k, k)
+                self.check(x, k, r.normal(size=(1, 1, 1, 1)))
+
+    def test_nan_loses_to_every_number(self):
+        x = np.array([[[[np.nan, -np.inf], [np.nan, -1.0]]]])
+        out, cache = maxpool2d(x, 2)
+        assert out[0, 0, 0, 0] == -1.0
+        dx = maxpool2d_backward(np.ones((1, 1, 1, 1)), cache)
+        assert np.array_equal(dx, [[[[0.0, 0.0], [0.0, 1.0]]]])
+        all_nan, _ = maxpool2d(np.full((1, 1, 2, 2), np.nan), 2)
+        assert np.isnan(all_nan[0, 0, 0, 0])
+
+    def test_negative_zero_gradient_lands_as_positive_zero(self):
+        x = np.array([[[[1.0, 3.0], [2.0, 0.5]]]])
+        _, cache = maxpool2d(x, 2)
+        dx = maxpool2d_backward(np.array([[[[-0.0]]]]), cache)
+        assert not np.signbit(dx).any()
+
+    def test_zero_channels_and_ragged_extents(self):
+        x = np.zeros((2, 0, 7, 5))
+        out, cache = maxpool2d(x, 3)
+        assert out.shape == (2, 0, 2, 1)
+        assert maxpool2d_backward(out, cache).shape == x.shape
+        r = rng(22)
+        self.check(special_array(r, (2, 3, 7, 5)), 3, special_array(r, (2, 3, 2, 1)))
 
 
 class TestCrossEntropy:
