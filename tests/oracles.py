@@ -7,9 +7,10 @@ before it pooled ahead of relu; after relu, it is the reference for both.
 The full-width backbone passes are the reference for the compacted ones:
 they run relu before that maxpool, and share conv and norm, not the channel
 bookkeeping.  The per-sample renderers and ``synth_tasks_per_sample`` are
-the reference for ``growcl.data.synth_tasks``, which renders a class at once.  The enumeration argmin
-and single-configuration loss re-check ``growcl.enumcheck``'s shared table,
-and ``save_idx`` writes the IDX files that ``growcl.data.load_idx`` reads.
+the reference for ``growcl.data.synth_tasks``, which renders a class at
+once.  The enumeration argmin and single-configuration loss re-check
+``growcl.enumcheck``'s shared table, and ``save_idx`` writes the IDX files
+that ``growcl.data.load_idx`` reads.
 """
 
 from __future__ import annotations
@@ -162,8 +163,8 @@ def expand_mask_loops(w, bits, granularity):
 #
 # The passes as they ran before compaction: every conv, relu and maxpool at
 # full channel capacity, with off channels zero-filled, and relu ahead of
-# the argmax maxpool.  The compacted
-# ``backbone.forward_pass``/``backward_pass`` must reproduce them.
+# the argmax maxpool.  The compacted ``backbone.forward_pass``/
+# ``backward_pass`` must reproduce them.
 
 def all_channel_filters(layer, mult):
     """``effective_filters`` on every output and input channel."""
