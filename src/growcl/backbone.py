@@ -8,9 +8,11 @@ FIXED it belongs to its owner task forever.  Within a FIXED slot, each
 (trainable by the current task until it claims it).
 
 The per-task sub-network is expressed as a kernel multiplier grid plus a
-channel-activity row mask (a ``TaskView``); masked positions are written as
-exact +0.0 so outputs are reproducible byte-for-byte no matter what later
-tasks write into released or not-yet-grown storage.
+channel-activity row mask (a ``TaskView``).  One function, ``task_view``,
+builds it from the slot and kernel states, for the task in training and
+for every finished task alike.  Masked positions are written as exact +0.0
+so outputs are reproducible byte-for-byte no matter what later tasks write
+into released or not-yet-grown storage.
 
 The passes compute only on the view's on channels: each conv takes the
 previous layer's on channels and produces its own, and maxpool and then relu
@@ -196,6 +198,46 @@ class TaskView:
     head_bias: np.ndarray                       # [K]
     norm_scale: dict[str, np.ndarray] | None = None
     norm_shift: dict[str, np.ndarray] | None = None
+
+
+def task_view(backbone: BackboneState, t: int, reuse_bits: dict[str, np.ndarray] | None,
+              claim_bits: dict[str, np.ndarray] | None, head_weight: np.ndarray,
+              head_bias: np.ndarray, norm_scale: dict[str, np.ndarray] | None,
+              norm_shift: dict[str, np.ndarray] | None) -> TaskView:
+    """Task t's sub-network: the one rule for a task in training (given its
+    ``claim_bits``) and for a finished task (``claim_bits`` None).
+
+    On channels are the FIXED ones owned by tasks 1..t, plus the growing
+    ones when ``claim_bits`` are given.  Kernel multipliers: a growing row
+    takes its claim bit; a USED kernel takes 1 if t owns it and its reuse
+    bit (1 when ``reuse_bits`` is None) if an earlier task does; a RELEASED
+    kernel in a channel of an earlier task takes 1; everything else is 0.
+
+    This relies on an invariant ``finalize_task`` keeps: a task that
+    finishes claims every RELEASED kernel.  So after task t the only
+    RELEASED kernels in t's on channels are t's own releases, which t
+    trained at claim bit 0 and its view keeps at 0, and a finished task's
+    view never changes.
+    """
+    multipliers, channel_on = {}, {}
+    for layer in backbone.layers:
+        name = layer.spec.name
+        state, owner = layer.kernel_state, layer.kernel_owner
+        fixed = layer.slot_state == SlotState.FIXED
+        on = fixed & (layer.slot_owner <= t)
+        used = on[:, None] & (state == KernelState.USED)
+        old = used & (owner < t)
+        mult = np.zeros(state.shape)
+        mult[used & (owner == t)] = 1.0
+        mult[old] = 1.0 if reuse_bits is None else reuse_bits[name][old]
+        mult[(fixed & (layer.slot_owner < t))[:, None] & (state == KernelState.RELEASED)] = 1.0
+        if claim_bits is not None:
+            growing = layer.slot_state == SlotState.GROWN_TRAINING
+            mult[growing] = claim_bits[name][growing]
+            on = on | growing
+        multipliers[name] = mult
+        channel_on[name] = on
+    return TaskView(multipliers, channel_on, head_weight, head_bias, norm_scale, norm_shift)
 
 
 class LayerCache(NamedTuple):

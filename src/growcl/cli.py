@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, parse_config
-from .data import IdxFormatError
 from .driver import run_id, run_pipeline
 from .enumcheck import run_sweep
 from .growth import ContractViolation, GrowthCapError
@@ -53,7 +52,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         result = run_pipeline(config, args.mode)
-    except (IdxFormatError, FileNotFoundError, ValueError) as e:
+    except (OSError, ValueError) as e:   # unreadable data, IdxFormatError included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (ContractViolation, GrowthCapError, FloatingPointError) as e:

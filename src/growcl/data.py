@@ -260,6 +260,8 @@ def load_group_file(path: str | Path) -> list[list[int]]:
 def split_by_class(dataset: Dataset, groups: list[list[int]],
                    rng: SeededRng) -> TaskSequence:
     """Route samples into tasks by class group; labels remapped to 0..K-1."""
+    if not groups:
+        raise ValueError("no class groups: the task sequence would be empty")
     seen: set[int] = set()
     for group in groups:
         for cls in group:

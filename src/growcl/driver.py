@@ -1,7 +1,8 @@
 """Task-sequence execution: one trainer, one sequence runner.
 
 ``TaskTrainer`` is the only training loop: ``train_phase`` runs epochs of
-``train_step``.  Every task applies the same masks (reuse bits on frozen used
+``train_step``.  One rule, ``backbone.task_view``, builds the view of the
+task in training and of every finished task (reuse bits on frozen used
 kernels, 1 on released kernels, claim bits on growing channels); a mode only
 chooses which mask logits learn.  ``run_pipeline`` runs every mode.  ``grown``
 and ``grow_only`` learn the task sequence on one shared backbone:
@@ -16,12 +17,15 @@ and ``grow_only`` learn the task sequence on one shared backbone:
     backbone; its reuse and claim masks stay frozen at keep-all, so it never
     releases a kernel.
 
-Finalization freezes everything the task's function depends on, writes a
-snapshot whose probe fingerprint pins the task's logits byte-for-byte, and
-the forgetting check re-verifies every earlier fingerprint at every task
-boundary.  ``scratch`` trains an independent full-capacity model per task
-with the same trainer: a fresh backbone whose slots all train, with the
-keep-all reuse and claim masks of ``grow_only`` and growth switched off.
+Finalization freezes everything the task's function depends on:
+``growth.finalize_task``, the one place that hands out kernel ownership,
+claims the released kernels the task retrained along with its own.  It
+writes a snapshot whose probe fingerprint pins the task's logits
+byte-for-byte, and the forgetting check re-verifies every earlier
+fingerprint at every task boundary.  ``scratch`` trains an independent
+full-capacity model per task with the same trainer: a fresh backbone whose
+slots all train, with the keep-all reuse and claim masks of ``grow_only``
+and growth switched off.
 """
 
 from __future__ import annotations
@@ -38,13 +42,13 @@ from .backbone import (
     TaskView,
     backward_pass,
     forward_pass,
+    task_view,
 )
 from .config import RunConfig
 from .data import Task, TaskSequence, load_group_file, load_idx, split_by_class, synth_tasks
 from .growth import (
     ContractViolation,
     GrowthLedger,
-    claim_released_kernels,
     enforce_growth_cap,
     finalize_task,
     query_and_transition,
@@ -147,48 +151,9 @@ class EpochLogEntry:
 # ---------------------------------------------------------------------------
 
 def build_eval_view(backbone: BackboneState, snapshot: TaskSnapshot) -> TaskView:
-    """The frozen sub-network of a finished task.
-
-    Multiplier rules per kernel (j, i) in channels FIXED with owner <= t:
-    USED by an earlier task -> that task's stored reuse bit; USED by task t
-    itself (own claims and retrained released kernels) -> 1; USED by a later
-    task or still RELEASED -> 0 (those were releases of t's own growth,
-    which t's training already multiplied by 0).
-    """
-    t = snapshot.task_id
-    multipliers: dict[str, np.ndarray] = {}
-    channel_on: dict[str, np.ndarray] = {}
-    for layer in backbone.layers:
-        name = layer.spec.name
-        on = (layer.slot_state == SlotState.FIXED) & (layer.slot_owner <= t)
-        mult = np.zeros_like(layer.kernel_state, dtype=np.float64)
-        rows = on[:, None]
-        used = layer.kernel_state == KernelState.USED
-        own = rows & used & (layer.kernel_owner == t)
-        old = rows & used & (layer.kernel_owner < t)
-        mult[own] = 1.0
-        if snapshot.reuse_bits is None:
-            mult[old] = 1.0
-        else:
-            mult[old] = snapshot.reuse_bits[name][old]
-        multipliers[name] = mult
-        channel_on[name] = on
-    return TaskView(
-        multipliers=multipliers,
-        channel_on=channel_on,
-        head_weight=snapshot.head_weight,
-        head_bias=snapshot.head_bias,
-        norm_scale=snapshot.norm_scale,
-        norm_shift=snapshot.norm_shift,
-    )
-
-
-@dataclass
-class TrainView:
-    view: TaskView
-    used_old: dict[str, np.ndarray]        # bool [oc, ic]: frozen reusable kernels
-    training_rows: dict[str, np.ndarray]   # bool [oc]: this task's growing channels
-    trainable_kernels: dict[str, np.ndarray]   # bool [oc, ic]
+    """The frozen sub-network of a finished task (``task_view``'s rule)."""
+    return task_view(backbone, snapshot.task_id, snapshot.reuse_bits, None, snapshot.head_weight,
+                     snapshot.head_bias, snapshot.norm_scale, snapshot.norm_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -273,34 +238,14 @@ class TaskTrainer:
 
     # -- view -------------------------------------------------------------
 
-    def build_train_view(self) -> TrainView:
-        multipliers, channel_on = {}, {}
-        used_old, training_rows, trainable_kernels = {}, {}, {}
-        for layer in self.backbone.layers:
-            name = layer.spec.name
-            fixed = layer.slot_state == SlotState.FIXED
-            training = layer.slot_state == SlotState.GROWN_TRAINING
-            used = (layer.kernel_state == KernelState.USED) & fixed[:, None]
-            released = (layer.kernel_state == KernelState.RELEASED) & fixed[:, None]
-            rows = np.broadcast_to(training[:, None], used.shape)
-            mult = np.zeros_like(layer.kernel_state, dtype=np.float64)
-            mult[used] = self.reuse_masks[name].hard_bits()[used]
-            mult[released] = 1.0
-            mult[rows] = self.claim_masks[name].hard_bits()[rows]
-            multipliers[name] = mult
-            channel_on[name] = fixed | training
-            used_old[name] = used
-            training_rows[name] = training
-            trainable_kernels[name] = rows | released
-        view = TaskView(
-            multipliers=multipliers,
-            channel_on=channel_on,
-            head_weight=self.head_weight,
-            head_bias=self.head_bias,
-            norm_scale=self.norm_scale,
-            norm_shift=self.norm_shift,
+    def build_train_view(self) -> TaskView:
+        """The task's current sub-network, at the hard bits of its logits."""
+        return task_view(
+            self.backbone, self.spec.task_id,
+            {name: m.hard_bits() for name, m in self.reuse_masks.items()},
+            {name: m.hard_bits() for name, m in self.claim_masks.items()},
+            self.head_weight, self.head_bias, self.norm_scale, self.norm_shift,
         )
-        return TrainView(view, used_old, training_rows, trainable_kernels)
 
     # -- growth queries -----------------------------------------------------
 
@@ -364,8 +309,8 @@ class TaskTrainer:
     def train_step(self, images: np.ndarray, labels: np.ndarray,
                    temperature: float) -> float:
         lr = self.config.learning_rate
-        tv = self.build_train_view()
-        logits, cache = forward_pass(self.backbone, tv.view, images, want_cache=True)
+        view = self.build_train_view()
+        logits, cache = forward_pass(self.backbone, view, images, want_cache=True)
         loss, dlogits = cross_entropy(logits, labels)
         grads = backward_pass(self.backbone, cache, dlogits)
         learns_masks = self.kernel_masks or self.grow_phase
@@ -373,15 +318,18 @@ class TaskTrainer:
         penalty_value = 0.0
         for layer in self.backbone.layers:
             name = layer.spec.name
-            mult = tv.view.multipliers[name]
+            mult = view.multipliers[name]
             d_eff = grads.d_eff_weights[name]
-            rows = tv.training_rows[name]
+            rows = layer.slot_state == SlotState.GROWN_TRAINING   # this task's growth
+            used = layer.kernel_state == KernelState.USED
+            row_grid = np.broadcast_to(rows[:, None], used.shape)
             if learns_masks:   # sensitivity to each kernel's bit, before weights move
                 d_mult = (d_eff * layer.weights).sum(axis=(2, 3))
 
             # weights: only this task's growing rows and released kernels move
             trainable = np.broadcast_to(
-                tv.trainable_kernels[name][:, :, None, None], layer.weights.shape
+                (row_grid | (layer.kernel_state == KernelState.RELEASED))[:, :, None, None],
+                layer.weights.shape,
             )
             self._update(f"{name} weights", d_eff * mult[:, :, None, None], lr, trainable)
             self._update(f"{name} bias", grads.d_bias[name], lr, rows)
@@ -393,13 +341,11 @@ class TaskTrainer:
 
             if self.kernel_masks:
                 # reuse-mask logits (frozen used kernels of earlier tasks)
-                used = tv.used_old[name]
                 d_logits = self._relaxed_grad(self.reuse_masks[name],
                                               np.where(used, d_mult, 0.0), temperature)
                 self._update(f"{name} reuse logits", d_logits, self.select_lr, used)
 
                 # claim-mask logits (kernels of this task's growing channels)
-                row_grid = np.broadcast_to(rows[:, None], used.shape)
                 d_logits = self._relaxed_grad(self.claim_masks[name],
                                               np.where(row_grid, d_mult, 0.0), temperature)
                 self._update(f"{name} claim logits", d_logits, self.select_lr, row_grid)
@@ -429,8 +375,7 @@ class TaskTrainer:
         return self.config.temp_start + (self.config.temp_end - self.config.temp_start) * frac
 
     def validation_accuracy(self) -> float:
-        tv = self.build_train_view()
-        return _dataset_accuracy(self.backbone, tv.view, self.task.val)
+        return _dataset_accuracy(self.backbone, self.build_train_view(), self.task.val)
 
     def train_phase(self, phase: str, n_epochs: int, grow: bool,
                     epoch_log: list[EpochLogEntry]) -> None:
@@ -481,12 +426,9 @@ class TaskTrainer:
         """
         t = self.spec.task_id
         self._enforce_cap()   # no-op unless a caller skipped the epoch queries
-        claim_bits: dict[str, np.ndarray] = {}
+        claim_bits = {name: m.hard_bits() for name, m in self.claim_masks.items()}
         for layer in self.backbone.layers:
-            name = layer.spec.name
-            claim_released_kernels(layer, t)
-            claim_bits[name] = self.claim_masks[name].hard_bits()
-            finalize_task(layer, claim_bits[name], t)
+            finalize_task(layer, claim_bits[layer.spec.name], t)
         reuse_bits = reuse_logits = claim_logits = None
         if self.kernel_masks:
             reuse_bits = {n: _frozen(m.hard_bits()) for n, m in self.reuse_masks.items()}
@@ -594,8 +536,7 @@ def train_scratch_model(task: Task, config: RunConfig, seed: int) -> ScratchOutc
     return ScratchOutcome(
         task_id=task.task_id,
         val_accuracy=epoch_log[-1].val_accuracy,
-        test_accuracy=_dataset_accuracy(backbone, trainer.build_train_view().view,
-                                        task.test),
+        test_accuracy=_dataset_accuracy(backbone, trainer.build_train_view(), task.test),
         epoch_log=epoch_log,
     )
 

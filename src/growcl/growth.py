@@ -9,9 +9,11 @@ value for the slot; FIXED slots must never be queried):
     DETACHED       + 1 -> GROWN_TRAINING   (original weights restored)
     anything else      -> unchanged        (PRUNED stays pruned)
 
-At task end, ``finalize_task`` turns DETACHED into PRUNED (weights dropped)
-and GROWN_TRAINING into FIXED(owner); kernels of newly fixed slots are
-partitioned by the task's claim bits into USED(owner) and RELEASED.
+At task end, ``finalize_task`` claims every RELEASED kernel as USED(owner)
+(the task retrained them), turns DETACHED into PRUNED (weights dropped) and
+GROWN_TRAINING into FIXED(owner); kernels of newly fixed slots are
+partitioned by the task's claim bits into USED(owner) and RELEASED.  It is
+the only code that hands out kernel ownership.
 """
 
 from __future__ import annotations
@@ -86,17 +88,23 @@ def query_and_transition(layer: LayerState, bits: np.ndarray,
 
 
 def finalize_task(layer: LayerState, claim_bits: np.ndarray, task_id: int) -> list[SlotAction]:
-    """End-of-task cleanup for one layer.
+    """End-of-task cleanup for one layer; the one place kernels change owner.
 
-    DETACHED slots become PRUNED (weights discarded); GROWN_TRAINING slots
-    become FIXED(task_id) and their kernels are tagged USED(task_id) where
-    the claim bit is 1 and RELEASED where it is 0.
+    Every RELEASED kernel becomes USED(task_id) first: the task retrained
+    it, so it is now part of the task's function (``task_view`` relies on
+    no RELEASED kernel of an earlier task's channel outliving a finished
+    task).  Then DETACHED slots become PRUNED (weights discarded) and
+    GROWN_TRAINING slots become FIXED(task_id), their kernels tagged
+    USED(task_id) where the claim bit is 1 and RELEASED where it is 0.
     """
     claim_bits = np.asarray(claim_bits, dtype=np.float64)
     if claim_bits.shape != layer.kernel_state.shape:
         raise ContractViolation(
             f"{layer.spec.name}: claim bits must be shape {layer.kernel_state.shape}"
         )
+    released = layer.kernel_state == KernelState.RELEASED
+    layer.kernel_state[released] = KernelState.USED
+    layer.kernel_owner[released] = task_id
     actions: list[SlotAction] = []
     for j in np.flatnonzero(layer.slot_state == SlotState.DETACHED):
         layer.weights[j] = 0.0
@@ -113,17 +121,6 @@ def finalize_task(layer: LayerState, claim_bits: np.ndarray, task_id: int) -> li
         layer.kernel_owner[j, ~claimed] = 0
         actions.append(SlotAction(layer.spec.name, int(j), "fix"))
     return actions
-
-
-def claim_released_kernels(layer: LayerState, task_id: int) -> int:
-    """Tag every currently RELEASED kernel as USED(task_id); returns count.
-
-    Called at finalize time by a task that retrained the released weights,
-    freezing them into that task's function."""
-    released = layer.kernel_state == KernelState.RELEASED
-    layer.kernel_state[released] = KernelState.USED
-    layer.kernel_owner[released] = task_id
-    return int(released.sum())
 
 
 def enforce_growth_cap(backbone: BackboneState,

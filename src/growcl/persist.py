@@ -84,6 +84,16 @@ def _field(header: dict, key: str, path: str | Path):
     return header[key]
 
 
+def _typed(value, types) -> bool:
+    """Whether a JSON value has one of ``types``; a bool counts only as bool."""
+    return isinstance(value, types) and (type(value) is bool) == (types is bool)
+
+
+# header key -> the JSON type load_snapshot needs; "layers" holds str names
+_SNAPSHOT_TYPES = {"layers": list, "task_id": int, "n_classes": int,
+                   "probe_fingerprint": str, **dict.fromkeys(_SNAPSHOT_FLAGS, bool)}
+
+
 def _array(arrays: dict[str, np.ndarray], key: str, path: str | Path,
            shape: tuple) -> np.ndarray:
     """The ``key`` record, checked against ``shape`` (None matches any extent)."""
@@ -99,9 +109,13 @@ def _array(arrays: dict[str, np.ndarray], key: str, path: str | Path,
 
 def load_snapshot(path: str | Path) -> TaskSnapshot:
     header, arrays = _read_kind(path, "task_snapshot")
-    layers = _field(header, "layers", path)
-    n_classes = _field(header, "n_classes", path)
-    flags = {flag: _field(header, flag, path) for flag in _SNAPSHOT_FLAGS}
+    fields = {key: _field(header, key, path) for key in _SNAPSHOT_TYPES}
+    for key, types in _SNAPSHOT_TYPES.items():
+        value = fields[key]
+        if not _typed(value, types) or key == "layers" and not all(
+                isinstance(name, str) for name in value):
+            raise StoreFormatError(f"{path}: header {key!r} has the wrong type: {value!r}")
+    layers, n_classes = fields["layers"], fields["n_classes"]
 
     def per_layer(prefix: str, grid: bool) -> dict[str, np.ndarray]:
         # claim bits fix each layer's [out, in] grid; the rest must match it
@@ -113,16 +127,16 @@ def load_snapshot(path: str | Path) -> TaskSnapshot:
         return out
 
     records = {
-        attr: per_layer(prefix, grid) if all(flags[f] for f in needs) else None
+        attr: per_layer(prefix, grid) if all(fields[f] for f in needs) else None
         for prefix, (attr, needs, grid) in _SNAPSHOT_RECORDS.items()
     }
     return TaskSnapshot(
-        task_id=_field(header, "task_id", path),
+        task_id=fields["task_id"],
         n_classes=n_classes,
         head_weight=_frozen(_array(arrays, "head_weight", path, (n_classes, None))),
         head_bias=_frozen(_array(arrays, "head_bias", path, (n_classes,))),
         probe_images=_frozen(_array(arrays, "probe_images", path, (None,) * 4)),
-        probe_fingerprint=_field(header, "probe_fingerprint", path),
+        probe_fingerprint=fields["probe_fingerprint"],
         **records,
     )
 
@@ -241,7 +255,7 @@ def read_manifest(run_dir: str | Path) -> dict:
         values += [(key, m[key][str(t)], types)
                    for key, types in _PER_TASK_TYPES.items() for t in ids]
         for key, value, types in values:
-            if isinstance(value, bool) or not isinstance(value, types):
+            if not _typed(value, types):
                 raise TypeError(f"{key} has the wrong type: {value!r}")
     except (ValueError, KeyError, TypeError) as e:
         raise StoreFormatError(

@@ -6,7 +6,9 @@ argmax maxpool with its scatter-add backward is the kernel the package ran
 before it pooled ahead of relu; after relu, it is the reference for both.
 The full-width backbone passes are the reference for the compacted ones:
 they run relu before that maxpool, and share conv and norm, not the channel
-bookkeeping.  The per-sample renderers and ``synth_tasks_per_sample`` are
+bookkeeping.  ``train_view_reference`` and ``eval_view_reference`` build a
+task in training's view and a finished task's view, each by its own rule;
+they are the reference for ``growcl.backbone.task_view``.  The per-sample renderers and ``synth_tasks_per_sample`` are
 the reference for ``growcl.data.synth_tasks``, which renders a class at
 once.  The enumeration argmin and single-configuration loss re-check
 ``growcl.enumcheck``'s shared table, and ``save_idx`` writes the IDX files
@@ -21,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from growcl.backbone import BackwardResult, effective_filters
+from growcl.backbone import (
+    BackwardResult,
+    KernelState,
+    SlotState,
+    TaskView,
+    effective_filters,
+)
 from growcl.data import (
     IDX_IMAGE_MAGIC,
     IDX_LABEL_MAGIC,
@@ -214,6 +222,57 @@ def backward_pass_full(backbone, cache, dlogits):
         dh, d_eff[name], db = conv2d_backward(dh, conv_cache)
         d_bias[name] = np.where(on, db, 0.0)
     return BackwardResult(d_eff, d_bias, d_hw, d_hb, d_ns, d_nsh)
+
+
+# ---------------------------------------------------------------------------
+# task views: one builder per kind of task
+# ---------------------------------------------------------------------------
+#
+# ``backbone.task_view`` decides both kinds of view with one rule.  These
+# two builders decide them apart, each by the rule for its own kind: a task
+# in training sees every FIXED channel, and a finished task none of the
+# RELEASED kernels.
+
+def train_view_reference(trainer) -> TaskView:
+    """The view of ``trainer``'s task at the hard bits of its logits: FIXED
+    and growing channels on; USED kernels of FIXED channels take their reuse
+    bit, RELEASED ones 1, growing rows their claim bit."""
+    multipliers, channel_on = {}, {}
+    for layer in trainer.backbone.layers:
+        name = layer.spec.name
+        fixed = layer.slot_state == SlotState.FIXED
+        training = layer.slot_state == SlotState.GROWN_TRAINING
+        used = (layer.kernel_state == KernelState.USED) & fixed[:, None]
+        released = (layer.kernel_state == KernelState.RELEASED) & fixed[:, None]
+        rows = np.broadcast_to(training[:, None], used.shape)
+        mult = np.zeros_like(layer.kernel_state, dtype=np.float64)
+        mult[used] = trainer.reuse_masks[name].hard_bits()[used]
+        mult[released] = 1.0
+        mult[rows] = trainer.claim_masks[name].hard_bits()[rows]
+        multipliers[name] = mult
+        channel_on[name] = fixed | training
+    return TaskView(multipliers, channel_on, trainer.head_weight, trainer.head_bias,
+                    trainer.norm_scale, trainer.norm_shift)
+
+
+def eval_view_reference(backbone, snapshot) -> TaskView:
+    """The view of a finished task t: channels FIXED with owner <= t on;
+    kernels USED by t take 1, USED by an earlier task their reuse bit (1
+    without reuse bits), and all others, RELEASED ones included, 0."""
+    t = snapshot.task_id
+    multipliers, channel_on = {}, {}
+    for layer in backbone.layers:
+        name = layer.spec.name
+        on = (layer.slot_state == SlotState.FIXED) & (layer.slot_owner <= t)
+        mult = np.zeros_like(layer.kernel_state, dtype=np.float64)
+        used = on[:, None] & (layer.kernel_state == KernelState.USED)
+        old = used & (layer.kernel_owner < t)
+        mult[used & (layer.kernel_owner == t)] = 1.0
+        mult[old] = 1.0 if snapshot.reuse_bits is None else snapshot.reuse_bits[name][old]
+        multipliers[name] = mult
+        channel_on[name] = on
+    return TaskView(multipliers, channel_on, snapshot.head_weight, snapshot.head_bias,
+                    snapshot.norm_scale, snapshot.norm_shift)
 
 
 # ---------------------------------------------------------------------------

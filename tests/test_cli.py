@@ -118,7 +118,10 @@ class TestRunCommand:
         assert err.startswith("error: ") and "Traceback" not in err
         assert afile.read_text() == ""
 
-    def test_idx_sourced_tasks_run_end_to_end(self, tmp_path, out_root):
+    @staticmethod
+    def idx_config(tmp_path, groups_text="0 1\n2 3\n", **paths):
+        """A config over a 4-class IDX dataset and a groups file; ``paths``
+        overrides the images, labels or groups path."""
         import numpy as np
         from growcl.data import Dataset
         from oracles import save_idx
@@ -132,20 +135,37 @@ class TestRunCommand:
         images = np.clip(images, 0, 1)
         labels = np.repeat(np.arange(4), n_per)
         save_idx(Dataset(images, labels, 4), tmp_path / "im.idx", tmp_path / "lb.idx")
-        (tmp_path / "groups.txt").write_text("0 1\n2 3\n")
+        (tmp_path / "groups.txt").write_text(groups_text)
+        source = {"source": "idx", "images": str(tmp_path / "im.idx"),
+                  "labels": str(tmp_path / "lb.idx"), "groups": str(tmp_path / "groups.txt")}
+        source.update((key, str(path)) for key, path in paths.items())
         cfg = tmp_path / "idx_ok.json"
-        cfg.write_text(json.dumps({
-            "arch": TINY["arch"],
-            "epochs": TINY["epochs"],
-            "tasks": {"source": "idx", "images": str(tmp_path / "im.idx"),
-                      "labels": str(tmp_path / "lb.idx"),
-                      "groups": str(tmp_path / "groups.txt")},
-        }))
+        cfg.write_text(json.dumps({"arch": TINY["arch"], "epochs": TINY["epochs"],
+                                   "tasks": source}))
+        return cfg
+
+    def test_idx_sourced_tasks_run_end_to_end(self, tmp_path, out_root):
+        cfg = self.idx_config(tmp_path)
         assert main(["run", "--config", str(cfg), "--mode", "grown"]) == 0
         (run_dir,) = out_root.iterdir()
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["n_tasks"] == 2
         assert all(all(e["passes"].values()) for e in manifest["forgetting"])
+
+    @pytest.mark.parametrize("groups_text, paths", [
+        ("# no groups, only comments\n\n", {}),
+        ("0 1\n2 3\n", {"images": "dir"}),
+        ("0 1\n2 3\n", {"groups": "dir"}),
+    ], ids=["empty-groups", "images-is-directory", "groups-is-directory"])
+    def test_unusable_idx_tasks_are_usage_error_before_run_directory(
+            self, tmp_path, out_root, capsys, groups_text, paths):
+        (tmp_path / "dir").mkdir()
+        cfg = self.idx_config(tmp_path, groups_text,
+                              **{key: tmp_path / p for key, p in paths.items()})
+        assert main(["run", "--config", str(cfg), "--mode", "grown"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not any(out_root.iterdir())
 
     def test_missing_idx_files_are_usage_error(self, tmp_path, out_root):
         cfg = tmp_path / "idx.json"

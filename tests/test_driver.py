@@ -82,8 +82,7 @@ class TestRunGrown:
         tasks = build_tasks(cfg)
         spec = TaskSpec(2, tasks[1], 0.9, cfg.growth_cap)
         trainer = TaskTrainer(res.backbone, spec, cfg, True, SeededRng(0))
-        tv = trainer.build_train_view()
-        for mult in tv.view.multipliers.values():
+        for mult in trainer.build_train_view().multipliers.values():
             assert set(np.unique(mult)) <= {0.0, 1.0}
         view = build_eval_view(res.backbone, res.snapshots[1])
         for mult in view.multipliers.values():
@@ -255,13 +254,12 @@ class TestKeepAllKernelMasks:
         tr2 = TaskTrainer(backbone, TaskSpec(2, tasks[1], 1.0, 1.0), cfg, False, root)
         tr2.train_phase("grow", 2, grow=True, epoch_log=[])
         assert_kernel_logits_at_init(tr2)
-        tv = tr2.build_train_view()
+        view = tr2.build_train_view()
         n_used = n_growing = 0
         for layer in backbone.layers:
-            name = layer.spec.name
-            mult = tv.view.multipliers[name]
-            used = tv.used_old[name]
-            rows = tv.training_rows[name]
+            mult = view.multipliers[layer.spec.name]
+            used = layer.kernel_state == KernelState.USED
+            rows = layer.slot_state == SlotState.GROWN_TRAINING
             assert np.all(mult[used] == 1.0) and np.all(mult[rows] == 1.0)
             n_used += int(used.sum())
             n_growing += int(rows.sum())
@@ -312,7 +310,7 @@ class TestPickTransferOracle:
         # independent linear probe: same frozen features, same head streams
         root2 = SeededRng(cfg.seed)
         root2.substream("growth")
-        tv = tr2.build_train_view()
+        view = tr2.build_train_view()
         feats = {}
         for split in ("train", "val"):
             ds = getattr(tasks[1], split)
@@ -320,10 +318,10 @@ class TestPickTransferOracle:
             for layer in backbone.layers:
                 from growcl.ops import conv2d, maxpool2d, relu
                 from oracles import all_channel_filters
-                eff = all_channel_filters(layer, tv.view.multipliers[layer.spec.name])
-                eb = np.where(tv.view.channel_on[layer.spec.name], layer.bias, 0.0)
+                eff = all_channel_filters(layer, view.multipliers[layer.spec.name])
+                eb = np.where(view.channel_on[layer.spec.name], layer.bias, 0.0)
                 h, _ = conv2d(h, eff, eb, stride=layer.spec.stride, pad=layer.spec.pad)
-                h[:, ~tv.view.channel_on[layer.spec.name]] = 0.0
+                h[:, ~view.channel_on[layer.spec.name]] = 0.0
                 h, _ = relu(h)
                 if layer.spec.pool:
                     h, _ = maxpool2d(h, layer.spec.pool)
@@ -451,3 +449,81 @@ class TestReleasedKernelFlow:
         assert mult[1, 0] == 0.0               # RELEASED -> 0
         assert np.all(mult[1, 1:] == 1.0)      # USED by task 2 itself -> 1
         assert np.all(mult[2] == 0.0)          # owner 3 > 2 -> channel off
+
+
+class TestOneTaskView:
+    """``task_view`` against one reference builder per kind of task
+    (``tests/oracles.py``): the view of the task in training at every train
+    step, and of every finished task at every boundary.  Run directories of the benchmarked
+    configs never hold a zero reuse or claim bit, so here ~30 % of the reuse
+    logits go to -1 before each pick phase and ~30 % of the claim logits
+    before each grow phase and each finalize."""
+
+    @staticmethod
+    def assert_same_view(view, ref):
+        assert view.multipliers.keys() == ref.multipliers.keys()
+        for name, mult in ref.multipliers.items():
+            assert view.multipliers[name].dtype == mult.dtype
+            assert view.multipliers[name].tobytes() == mult.tobytes()
+            assert view.channel_on[name].tobytes() == ref.channel_on[name].tobytes()
+
+    @pytest.mark.parametrize("group_norm", [False, True], ids=["plain", "group-norm"])
+    def test_task_view_matches_both_references(self, monkeypatch, group_norm):
+        import growcl.driver as driver
+        from oracles import eval_view_reference, train_view_reference
+
+        counts = dict.fromkeys(["steps", "released", "zero claim bits", "eval views",
+                                "zero reuse bits"], 0)
+        same = self.assert_same_view
+
+        def drop(logits, task_id, layer_index, phase):   # ~30 % of them to -1
+            seed = [task_id, layer_index, ("pick", "grow", "expand", "finalize").index(phase)]
+            logits[np.random.default_rng(seed).random(logits.shape) < 0.3] = -1.0
+
+        class Checked(driver.TaskTrainer):
+            def train_phase(self, phase, *args, **kwargs):
+                masks = self.reuse_masks if phase == "pick" else self.claim_masks
+                for i, mask in enumerate(masks.values()):
+                    drop(mask.logits, self.spec.task_id, i, phase)
+                return super().train_phase(phase, *args, **kwargs)
+
+            def train_step(self, *args, **kwargs):
+                same(self.build_train_view(), train_view_reference(self))
+                counts["steps"] += 1
+                for l in self.backbone.layers:
+                    growing = l.slot_state == SlotState.GROWN_TRAINING
+                    claim = self.claim_masks[l.spec.name].hard_bits()[growing]
+                    counts["zero claim bits"] += int((claim == 0.0).sum())
+                    counts["released"] += int((l.kernel_state == KernelState.RELEASED).sum())
+                return super().train_step(*args, **kwargs)
+
+            def finalize(self):
+                for i, mask in enumerate(self.claim_masks.values()):
+                    drop(mask.logits, self.spec.task_id, i, "finalize")
+                return super().finalize()
+
+        def checked_eval_view(backbone, snapshot):
+            view = build_eval_view(backbone, snapshot)
+            same(view, eval_view_reference(backbone, snapshot))
+            counts["eval views"] += 1
+            if snapshot.reuse_bits is not None:
+                counts["zero reuse bits"] += sum(
+                    int((snapshot.reuse_bits[l.spec.name][
+                        view.channel_on[l.spec.name][:, None]
+                        & (l.kernel_state == KernelState.USED)
+                        & (l.kernel_owner < snapshot.task_id)] == 0.0).sum())
+                    for l in backbone.layers)
+            return view
+
+        monkeypatch.setattr(driver, "TaskTrainer", Checked)
+        monkeypatch.setattr(driver, "build_eval_view", checked_eval_view)
+        cfg = tiny_config(target_accuracy=1.0, growth_cap=1.0,
+                          arch={"group_norm": group_norm},
+                          tasks={"n_tasks": 4, "samples_per_class": 40},
+                          epochs={"task1": 3, "pick": 2, "expand": 2, "scratch": 1})
+        res = run_pipeline(cfg, "grown")
+        assert all(all(e["passes"].values()) for e in res.forgetting_log)
+        # the rules the benchmarked runs never reach were reached here
+        assert counts["steps"] > 0 and counts["eval views"] > 0
+        assert counts["released"] > 0 and counts["zero claim bits"] > 0
+        assert counts["zero reuse bits"] > 0

@@ -14,7 +14,6 @@ from growcl.growth import (
     ContractViolation,
     GrowthCapError,
     GrowthLedger,
-    claim_released_kernels,
     enforce_growth_cap,
     finalize_task,
     grow_filter,
@@ -184,21 +183,27 @@ class TestFinalize:
         assert states <= {SlotState.FIXED, SlotState.PRUNED, SlotState.UNGROWN}
 
     def test_claim_released_kernels(self):
+        # the next task to finish claims every released kernel, before it
+        # fixes (and may release kernels of) its own new channels
         arch = ArchSpec(
             image_size=8, in_channels=2,
             layers=(ConvLayerSpec("c", 2, 2, seed_channels=0),),
         )
         bb = BackboneState(arch)
         layer = bb.layers[0]
-        query_and_transition(layer, np.array([1.0, np.nan]), SeededRng(0))
+        query_and_transition(layer, np.array([1.0, 0.0]), SeededRng(0))
         claim = np.ones((2, 2))
-        claim[0, 1] = 0.0
+        claim[:, 1] = 0.0
         finalize_task(layer, claim, task_id=1)
-        n = claim_released_kernels(layer, task_id=2)
-        assert n == 1
+        query_and_transition(layer, np.array([np.nan, 1.0]), SeededRng(1))
+        actions = finalize_task(layer, claim, task_id=2)
+        assert [a.action for a in actions] == ["fix"]
         assert layer.kernel_state[0, 1] == KernelState.USED
         assert layer.kernel_owner[0, 1] == 2
         assert layer.kernel_owner[0, 0] == 1  # untouched
+        # task 2's own release stays RELEASED until a later task finishes
+        assert list(layer.kernel_state[1]) == [KernelState.USED, KernelState.RELEASED]
+        assert list(layer.kernel_owner[1]) == [2, 0]
 
 
 class TestGrowthCap:

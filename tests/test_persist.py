@@ -283,6 +283,19 @@ class TestMalformedFiles:
         with pytest.raises(StoreFormatError, match="'has_logits'"):
             load_snapshot(tmp_path / "s.snap")
 
+    @pytest.mark.parametrize("key, value", [
+        ("layers", 5), ("layers", None), ("layers", ["conv1", 2]), ("task_id", "x"),
+        ("task_id", True), ("n_classes", 2.0), ("probe_fingerprint", None),
+        ("has_reuse", "no"), ("has_norm", 0),
+    ])
+    def test_mistyped_snapshot_header_rejected(self, saved_run, tmp_path, key, value):
+        # header values are held to one type table, as the manifest's are
+        _, _, run_dir = saved_run
+        header, arrays = read_container(run_dir / "snapshots" / "task_002.snap")
+        write_container(tmp_path / "s.snap", {**header, key: value}, arrays)
+        with pytest.raises(StoreFormatError, match=f"'{key}' has the wrong type"):
+            load_snapshot(tmp_path / "s.snap")
+
     def test_missing_array_record_rejected(self, saved_run, tmp_path):
         _, _, run_dir = saved_run
         header, arrays = read_container(run_dir / "snapshots" / "task_002.snap")
