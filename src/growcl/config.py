@@ -109,6 +109,11 @@ class RunConfig:
     task_source: dict
     output_dir: str | None
     resolved: dict = field(repr=False, compare=False, default_factory=dict)
+    # driver.train_scratch_model's outcomes under this config; not a knob, so
+    # outside ``resolved`` and the digest, and ``dataclasses.replace`` starts
+    # the new config with an empty memo
+    scratch_outcomes: dict = field(init=False, repr=False, compare=False,
+                                   default_factory=dict)
 
     @property
     def digest(self) -> str:
@@ -212,14 +217,15 @@ def parse_config_data(data: dict) -> RunConfig:
 
     target = data.get("target_accuracy", DEFAULTS["target_accuracy"])
     if target is not None:
-        if isinstance(target, (int, float)) and not isinstance(target, bool):
-            target = [float(target)]
-        if (not isinstance(target, list)
-                or not all(isinstance(t, (int, float)) and 0.0 < t <= 1.0 for t in target)):
+        values = target if isinstance(target, list) else [target]
+        if not values or not all(
+                isinstance(t, (int, float)) and not isinstance(t, bool) and 0.0 < t <= 1.0
+                for t in values):
             raise ConfigError(
-                "config.target_accuracy must be null, a fraction in (0, 1], or a list of them"
+                "config.target_accuracy must be null, a fraction in (0, 1], "
+                f"or a non-empty list of them, got {target!r}"
             )
-        target = tuple(float(t) for t in target)
+        target = tuple(float(t) for t in values)
 
     tasks_in = _section(data.get("tasks", {}), "config.tasks", None)
     source = tasks_in.get("source", "synthetic")
@@ -245,6 +251,12 @@ def parse_config_data(data: dict) -> RunConfig:
             raise ConfigError(
                 f"config.tasks.image_size {task_source['image_size']} != "
                 f"config.arch.image_size {arch.image_size}"
+            )
+        n_tasks = task_source["n_tasks"]
+        if target is not None and len(target) not in (1, n_tasks):
+            raise ConfigError(
+                f"config.target_accuracy has {len(target)} values for {n_tasks} tasks "
+                f"(give 1 or {n_tasks})"
             )
     elif source == "idx":
         _require_keys(tasks_in, {"source", "images", "labels", "groups"}, "config.tasks")

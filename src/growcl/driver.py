@@ -25,11 +25,14 @@ byte-for-byte, and the forgetting check re-verifies every earlier
 fingerprint at every task boundary.  ``scratch`` trains an independent
 full-capacity model per task with the same trainer: a fresh backbone whose
 slots all train, with the keep-all reuse and claim masks of ``grow_only``
-and growth switched off.
+and growth switched off.  Scratch outcomes are memoized on the parsed
+config: ``grown`` and ``grow_only`` targets reuse the models a ``scratch``
+run of the same config object trained.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import dataclass, field
 
@@ -514,6 +517,16 @@ class ScratchOutcome:
     epoch_log: list[EpochLogEntry]
 
 
+def _task_digest(task: Task) -> str:
+    """sha256 over the dtype, shape and bytes of each split's images and labels."""
+    h = hashlib.sha256()
+    for split in (task.train, task.val, task.test):
+        for arr in (split.images, split.labels):
+            h.update(f"{arr.dtype.str}{arr.shape}".encode())
+            h.update(np.ascontiguousarray(arr))   # hashes the buffer, no bytes copy
+    return h.hexdigest()
+
+
 def train_scratch_model(task: Task, config: RunConfig, seed: int) -> ScratchOutcome:
     """Train one full-capacity model on one task (keep-all masks, no growth).
 
@@ -521,24 +534,32 @@ def train_scratch_model(task: Task, config: RunConfig, seed: int) -> ScratchOutc
     ``TaskTrainer`` without kernel masks and with growth off.  All streams
     derive from the task id, so the outcome is independent of the task's
     position in any sequence.
+
+    Outcomes are memoized on the parsed config (``config.scratch_outcomes``),
+    keyed on the seed, the task id and class count, and the task's data
+    bytes: ``scratch``, ``grown`` and ``grow_only`` runs of one config train
+    each scratch model once.  Each call returns its own copy.
     """
-    rng = SeededRng(seed).substream(f"scratch/task{task.task_id}")
-    init = rng.substream("init")
-    backbone = BackboneState(config.arch)
-    for layer in backbone.layers:
-        query_and_transition(layer, np.ones(layer.spec.out_channels), init)
-    spec = TaskSpec(task.task_id, task, target_accuracy=1.0, growth_cap=1.0)
-    trainer = TaskTrainer(backbone, spec, config, False, rng,
-                          streams={"init": init, "batches": rng.substream("batches")})
-    epoch_log: list[EpochLogEntry] = []
-    trainer.train_phase("scratch", config.epochs["scratch"], grow=False,
-                        epoch_log=epoch_log)
-    return ScratchOutcome(
-        task_id=task.task_id,
-        val_accuracy=epoch_log[-1].val_accuracy,
-        test_accuracy=_dataset_accuracy(backbone, trainer.build_train_view(), task.test),
-        epoch_log=epoch_log,
-    )
+    key = (seed, task.task_id, task.n_classes, _task_digest(task))
+    if key not in config.scratch_outcomes:
+        rng = SeededRng(seed).substream(f"scratch/task{task.task_id}")
+        init = rng.substream("init")
+        backbone = BackboneState(config.arch)
+        for layer in backbone.layers:
+            query_and_transition(layer, np.ones(layer.spec.out_channels), init)
+        spec = TaskSpec(task.task_id, task, target_accuracy=1.0, growth_cap=1.0)
+        trainer = TaskTrainer(backbone, spec, config, False, rng,
+                              streams={"init": init, "batches": rng.substream("batches")})
+        epoch_log: list[EpochLogEntry] = []
+        trainer.train_phase("scratch", config.epochs["scratch"], grow=False,
+                            epoch_log=epoch_log)
+        config.scratch_outcomes[key] = ScratchOutcome(
+            task_id=task.task_id,
+            val_accuracy=epoch_log[-1].val_accuracy,
+            test_accuracy=_dataset_accuracy(backbone, trainer.build_train_view(), task.test),
+            epoch_log=epoch_log,
+        )
+    return copy.deepcopy(config.scratch_outcomes[key])
 
 
 # ---------------------------------------------------------------------------

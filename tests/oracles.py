@@ -12,14 +12,17 @@ they are the reference for ``growcl.backbone.task_view``.  The per-sample render
 the reference for ``growcl.data.synth_tasks``, which renders a class at
 once.  The enumeration argmin and single-configuration loss re-check
 ``growcl.enumcheck``'s shared table, and ``save_idx`` writes the IDX files
-that ``growcl.data.load_idx`` reads.
+that ``growcl.data.load_idx`` reads.  ``first_difference`` is
+``bench/rundiff.py``'s, the byte-identity check of two run directories.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -404,3 +407,13 @@ def save_idx(dataset: Dataset, images_path, labels_path) -> None:
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
         f.write(dataset.labels.astype(np.uint8).tobytes())
+
+
+RUNDIFF = Path(__file__).resolve().parents[1] / "bench" / "rundiff.py"
+
+
+def first_difference(dir_a, dir_b):
+    spec = importlib.util.spec_from_file_location("bench_rundiff", RUNDIFF)
+    rundiff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(rundiff)
+    return rundiff.first_difference(dir_a, dir_b)

@@ -67,8 +67,11 @@ class TestRunCommand:
         b'{"epochs": null}',
         b'{"seed": "\xff"}',
         None,    # --config names a directory
+        b'{"target_accuracy": [true]}',
+        b'{"target_accuracy": []}',
+        b'{"tasks": {"n_tasks": 2}, "target_accuracy": [0.5, 0.5, 0.5]}',
     ], ids=["unknown-key", "tasks-int", "temperature-str", "arch-list", "epochs-null",
-            "not-utf8", "directory"])
+            "not-utf8", "directory", "target-bool", "target-empty", "target-count"])
     def test_bad_config_is_usage_error(self, tmp_path, out_root, capsys, content):
         cfg = tmp_path / "bad.json"
         if content is None:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growcl.config import ConfigError, parse_config, parse_config_data
+from growcl.config import DEFAULTS, ConfigError, parse_config, parse_config_data
 
 
 def test_empty_object_gives_full_defaults():
@@ -84,9 +84,33 @@ def test_idx_task_count_reads_groups_file(tmp_path):
 
 def test_target_accuracy_forms():
     assert parse_config_data({"target_accuracy": 0.9}).target_accuracy == (0.9,)
-    assert parse_config_data({"target_accuracy": [0.9, 0.8]}).target_accuracy == (0.9, 0.8)
+    two_tasks = {"tasks": {"n_tasks": 2}}
+    assert parse_config_data({"target_accuracy": [0.9, 0.8], **two_tasks}
+                             ).target_accuracy == (0.9, 0.8)
+    assert parse_config_data({"target_accuracy": [0.9], **two_tasks}).target_accuracy == (0.9,)
     with pytest.raises(ConfigError):
         parse_config_data({"target_accuracy": 1.5})
+
+
+@pytest.mark.parametrize("target, match", [
+    ([True], "non-empty list"),
+    (True, "non-empty list"),
+    ([0.9, False], "non-empty list"),
+    ([], "non-empty list"),
+    ([0.9, 0.8, 0.7], "3 values for 2 tasks"),
+])
+def test_bad_target_accuracy_rejected(target, match):
+    # a bool is no fraction, and a synthetic suite's target list must fit it
+    with pytest.raises(ConfigError, match=match):
+        parse_config_data({"target_accuracy": target, "tasks": {"n_tasks": 2}})
+
+
+def test_idx_target_count_is_checked_against_the_groups_file():
+    # the task count of an idx source is known once its groups file is read,
+    # so the parser leaves the length to driver.resolve_targets
+    cfg = parse_config_data({"target_accuracy": [0.9, 0.8, 0.7], "tasks": {
+        "source": "idx", "images": "i", "labels": "l", "groups": "g"}})
+    assert cfg.target_accuracy == (0.9, 0.8, 0.7)
 
 
 def test_syntax_error_reports_line_and_column(tmp_path):
@@ -121,6 +145,13 @@ def _layer(capacity: int):
     })
 
 
+def _target_count_fits(data: dict) -> bool:
+    """A target list holds 1 value or one per task of a synthetic suite."""
+    target, tasks = data.get("target_accuracy"), data.get("tasks", {})
+    return (not isinstance(target, list) or tasks.get("source") == "idx"
+            or len(target) in (1, tasks.get("n_tasks", DEFAULTS["tasks"]["n_tasks"])))
+
+
 _FRACTION = st.floats(0.01, 1.0)
 CONFIGS = st.fixed_dictionaries({}, optional={
     "seed": st.integers(0, 2**64 - 1),
@@ -147,7 +178,7 @@ CONFIGS = st.fixed_dictionaries({}, optional={
         "groups": st.text(),
     }),
     "output_dir": st.none() | st.text(),
-})
+}).filter(_target_count_fits)
 
 
 @given(data=CONFIGS)

@@ -1,8 +1,11 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
 from growcl.backbone import BackboneState, KernelState, SlotState
-from growcl.config import parse_config_data
+from growcl.config import ConfigError, parse_config_data
 from growcl.driver import (
     CLAIM_INIT,
     TaskSpec,
@@ -17,7 +20,10 @@ from growcl.driver import (
     train_scratch_model,
 )
 from growcl.ops import cross_entropy, linear, linear_backward, sgd_step
+from growcl.persist import save_run
 from growcl.rng import SeededRng
+
+from oracles import first_difference
 
 
 def tiny_config(seed=0, n_tasks=2, **overrides):
@@ -179,9 +185,9 @@ class TestNonFiniteGuard:
 
 class TestDeterminism:
     def test_identical_seed_reproduces_everything(self):
-        cfg = tiny_config(seed=3)
-        a = run_pipeline(cfg, "grown")
-        b = run_pipeline(cfg, "grown")
+        # two parses, so the second run retrains its scratch targets too
+        a = run_pipeline(tiny_config(seed=3), "grown")
+        b = run_pipeline(tiny_config(seed=3), "grown")
         assert a.test_accuracies == b.test_accuracies
         assert a.ratios == b.ratios
         for t in a.snapshots:
@@ -197,8 +203,9 @@ class TestBaselines:
         res = baseline_scratch(cfg)
         assert [res.ratios[t] for t in res.task_ids] == [1.0, 2.0]
         # per-task outcome equals an isolated single-task run with same seed
+        # (on a fresh parse, whose memo holds none of the sequence's models)
         tasks = build_tasks(cfg)
-        solo = train_scratch_model(tasks[1], cfg, cfg.seed)
+        solo = train_scratch_model(tasks[1], tiny_config(n_tasks=2), cfg.seed)
         assert solo.test_accuracy == res.test_accuracies[2]
 
     def test_scratch_is_order_equivariant(self):
@@ -206,8 +213,9 @@ class TestBaselines:
         tasks = build_tasks(cfg)
         a = train_scratch_model(tasks[0], cfg, cfg.seed)
         b = train_scratch_model(tasks[1], cfg, cfg.seed)
-        b2 = train_scratch_model(tasks[1], cfg, cfg.seed)
-        a2 = train_scratch_model(tasks[0], cfg, cfg.seed)
+        again = tiny_config(n_tasks=2)   # retrains, in the other order
+        b2 = train_scratch_model(tasks[1], again, cfg.seed)
+        a2 = train_scratch_model(tasks[0], again, cfg.seed)
         assert (a.test_accuracy, b.test_accuracy) == (a2.test_accuracy, b2.test_accuracy)
 
     def test_grow_only_never_allocates_selection_masks(self):
@@ -527,3 +535,76 @@ class TestOneTaskView:
         assert counts["steps"] > 0 and counts["eval views"] > 0
         assert counts["released"] > 0 and counts["zero claim bits"] > 0
         assert counts["zero reuse bits"] > 0
+
+
+@pytest.fixture
+def scratch_trainings(monkeypatch):
+    """The task ids of the scratch models actually trained, in order."""
+    import growcl.driver as driver
+    trained = []
+    train_phase = driver.TaskTrainer.train_phase
+
+    def counting(self, phase, *args, **kwargs):
+        if phase == "scratch":
+            trained.append(self.spec.task_id)
+        return train_phase(self, phase, *args, **kwargs)
+
+    monkeypatch.setattr(driver.TaskTrainer, "train_phase", counting)
+    return trained
+
+
+def one_epoch_config(seed=0):
+    return tiny_config(seed=seed, n_tasks=1, epochs={"scratch": 1})
+
+
+class TestScratchMemo:
+    """``train_scratch_model`` memoizes its outcomes on the parsed config."""
+
+    def test_table_trains_each_scratch_model_once(self, scratch_trainings, tmp_path):
+        cfg = tiny_config(n_tasks=2)
+        for mode in ("scratch", "grown", "grow_only"):
+            save_run(run_pipeline(cfg, mode), tmp_path / "shared" / mode)
+        assert scratch_trainings == [1, 2]
+        # the same bytes as runs that train their own scratch targets
+        for mode in ("grown", "grow_only"):
+            save_run(run_pipeline(tiny_config(n_tasks=2), mode), tmp_path / "fresh" / mode)
+            assert first_difference(tmp_path / "shared" / mode,
+                                    tmp_path / "fresh" / mode) is None
+        assert scratch_trainings == [1, 2] * 3
+
+    @pytest.mark.parametrize("variant", [
+        lambda task, cfg: (task, one_epoch_config(), cfg.seed),
+        lambda task, cfg: (task, dataclasses.replace(cfg, epochs={"scratch": 2}), cfg.seed),
+        lambda task, cfg: (task, cfg, cfg.seed + 1),
+        lambda task, cfg: (build_tasks(one_epoch_config(seed=5))[0], cfg, cfg.seed),
+    ], ids=["fresh-parse", "replaced-epochs", "other-seed", "same-id-other-data"])
+    def test_trains_again_outside_the_key(self, scratch_trainings, variant):
+        cfg = one_epoch_config()
+        task = build_tasks(cfg)[0]
+        first = train_scratch_model(task, cfg, cfg.seed)
+        assert train_scratch_model(task, cfg, cfg.seed) == first
+        assert scratch_trainings == [1]
+        train_scratch_model(*variant(task, cfg))
+        assert scratch_trainings == [1, 1]
+
+    def test_outcome_is_a_copy(self, scratch_trainings):
+        cfg = one_epoch_config()
+        task = build_tasks(cfg)[0]
+        outcome = train_scratch_model(task, cfg, cfg.seed)
+        expected = copy.deepcopy(outcome)
+        outcome.val_accuracy = -1.0
+        outcome.epoch_log[0].loss = -1.0
+        outcome.epoch_log.extend(outcome.epoch_log)
+        assert train_scratch_model(task, cfg, cfg.seed) == expected
+        assert scratch_trainings == [1]
+
+    def test_memo_is_no_part_of_the_config(self):
+        cfg, other = one_epoch_config(), one_epoch_config()
+        train_scratch_model(build_tasks(cfg)[0], cfg, cfg.seed)
+        assert cfg.scratch_outcomes and not other.scratch_outcomes
+        assert "scratch_outcomes" not in cfg.resolved
+        assert cfg.digest == other.digest
+        assert repr(cfg) == repr(other) and "scratch_outcomes" not in repr(cfg)
+        assert cfg == other
+        with pytest.raises(ConfigError, match="scratch_outcomes"):
+            parse_config_data({"scratch_outcomes": {}})

@@ -1,9 +1,6 @@
 """Medium-weight end-to-end behavior checks (heavier runs live in
 test_acceptance.py)."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -14,16 +11,7 @@ from growcl.driver import build_tasks, run_pipeline, train_scratch_model
 from growcl.persist import save_run
 from growcl.rng import SeededRng
 
-from oracles import backward_pass_full, forward_pass_full
-
-RUNDIFF = Path(__file__).resolve().parents[1] / "bench" / "rundiff.py"
-
-
-def first_difference(dir_a, dir_b):
-    spec = importlib.util.spec_from_file_location("bench_rundiff", RUNDIFF)
-    rundiff = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(rundiff)
-    return rundiff.first_difference(dir_a, dir_b)
+from oracles import backward_pass_full, first_difference, forward_pass_full
 
 
 class TestFirstTaskAttainment:
@@ -82,18 +70,22 @@ class TestChanceLevelSanity:
 class TestCompactionKeepsRunBytes:
     """At the default arch, compacted passes write the run directory the
     full-width passes write, byte for byte.  Group norm is on, so the
-    scatter and gather around it run through the trainer too."""
+    scatter and gather around it run through the trainer too.  Each run
+    parses its own config, so the full-width one trains its own scratch
+    targets instead of reading the compacted run's from the config's memo."""
 
     @pytest.mark.parametrize("mode", ["grown", "grow_only"])
     def test_run_directory_matches_full_width_passes(self, mode, tmp_path, monkeypatch):
-        cfg = parse_config_data({
-            "seed": 0,
-            "arch": {"group_norm": True},
-            "tasks": {"n_tasks": 2},
-            "epochs": {"task1": 1, "pick": 1, "expand": 1, "scratch": 1},
-        })
-        save_run(run_pipeline(cfg, mode), tmp_path / "compacted")
+        def config():
+            return parse_config_data({
+                "seed": 0,
+                "arch": {"group_norm": True},
+                "tasks": {"n_tasks": 2},
+                "epochs": {"task1": 1, "pick": 1, "expand": 1, "scratch": 1},
+            })
+
+        save_run(run_pipeline(config(), mode), tmp_path / "compacted")
         monkeypatch.setattr(growcl.driver, "forward_pass", forward_pass_full)
         monkeypatch.setattr(growcl.driver, "backward_pass", backward_pass_full)
-        save_run(run_pipeline(cfg, mode), tmp_path / "full")
+        save_run(run_pipeline(config(), mode), tmp_path / "full")
         assert first_difference(tmp_path / "compacted", tmp_path / "full") is None
