@@ -52,6 +52,72 @@ def test_temperature_must_be_positive():
         parse_config_data({"temperature": {"end": 0.0}})
 
 
+INF = float("inf")
+# every numeric key: (section, key, low, high, range as the message cites it);
+# the brackets say which bounds are open, integer keys have int bounds
+NUMERIC_ROWS = [
+    ("config", "seed", 0, 2**64 - 1, "[0, 1.84467e+19]"),
+    ("config", "lambda_l0", 0.0, INF, "[0, inf)"),
+    ("config", "learning_rate", 0.0, INF, "(0, inf)"),
+    ("config", "momentum", 0.0, 1.0, "[0, 1)"),
+    ("config", "batch_size", 1, 10**6, "[1, 1e+06]"),
+    ("config", "growth_cap", 0.0, 1.0, "(0, 1]"),
+    ("config", "target_slack", 0.0, 1.0, "[0, 1)"),
+    ("config.temperature", "start", 0.0, INF, "(0, inf)"),
+    ("config.temperature", "end", 0.0, INF, "(0, inf)"),
+    *(("config.epochs", phase, 1, 10**6, "[1, 1e+06]")
+      for phase in ("task1", "pick", "expand", "scratch")),
+    ("config.tasks", "n_tasks", 1, 64, "[1, 64]"),
+    ("config.tasks", "classes_per_task", 2, 64, "[2, 64]"),
+    ("config.tasks", "samples_per_class", 10, 10**5, "[10, 100000]"),
+    ("config.tasks", "image_size", 8, 256, "[8, 256]"),
+    ("config.tasks", "difficulty", 0.0, 1.0, "(0, 1]"),
+    ("config.arch", "image_size", 8, 256, "[8, 256]"),
+    ("config.arch", "in_channels", 1, 16, "[1, 16]"),
+    ("config.arch.layers[0]", "capacity", 1, 4096, "[1, 4096]"),
+    ("config.arch.layers[0]", "seed_channels", 0, 12, "[0, 12]"),   # capacity 12
+    ("config.arch.layers[0]", "kernel", 1, 9, "[1, 9]"),
+    ("config.arch.layers[0]", "stride", 1, 4, "[1, 4]"),
+    ("config.arch.layers[0]", "pad", 0, 8, "[0, 8]"),
+    ("config.arch.layers[0]", "pool", 0, 8, "[0, 8]"),
+]
+
+
+def _one_fault(where: str, key: str, value) -> dict:
+    """A config that is valid but for ``where.key = value``."""
+    if where == "config":
+        return {key: value}
+    if where.startswith("config.arch.layers"):
+        return {"arch": {"layers": [{"capacity": 12, key: value}]}}
+    return {where.removeprefix("config."): {key: value}}
+
+
+def _fault_cases():
+    for where, key, lo, hi, text in NUMERIC_ROWS:
+        name = f"{where}.{key}"
+        integer = isinstance(lo, int)
+        step = 1 if integer else 1e-9
+        below = lo if text[0] == "(" else lo - step
+        yield pytest.param(where, key, below, f"{name} = {below!r} outside {text}",
+                           id=f"{name}-below")
+        above = hi if text[-1] == ")" else hi + step
+        yield pytest.param(where, key, above, f"{name} = {above!r} outside {text}",
+                           id=f"{name}-above")
+        yield pytest.param(where, key, True, f"{name} must be a number, got True",
+                           id=f"{name}-bool")
+        if integer:
+            yield pytest.param(where, key, lo + 0.5,
+                               f"{name} must be an integer, got {lo + 0.5!r}",
+                               id=f"{name}-fraction")
+
+
+@pytest.mark.parametrize("where, key, value, message", _fault_cases())
+def test_one_numeric_fault_gives_its_exact_message(where, key, value, message):
+    with pytest.raises(ConfigError) as e:
+        parse_config_data(_one_fault(where, key, value))
+    assert str(e.value) == message
+
+
 def test_layer_capacity_required():
     with pytest.raises(ConfigError):
         parse_config_data({"arch": {"layers": [{"seed_channels": 2}]}})
