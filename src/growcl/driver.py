@@ -47,7 +47,7 @@ from .backbone import (
     forward_pass,
     task_view,
 )
-from .config import RunConfig
+from .config import RunConfig, check_target_count
 from .data import Task, TaskSequence, load_group_file, load_idx, split_by_class, synth_tasks
 from .growth import (
     ContractViolation,
@@ -372,10 +372,10 @@ class TaskTrainer:
     # -- phases --------------------------------------------------------------
 
     def temperature(self, epoch: int, total: int) -> float:
+        start, end = self.config.temperature["start"], self.config.temperature["end"]
         if total <= 1:
-            return self.config.temp_end
-        frac = epoch / (total - 1)
-        return self.config.temp_start + (self.config.temp_end - self.config.temp_start) * frac
+            return end
+        return start + (end - start) * (epoch / (total - 1))
 
     def validation_accuracy(self) -> float:
         return _dataset_accuracy(self.backbone, self.build_train_view(), self.task.val)
@@ -597,16 +597,9 @@ def run_id(mode: str, config: RunConfig) -> str:
 
 def build_tasks(config: RunConfig) -> TaskSequence:
     rng = SeededRng(config.seed).substream("data")
-    src = config.task_source
+    src = config.tasks
     if src["source"] == "synthetic":
-        return synth_tasks(
-            rng,
-            n_tasks=src["n_tasks"],
-            classes_per_task=src["classes_per_task"],
-            samples_per_class=src["samples_per_class"],
-            image_size=src["image_size"],
-            difficulty=src["difficulty"],
-        )
+        return synth_tasks(rng, **{key: value for key, value in src.items() if key != "source"})
     dataset = load_idx(src["images"], src["labels"])
     groups = load_group_file(src["groups"])
     return split_by_class(dataset, groups, rng)
@@ -615,13 +608,9 @@ def build_tasks(config: RunConfig) -> TaskSequence:
 def resolve_targets(tasks: TaskSequence, config: RunConfig) -> dict[int, float]:
     """Explicit targets from config, else scratch accuracy minus the slack."""
     if config.target_accuracy is not None:
-        values = config.target_accuracy
+        values = config.target_accuracy   # run_pipeline checked its length
         if len(values) == 1:
             values = values * len(tasks)
-        if len(values) != len(tasks):
-            raise ValueError(
-                f"{len(values)} target accuracies for {len(tasks)} tasks"
-            )
         return {task.task_id: values[i] for i, task in enumerate(tasks)}
     targets = {}
     for task in tasks:
@@ -717,6 +706,7 @@ def run_pipeline(config: RunConfig, mode: str) -> RunResult:
     comparison isolates the mask/claim/retrain machinery rather than the
     growth budget.
     """
+    check_target_count(config)
     if mode == "scratch":
         return baseline_scratch(config)
     if mode not in ("grown", "grow_only"):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import BackboneState
-from .config import ConfigError, arch_dict, parse_arch
+from .config import ConfigError, _typed, arch_dict, parse_arch
 from .driver import EpochLogEntry, RunResult, TaskSnapshot, _frozen, run_id
 from .growth import ratio_label
 from .store import StoreFormatError, read_container, write_container, write_text_atomic
@@ -82,11 +82,6 @@ def _field(header: dict, key: str, path: str | Path):
     if key not in header:
         raise StoreFormatError(f"{path}: header lacks {key!r}")
     return header[key]
-
-
-def _typed(value, types) -> bool:
-    """Whether a JSON value has one of ``types``; a bool counts only as bool."""
-    return isinstance(value, types) and (type(value) is bool) == (types is bool)
 
 
 # header key -> the JSON type load_snapshot needs; "layers" holds str names

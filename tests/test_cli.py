@@ -70,8 +70,11 @@ class TestRunCommand:
         b'{"target_accuracy": [true]}',
         b'{"target_accuracy": []}',
         b'{"tasks": {"n_tasks": 2}, "target_accuracy": [0.5, 0.5, 0.5]}',
+        b'{"seed": Infinity}',   # Python's json reads Infinity and NaN as floats
+        b'{"epochs": {"pick": NaN}}',
     ], ids=["unknown-key", "tasks-int", "temperature-str", "arch-list", "epochs-null",
-            "not-utf8", "directory", "target-bool", "target-empty", "target-count"])
+            "not-utf8", "directory", "target-bool", "target-empty", "target-count",
+            "seed-infinity", "epochs-nan"])
     def test_bad_config_is_usage_error(self, tmp_path, out_root, capsys, content):
         cfg = tmp_path / "bad.json"
         if content is None:
@@ -168,6 +171,24 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--mode", "grown"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not any(out_root.iterdir())
+
+    @pytest.mark.parametrize("mode", ["scratch", "grown", "grow_only"])
+    def test_idx_target_count_is_usage_error_before_training(
+            self, tmp_path, out_root, monkeypatch, capsys, mode):
+        # the groups file holds 2 tasks; no mode may train on 3 targets
+        import growcl.driver
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(growcl.driver.TaskTrainer, "train_phase", no_training)
+        cfg = self.idx_config(tmp_path)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()),
+                                   "target_accuracy": [0.5, 0.5, 0.5]}))
+        assert main(["run", "--config", str(cfg), "--mode", mode]) == 2
+        assert capsys.readouterr().err == (
+            "error: config.target_accuracy has 3 values for 2 tasks (give 1 or 2)\n")
         assert not any(out_root.iterdir())
 
     def test_missing_idx_files_are_usage_error(self, tmp_path, out_root):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growcl.config import DEFAULTS, ConfigError, parse_config, parse_config_data
+from growcl.config import DEFAULTS, ConfigError, parse_arch, parse_config, parse_config_data
 
 
 def test_empty_object_gives_full_defaults():
@@ -14,7 +14,7 @@ def test_empty_object_gives_full_defaults():
     assert cfg.growth_cap == 0.6
     assert cfg.epochs["task1"] >= 1
     assert cfg.arch.layers[0].name == "conv1"
-    assert cfg.task_source["source"] == "synthetic"
+    assert cfg.tasks["source"] == "synthetic"
 
 
 def test_digest_stable_across_parses():
@@ -173,7 +173,8 @@ def test_bad_target_accuracy_rejected(target, match):
 
 def test_idx_target_count_is_checked_against_the_groups_file():
     # the task count of an idx source is known once its groups file is read,
-    # so the parser leaves the length to driver.resolve_targets
+    # so the parser leaves the length to config.check_target_count, which
+    # driver.run_pipeline calls before any mode trains
     cfg = parse_config_data({"target_accuracy": [0.9, 0.8, 0.7], "tasks": {
         "source": "idx", "images": "i", "labels": "l", "groups": "g"}})
     assert cfg.target_accuracy == (0.9, 0.8, 0.7)
@@ -207,8 +208,30 @@ def _layer(capacity: int):
     return st.fixed_dictionaries({"capacity": st.just(capacity)}, optional={
         "seed_channels": st.integers(0, capacity),
         "kernel": st.sampled_from([1, 3, 5]),
+        "stride": st.integers(1, 4),
+        "pad": st.integers(0, 8),
         "pool": st.sampled_from([0, 2]),
+        "name": st.text(min_size=1, max_size=6),
     })
+
+
+def _arch_parses(arch: dict) -> bool:
+    """Whether parse_arch accepts ``arch`` (strides, pads and names drawn
+    independently can break the spatial rules or repeat a name)."""
+    try:
+        parse_arch(arch, "arch")
+    except ConfigError:
+        return False
+    return True
+
+
+def _task_image_size_follows_arch(data: dict) -> dict:
+    """``data`` with a synthetic suite's ``tasks.image_size`` set to the
+    drawn ``arch.image_size``, which it must equal."""
+    size, tasks = data.get("arch", {}).get("image_size"), data.get("tasks", {})
+    if size is None or tasks.get("source") == "idx":
+        return data
+    return {**data, "tasks": {**tasks, "image_size": size}}
 
 
 def _target_count_fits(data: dict) -> bool:
@@ -222,9 +245,11 @@ _FRACTION = st.floats(0.01, 1.0)
 CONFIGS = st.fixed_dictionaries({}, optional={
     "seed": st.integers(0, 2**64 - 1),
     "arch": st.fixed_dictionaries({}, optional={
+        "image_size": st.integers(8, 256),
+        "in_channels": st.integers(1, 16),
         "group_norm": st.booleans(),
         "layers": st.lists(st.integers(1, 24).flatmap(_layer), min_size=1, max_size=2),
-    }),
+    }).filter(_arch_parses),
     "lambda_l0": st.floats(0.0, 1e3),
     "temperature": st.fixed_dictionaries({}, optional={
         "start": st.floats(0.01, 10.0), "end": st.floats(0.01, 10.0)}),
@@ -244,7 +269,7 @@ CONFIGS = st.fixed_dictionaries({}, optional={
         "groups": st.text(),
     }),
     "output_dir": st.none() | st.text(),
-}).filter(_target_count_fits)
+}).filter(_target_count_fits).map(_task_image_size_follows_arch)
 
 
 @given(data=CONFIGS)
