@@ -18,6 +18,7 @@ from .driver import run_id, run_pipeline
 from .enumcheck import run_sweep
 from .growth import ContractViolation, GrowthCapError
 from .persist import accuracy_csv, read_manifest, save_run, size_csv
+from .rng import SeededRng
 from .store import StoreFormatError, write_text_atomic
 
 EXIT_OK = 0
@@ -70,6 +71,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
         print(f"error: --out {args.out} is not a file in an existing directory",
               file=sys.stderr)
+        return EXIT_USAGE
+    try:   # SeededRng owns the seed's range
+        SeededRng(args.seed)
+    except ValueError as e:
+        print(f"error: --seed: {e}", file=sys.stderr)
         return EXIT_USAGE
     failures = []
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -135,10 +135,16 @@ class RunConfig:
     target_accuracy: tuple[float, ...] | None
     tasks: dict
     output_dir: str | None
-    resolved: dict = field(repr=False, compare=False, default_factory=dict)
     # driver.train_scratch_model's outcomes under this config; not a knob, so outside
     # ``resolved`` and the digest, and ``dataclasses.replace`` starts an empty memo
     scratch_outcomes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    @property
+    def resolved(self) -> dict:
+        """The fields as the JSON object ``parse_config_data`` reads back to this config."""
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        return {**values, "arch": arch_dict(self.arch), "target_accuracy":
+                None if self.target_accuracy is None else list(self.target_accuracy)}
 
     @property
     def digest(self) -> str:
@@ -204,17 +210,17 @@ def arch_dict(arch: ArchSpec) -> dict:
 
 
 def parse_config_data(data: dict) -> RunConfig:
-    fields = _read(data, _TOP, "config", DEFAULTS)
-    fields["temperature"] = _read(data.get("temperature", {}), _TEMPERATURE, "config.temperature")
-    fields["epochs"] = _read(data.get("epochs", {}), _EPOCHS, "config.epochs")
+    values = _read(data, _TOP, "config", DEFAULTS)
+    values["temperature"] = _read(data.get("temperature", {}), _TEMPERATURE, "config.temperature")
+    values["epochs"] = _read(data.get("epochs", {}), _EPOCHS, "config.epochs")
     arch = parse_arch(data.get("arch", {}), "config.arch")
     target = data.get("target_accuracy", DEFAULTS["target_accuracy"])
     if target is not None:
-        values = target if isinstance(target, list) else [target]
-        if not values or not all(_typed(t, (int, float)) and 0.0 < t <= 1.0 for t in values):
+        targets = target if isinstance(target, list) else [target]
+        if not targets or not all(_typed(t, (int, float)) and 0.0 < t <= 1.0 for t in targets):
             raise ConfigError("config.target_accuracy must be null, a fraction in (0, 1], "
                               f"or a non-empty list of them, got {target!r}")
-        target = tuple(float(t) for t in values)
+        target = tuple(float(t) for t in targets)
 
     tasks = _section(data.get("tasks", {}), "config.tasks")
     source = tasks.get("source", DEFAULTS["tasks"]["source"])
@@ -236,9 +242,8 @@ def parse_config_data(data: dict) -> RunConfig:
     if output_dir is not None and not _typed(output_dir, str):
         raise ConfigError(f"config.output_dir must be a string path, got {output_dir!r}")
 
-    fields.update(arch=arch, target_accuracy=target, tasks=tasks, output_dir=output_dir)
-    config = RunConfig(**fields, resolved={**fields, "arch": arch_dict(arch),
-                       "target_accuracy": None if target is None else list(target)})
+    values.update(arch=arch, target_accuracy=target, tasks=tasks, output_dir=output_dir)
+    config = RunConfig(**values)
     if source == "synthetic":   # an idx source's task count is in its groups file
         check_target_count(config)
     return config

@@ -167,27 +167,20 @@ def _split_indices(n: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def synth_tasks(rng: SeededRng, n_tasks: int, classes_per_task: int,
-                samples_per_class: int, image_size: int = 16,
-                difficulty: float = 1.0) -> TaskSequence:
+                samples_per_class: int, image_size: int,
+                difficulty: float) -> TaskSequence:
     """Stripe- and blob-pattern classification tasks.
 
     Odd tasks render oriented stripe gratings (one orientation per class);
     even tasks render constellations of Gaussian blobs (one layout per
     class) over a class-irrelevant stripe texture.  Samples get a random
     translation plus pixel noise, so features transfer well between
-    same-family tasks and poorly across families.  ``difficulty`` in (0, 1]
-    trades class separation against noise: 1.0 is the calibrated easy
-    setting.
+    same-family tasks and poorly across families.  ``difficulty`` trades
+    class separation against noise: 1.0 is the calibrated easy setting.
+
+    The arguments arrive validated: ``config.py``'s ``_SYNTHETIC`` table
+    holds their defaults and bounds, and this function checks none of them.
     """
-    if n_tasks < 1 or classes_per_task < 2 or samples_per_class < 10:
-        raise ValueError(
-            f"need n_tasks>=1, classes_per_task>=2, samples_per_class>=10; "
-            f"got {n_tasks}, {classes_per_task}, {samples_per_class}"
-        )
-    if not 0.0 < difficulty <= 1.0:
-        raise ValueError(f"difficulty must be in (0, 1], got {difficulty}")
-    if image_size < 8:
-        raise ValueError(f"image_size must be >= 8, got {image_size}")
     # per-family noise, calibrated so a full-capacity model clears 0.9 test
     # accuracy at difficulty 1.0; lower difficulty scales noise up to
     # chance-level hard

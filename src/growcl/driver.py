@@ -25,7 +25,7 @@ byte-for-byte, and the forgetting check re-verifies every earlier
 fingerprint at every task boundary.  ``scratch`` trains an independent
 full-capacity model per task with the same trainer: a fresh backbone whose
 slots all train, with the keep-all reuse and claim masks of ``grow_only``
-and growth switched off.  Scratch outcomes are memoized on the parsed
+and no target, so it never grows.  Scratch outcomes are memoized on the parsed
 config: ``grown`` and ``grow_only`` targets reuse the models a ``scratch``
 run of the same config object trained.
 """
@@ -47,7 +47,7 @@ from .backbone import (
     forward_pass,
     task_view,
 )
-from .config import RunConfig, check_target_count
+from .config import ConfigError, RunConfig, check_target_count
 from .data import Task, TaskSequence, load_group_file, load_idx, split_by_class, synth_tasks
 from .growth import (
     ContractViolation,
@@ -87,20 +87,6 @@ CLAIM_INIT = 1.0
 # task tries and then drops are pruned for good at finalize, so unbounded
 # exploration would exhaust the slot pool within one task.
 EXPLORE_PER_EPOCH = 1
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    task_id: int
-    task: Task
-    target_accuracy: float
-    growth_cap: float
-
-    def __post_init__(self):
-        if not 0.0 < self.target_accuracy <= 1.0:
-            raise ValueError(f"target accuracy {self.target_accuracy} outside (0, 1]")
-        if not 0.0 < self.growth_cap <= 1.0:
-            raise ValueError(f"growth cap {self.growth_cap} outside (0, 1]")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -173,10 +159,11 @@ class TaskTrainer:
 
     ``kernel_masks`` chooses whether the reuse and claim logits learn and
     ride in the snapshot; without it (``grow_only`` and scratch models) they
-    stay at their keep-all +1 start.  Gate logits learn in grow phases.
+    stay at their keep-all +1 start.  Gate logits learn only in a phase given
+    a target accuracy (``train_phase``), which grows under ``config.growth_cap``.
     """
 
-    def __init__(self, backbone: BackboneState, spec: TaskSpec, config: RunConfig,
+    def __init__(self, backbone: BackboneState, task: Task, config: RunConfig,
                  kernel_masks: bool, root_rng: SeededRng,
                  streams: dict[str, SeededRng] | None = None):
         """Random streams are ``task{t}/<name>`` under ``root_rng``;
@@ -184,11 +171,10 @@ class TaskTrainer:
         own ``init``, which has already drawn its conv weights, and
         ``batches``)."""
         self.backbone = backbone
-        self.spec = spec
-        self.task = spec.task
+        self.task = task
         self.config = config
         self.kernel_masks = kernel_masks
-        t = spec.task_id
+        t = task.task_id
         named = {name: root_rng.substream(f"task{t}/{name}")
                  for name in ("gumbel", "growth", "batches", "init")}
         named.update(streams or {})
@@ -237,14 +223,14 @@ class TaskTrainer:
         self.lam_eff = config.lambda_l0
         self.gate_lr = config.learning_rate * GATE_LR_SCALE
         self.select_lr = config.learning_rate * SELECT_LR_SCALE
-        self.grow_phase = False
+        self.target: float | None = None   # the running phase's; None: no growth
 
     # -- view -------------------------------------------------------------
 
     def build_train_view(self) -> TaskView:
         """The task's current sub-network, at the hard bits of its logits."""
         return task_view(
-            self.backbone, self.spec.task_id,
+            self.backbone, self.task.task_id,
             {name: m.hard_bits() for name, m in self.reuse_masks.items()},
             {name: m.hard_bits() for name, m in self.claim_masks.items()},
             self.head_weight, self.head_bias, self.norm_scale, self.norm_shift,
@@ -289,7 +275,7 @@ class TaskTrainer:
 
     def _enforce_cap(self) -> None:
         logits = {name: m.logits for name, m in self.grow_masks.items()}
-        enforce_growth_cap(self.backbone, logits, self.spec.growth_cap)
+        enforce_growth_cap(self.backbone, logits, self.config.growth_cap)
 
     # -- one optimization step ---------------------------------------------
 
@@ -316,7 +302,8 @@ class TaskTrainer:
         logits, cache = forward_pass(self.backbone, view, images, want_cache=True)
         loss, dlogits = cross_entropy(logits, labels)
         grads = backward_pass(self.backbone, cache, dlogits)
-        learns_masks = self.kernel_masks or self.grow_phase
+        grows = self.target is not None
+        learns_masks = self.kernel_masks or grows
 
         penalty_value = 0.0
         for layer in self.backbone.layers:
@@ -354,7 +341,7 @@ class TaskTrainer:
                 self._update(f"{name} claim logits", d_logits, self.select_lr, row_grid)
 
             # channel-gate logits: data sensitivity plus the sparsity surrogate
-            if self.grow_phase:
+            if grows:
                 grow = self.grow_masks[name]
                 d_gate = (d_mult * np.where(rows[:, None], mult, 0.0)).sum(axis=1)
                 queryable = (layer.slot_state != SlotState.FIXED) & \
@@ -380,36 +367,40 @@ class TaskTrainer:
     def validation_accuracy(self) -> float:
         return _dataset_accuracy(self.backbone, self.build_train_view(), self.task.val)
 
-    def train_phase(self, phase: str, n_epochs: int, grow: bool,
-                    epoch_log: list[EpochLogEntry]) -> None:
-        self.grow_phase = grow
+    def train_phase(self, phase: str, n_epochs: int, epoch_log: list[EpochLogEntry],
+                    target: float | None = None) -> None:
+        """Train ``n_epochs`` epochs, logging each.  Given a ``target`` accuracy the
+        phase grows: gate logits learn, and each epoch's ``query_epoch`` may try
+        new channels while validation accuracy is below the target.  Without
+        one, no slot changes state and no gate logit moves."""
+        self.target = target
         train = self.task.train
         n = len(train)
         bs = self.config.batch_size
         val_acc = None
         for epoch in range(n_epochs):
             temp = self.temperature(epoch, n_epochs)
-            if grow:
+            if target is not None:
                 if val_acc is None:
                     val_acc = self.validation_accuracy()
-                self.query_epoch(temp, need_growth=val_acc < self.spec.target_accuracy)
+                self.query_epoch(temp, need_growth=val_acc < target)
             order = self.batches.permutation(n)
             losses = []
             for start in range(0, n, bs):
                 idx = order[start:start + bs]
                 losses.append(self.train_step(train.images[idx], train.labels[idx], temp))
             loss = float(np.mean(losses))
-            self._check_finite(loss, f"task {self.spec.task_id}, {phase} epoch {epoch}")
+            self._check_finite(loss, f"task {self.task.task_id}, {phase} epoch {epoch}")
             val_acc = self.validation_accuracy()
             epoch_log.append(EpochLogEntry(
-                task_id=self.spec.task_id,
+                task_id=self.task.task_id,
                 phase=phase,
                 epoch=epoch,
                 loss=loss,
                 val_accuracy=val_acc,
                 growth_ratio=self.backbone.growth_ratio(include_training=True),
             ))
-        self.grow_phase = False
+        self.target = None
 
     def _check_finite(self, loss: float, where: str) -> None:
         """Raise FloatingPointError when the epoch loss or any array this
@@ -427,7 +418,7 @@ class TaskTrainer:
         No query runs here: the active set is the one the head has adapted
         to, so fixing it cannot ablate features the task depends on.
         """
-        t = self.spec.task_id
+        t = self.task.task_id
         self._enforce_cap()   # no-op unless a caller skipped the epoch queries
         claim_bits = {name: m.hard_bits() for name, m in self.claim_masks.items()}
         for layer in self.backbone.layers:
@@ -483,8 +474,6 @@ def evaluate(task_id: int, backbone: BackboneState, snapshot: TaskSnapshot | Non
         raise KeyError(f"no snapshot for task {task_id}")
     if snapshot.task_id != task_id:
         raise KeyError(f"snapshot belongs to task {snapshot.task_id}, not {task_id}")
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
     view = build_eval_view(backbone, snapshot)
     return _dataset_accuracy(backbone, view, dataset)
 
@@ -511,7 +500,6 @@ def forgetting_check(snapshots: dict[int, TaskSnapshot],
 
 @dataclass
 class ScratchOutcome:
-    task_id: int
     val_accuracy: float
     test_accuracy: float
     epoch_log: list[EpochLogEntry]
@@ -527,34 +515,31 @@ def _task_digest(task: Task) -> str:
     return h.hexdigest()
 
 
-def train_scratch_model(task: Task, config: RunConfig, seed: int) -> ScratchOutcome:
+def train_scratch_model(task: Task, config: RunConfig) -> ScratchOutcome:
     """Train one full-capacity model on one task (keep-all masks, no growth).
 
     The model is a fresh backbone whose every slot trains, run by
-    ``TaskTrainer`` without kernel masks and with growth off.  All streams
-    derive from the task id, so the outcome is independent of the task's
-    position in any sequence.
+    ``TaskTrainer`` without kernel masks and without a target.  All streams
+    derive from the config's seed and the task id, so the outcome is
+    independent of the task's position in any sequence.
 
     Outcomes are memoized on the parsed config (``config.scratch_outcomes``),
-    keyed on the seed, the task id and class count, and the task's data
-    bytes: ``scratch``, ``grown`` and ``grow_only`` runs of one config train
-    each scratch model once.  Each call returns its own copy.
+    keyed on the task id and class count and the task's data bytes:
+    ``scratch``, ``grown`` and ``grow_only`` runs of one config train each
+    scratch model once.  Each call returns its own copy.
     """
-    key = (seed, task.task_id, task.n_classes, _task_digest(task))
+    key = (task.task_id, task.n_classes, _task_digest(task))
     if key not in config.scratch_outcomes:
-        rng = SeededRng(seed).substream(f"scratch/task{task.task_id}")
+        rng = SeededRng(config.seed).substream(f"scratch/task{task.task_id}")
         init = rng.substream("init")
         backbone = BackboneState(config.arch)
         for layer in backbone.layers:
             query_and_transition(layer, np.ones(layer.spec.out_channels), init)
-        spec = TaskSpec(task.task_id, task, target_accuracy=1.0, growth_cap=1.0)
-        trainer = TaskTrainer(backbone, spec, config, False, rng,
+        trainer = TaskTrainer(backbone, task, config, False, rng,
                               streams={"init": init, "batches": rng.substream("batches")})
         epoch_log: list[EpochLogEntry] = []
-        trainer.train_phase("scratch", config.epochs["scratch"], grow=False,
-                            epoch_log=epoch_log)
+        trainer.train_phase("scratch", config.epochs["scratch"], epoch_log)
         config.scratch_outcomes[key] = ScratchOutcome(
-            task_id=task.task_id,
             val_accuracy=epoch_log[-1].val_accuracy,
             test_accuracy=_dataset_accuracy(backbone, trainer.build_train_view(), task.test),
             epoch_log=epoch_log,
@@ -596,13 +581,20 @@ def run_id(mode: str, config: RunConfig) -> str:
 
 
 def build_tasks(config: RunConfig) -> TaskSequence:
+    """The config's task sequence; ConfigError unless its images fit ``config.arch``."""
     rng = SeededRng(config.seed).substream("data")
     src = config.tasks
     if src["source"] == "synthetic":
-        return synth_tasks(rng, **{key: value for key, value in src.items() if key != "source"})
-    dataset = load_idx(src["images"], src["labels"])
-    groups = load_group_file(src["groups"])
-    return split_by_class(dataset, groups, rng)
+        tasks = synth_tasks(rng, **{key: value for key, value in src.items() if key != "source"})
+    else:
+        tasks = split_by_class(load_idx(src["images"], src["labels"]),
+                               load_group_file(src["groups"]), rng)
+    want = (config.arch.in_channels, config.arch.image_size, config.arch.image_size)
+    got = tasks[0].train.images.shape[1:]   # every task shares its source's shape
+    if got != want:
+        raise ConfigError(f"config.arch takes images of shape {want}, but the tasks' "
+                          f"images have shape {got}")
+    return tasks
 
 
 def resolve_targets(tasks: TaskSequence, config: RunConfig) -> dict[int, float]:
@@ -614,7 +606,7 @@ def resolve_targets(tasks: TaskSequence, config: RunConfig) -> dict[int, float]:
         return {task.task_id: values[i] for i, task in enumerate(tasks)}
     targets = {}
     for task in tasks:
-        outcome = train_scratch_model(task, config, config.seed)
+        outcome = train_scratch_model(task, config)
         targets[task.task_id] = max(1e-6, outcome.val_accuracy - config.target_slack)
     return targets
 
@@ -638,19 +630,18 @@ def _check_boundary(result: RunResult, digests_before: dict, after_task: int) ->
     return digests_now
 
 
-def train_task1(backbone: BackboneState, spec: TaskSpec, config: RunConfig,
+def train_task1(backbone: BackboneState, task: Task, target: float, config: RunConfig,
                 kernel_masks: bool, root: SeededRng,
                 epoch_log: list[EpochLogEntry]) -> TaskSnapshot:
     """Sparse-grow the seed backbone on the first task and freeze it."""
     if backbone.active_params(include_training=False) != 0:
         raise ContractViolation("task 1 requires an empty ownership ledger")
-    trainer = TaskTrainer(backbone, spec, config, kernel_masks, root)
-    trainer.train_phase("grow", config.epochs["task1"], grow=True,
-                        epoch_log=epoch_log)
+    trainer = TaskTrainer(backbone, task, config, kernel_masks, root)
+    trainer.train_phase("grow", config.epochs["task1"], epoch_log, target)
     return trainer.finalize()
 
 
-def pick_and_reuse(backbone: BackboneState, spec: TaskSpec, config: RunConfig,
+def pick_and_reuse(backbone: BackboneState, task: Task, config: RunConfig,
                    root: SeededRng,
                    epoch_log: list[EpochLogEntry]) -> tuple[TaskTrainer, float]:
     """Adapt frozen weights to a new task without growing.
@@ -660,19 +651,17 @@ def pick_and_reuse(backbone: BackboneState, spec: TaskSpec, config: RunConfig,
     (for a possible expansion) plus the candidate validation accuracy, which
     is the one the last pick epoch logged.
     """
-    if spec.task_id < 2:
+    if task.task_id < 2:
         raise ContractViolation("pick_and_reuse applies to tasks 2..T")
-    trainer = TaskTrainer(backbone, spec, config, True, root)
-    trainer.train_phase("pick", config.epochs["pick"], grow=False,
-                        epoch_log=epoch_log)
+    trainer = TaskTrainer(backbone, task, config, True, root)
+    trainer.train_phase("pick", config.epochs["pick"], epoch_log)
     return trainer, epoch_log[-1].val_accuracy
 
 
-def expand_task(trainer: TaskTrainer,
+def expand_task(trainer: TaskTrainer, target: float,
                 epoch_log: list[EpochLogEntry]) -> TaskSnapshot:
-    """Grow the backbone for a task whose candidate accuracy missed target."""
-    trainer.train_phase("expand", trainer.config.epochs["expand"], grow=True,
-                        epoch_log=epoch_log)
+    """Grow the backbone for a task whose candidate accuracy missed ``target``."""
+    trainer.train_phase("expand", trainer.config.epochs["expand"], epoch_log, target)
     return trainer.finalize()
 
 
@@ -688,7 +677,7 @@ def baseline_scratch(config: RunConfig) -> RunResult:
     tasks = build_tasks(config)
     result = RunResult(mode="scratch", config=config)
     for i, task in enumerate(tasks, start=1):
-        outcome = train_scratch_model(task, config, config.seed)
+        outcome = train_scratch_model(task, config)
         result.epoch_log.extend(outcome.epoch_log)
         result.val_accuracies[task.task_id] = outcome.val_accuracy
         result.test_accuracies[task.task_id] = outcome.test_accuracy
@@ -722,23 +711,20 @@ def run_pipeline(config: RunConfig, mode: str) -> RunResult:
                        targets=targets)
     digests: dict = {}
     for task in tasks:
-        t = task.task_id
-        spec = TaskSpec(t, task, targets[t], config.growth_cap)
+        t, target = task.task_id, targets[task.task_id]
         if t == 1:
-            snapshot = train_task1(backbone, spec, config, kernel_masks, root,
+            snapshot = train_task1(backbone, task, target, config, kernel_masks, root,
                                    result.epoch_log)
         elif mode == "grown":
-            trainer, pick_acc = pick_and_reuse(backbone, spec, config, root,
-                                               result.epoch_log)
-            expanded = pick_acc < spec.target_accuracy
-            result.gate_log.append(
-                GateLogEntry(t, pick_acc, spec.target_accuracy, expanded)
-            )
-            snapshot = expand_task(trainer, result.epoch_log) if expanded else trainer.finalize()
+            trainer, pick_acc = pick_and_reuse(backbone, task, config, root, result.epoch_log)
+            expanded = pick_acc < target
+            result.gate_log.append(GateLogEntry(t, pick_acc, target, expanded))
+            snapshot = (expand_task(trainer, target, result.epoch_log) if expanded
+                        else trainer.finalize())
         else:
-            trainer = TaskTrainer(backbone, spec, config, False, root)
+            trainer = TaskTrainer(backbone, task, config, False, root)
             trainer.train_phase("grow", config.epochs["pick"] + config.epochs["expand"],
-                                grow=True, epoch_log=result.epoch_log)
+                                result.epoch_log, target)
             snapshot = trainer.finalize()
         result.snapshots[t] = snapshot
         result.ratios[t] = ledger.record(t, backbone).growth_ratio

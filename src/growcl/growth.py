@@ -131,8 +131,6 @@ def enforce_growth_cap(backbone: BackboneState,
     FIXED slots are never touched; if they alone exceed the cap the run
     cannot proceed and a GrowthCapError is raised.
     """
-    if not 0.0 < cap_ratio <= 1.0:
-        raise ValueError(f"cap_ratio must be in (0, 1], got {cap_ratio}")
     budget = cap_ratio * backbone.arch.full_params
     fixed_params = backbone.active_params(include_training=False)
     if fixed_params > budget:

@@ -79,8 +79,6 @@ def gumbel_sigmoid(m_r, g0, g1, temperature: float) -> np.ndarray:
     p = exp((log sigmoid(m_r) + g0)/T) / (same + exp(g1/T)), computed by
     factoring out the larger exponent.  Output is strictly inside (0,1).
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
     m_r = np.asarray(m_r, dtype=np.float64)
     a = (log_sigmoid(m_r) + g0) / temperature
     b = np.asarray(g1, dtype=np.float64) / temperature
@@ -130,8 +128,6 @@ def l0_penalty(bits: np.ndarray, logits: np.ndarray,
     per logit, so shrinking pressure reaches every logit regardless of its
     current bit.
     """
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
     bits = np.asarray(bits, dtype=np.float64)
     logits = np.asarray(logits, dtype=np.float64)
     if logits.shape != bits.shape:

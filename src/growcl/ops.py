@@ -294,10 +294,6 @@ def sgd_step(param: np.ndarray, grad: np.ndarray, lr: float, momentum: float,
     if keep is not None and (keep.shape != param.shape or keep.dtype != bool):
         raise ShapeError(f"keep must be a bool array of shape {param.shape}, "
                          f"got {keep.dtype} {keep.shape}")
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
-    if not 0.0 <= momentum < 1.0:
-        raise ValueError(f"momentum must be in [0,1), got {momentum}")
     velocity *= momentum
     velocity += grad
     if keep is not None:

@@ -33,7 +33,6 @@ def canonical_json(obj) -> str:
 
 def write_container(path: str | Path, header: dict,
                     arrays: dict[str, np.ndarray]) -> None:
-    path = Path(path)
     chunks = [MAGIC]
     header_bytes = canonical_json(header).encode("utf-8")
     chunks.append(struct.pack("<I", len(header_bytes)))
@@ -51,10 +50,7 @@ def write_container(path: str | Path, header: dict,
         chunks.append(struct.pack("<BB", codes[0], arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(payload)
-    blob = b"".join(chunks)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(blob)
-    os.replace(tmp, path)
+    _write_atomic(path, b"".join(chunks))
 
 
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -101,7 +97,11 @@ def _parse_records(raw: bytes) -> tuple[object, dict[str, np.ndarray], int]:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
+    _write_atomic(path, text.encode("utf-8"))
+
+
+def _write_atomic(path: str | Path, data: bytes) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    tmp.write_bytes(data)
     os.replace(tmp, path)

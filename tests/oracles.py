@@ -345,7 +345,7 @@ def blob_image(size, centers, width, dx, dy):
 
 
 def synth_tasks_per_sample(rng, n_tasks, classes_per_task, samples_per_class,
-                           image_size=16, difficulty=1.0):
+                           image_size, difficulty):
     """``growcl.data.synth_tasks`` rendering and clipping each sample alone,
     with the same draws."""
     sigma_stripe = 0.55 * (2.0 - difficulty)

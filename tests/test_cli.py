@@ -125,16 +125,16 @@ class TestRunCommand:
         assert afile.read_text() == ""
 
     @staticmethod
-    def idx_config(tmp_path, groups_text="0 1\n2 3\n", **paths):
-        """A config over a 4-class IDX dataset and a groups file; ``paths``
-        overrides the images, labels or groups path."""
+    def idx_config(tmp_path, groups_text="0 1\n2 3\n", size=16, **paths):
+        """A config over a 4-class IDX dataset of ``size``-pixel images and a
+        groups file; ``paths`` overrides the images, labels or groups path."""
         import numpy as np
         from growcl.data import Dataset
         from oracles import save_idx
 
         r = np.random.default_rng(0)
         n_per = 40
-        images = np.clip(r.normal(0.5, 0.2, size=(4 * n_per, 1, 16, 16)), 0, 1)
+        images = np.clip(r.normal(0.5, 0.2, size=(4 * n_per, 1, size, size)), 0, 1)
         for c in range(4):   # give each class a distinctive bright corner
             block = images[c * n_per:(c + 1) * n_per]
             block[:, :, (c // 2) * 8:(c // 2) * 8 + 8, (c % 2) * 8:(c % 2) * 8 + 8] += 0.4
@@ -191,6 +191,29 @@ class TestRunCommand:
             "error: config.target_accuracy has 3 values for 2 tasks (give 1 or 2)\n")
         assert not any(out_root.iterdir())
 
+    @pytest.mark.parametrize("mode", ["scratch", "grown", "grow_only"])
+    @pytest.mark.parametrize("source, want, got", [
+        ("idx-28px", (1, 16, 16), (1, 28, 28)),
+        ("in-channels-2", (2, 16, 16), (1, 16, 16)),
+    ], ids=["idx-28px", "in-channels-2"])
+    def test_image_shape_is_usage_error_before_training(
+            self, tmp_path, out_root, monkeypatch, capsys, mode, source, want, got):
+        import growcl.driver
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(growcl.driver.TaskTrainer, "train_phase", no_training)
+        if source == "idx-28px":
+            cfg = self.idx_config(tmp_path, size=28)
+        else:
+            cfg = write_config(tmp_path, arch={**TINY["arch"], "in_channels": 2})
+        assert main(["run", "--config", str(cfg), "--mode", mode]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config.arch takes images of shape {want}, but the tasks' images "
+            f"have shape {got}\n")
+        assert not any(out_root.iterdir())
+
     def test_missing_idx_files_are_usage_error(self, tmp_path, out_root):
         cfg = tmp_path / "idx.json"
         cfg.write_text(json.dumps({
@@ -227,6 +250,18 @@ class TestVerifyCommand:
 
     def test_zero_instances_usage_error(self):
         assert main(["verify", "--instances", "0"]) == 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_is_usage_error(self, monkeypatch, capsys, seed):
+        import growcl.cli
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(growcl.cli, "run_sweep", no_sweep)
+        assert main(["verify", "--instances", "1", "--seed", seed]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --seed: seed must fit in 64 bits, got {seed}\n")
 
     def test_out_in_missing_directory_is_usage_error_before_sweep(
             self, tmp_path, monkeypatch, capsys):

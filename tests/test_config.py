@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -20,6 +21,12 @@ def test_empty_object_gives_full_defaults():
 def test_digest_stable_across_parses():
     assert parse_config_data({}).digest == parse_config_data({}).digest
     assert parse_config_data({}).digest != parse_config_data({"seed": 1}).digest
+
+
+def test_replaced_field_moves_the_digest():
+    replaced = dataclasses.replace(parse_config_data({}), seed=5)
+    assert replaced.resolved["seed"] == 5
+    assert replaced.digest == parse_config_data({"seed": 5}).digest
 
 
 def test_unknown_key_named():

@@ -83,22 +83,22 @@ class TestIdx:
 
 class TestSynthTasks:
     def test_same_seed_bitwise_identical(self):
-        a = synth_tasks(SeededRng(1).substream("data"), 3, 2, 20)
-        b = synth_tasks(SeededRng(1).substream("data"), 3, 2, 20)
+        a = synth_tasks(SeededRng(1).substream("data"), 3, 2, 20, 16, 1.0)
+        b = synth_tasks(SeededRng(1).substream("data"), 3, 2, 20, 16, 1.0)
         for ta, tb in zip(a, b):
             assert ta.train.images.tobytes() == tb.train.images.tobytes()
             assert ta.val.labels.tobytes() == tb.val.labels.tobytes()
             assert ta.test.images.tobytes() == tb.test.images.tobytes()
 
     def test_per_class_counts_exact(self):
-        tasks = synth_tasks(SeededRng(2).substream("data"), 2, 3, 30)
+        tasks = synth_tasks(SeededRng(2).substream("data"), 2, 3, 30, 16, 1.0)
         for task in tasks:
             total = sum(np.bincount(split.labels, minlength=task.n_classes)
                         for split in (task.train, task.val, task.test))
             assert list(total) == [30, 30, 30]
 
     def test_splits_disjoint_and_complete(self):
-        tasks = synth_tasks(SeededRng(3).substream("data"), 1, 2, 50)
+        tasks = synth_tasks(SeededRng(3).substream("data"), 1, 2, 50, 16, 1.0)
         t = tasks[0]
         n = len(t.train) + len(t.val) + len(t.test)
         assert n == 100
@@ -108,18 +108,9 @@ class TestSynthTasks:
         assert len(flat) == n  # no sample appears twice
 
     def test_values_in_unit_interval(self):
-        tasks = synth_tasks(SeededRng(4).substream("data"), 1, 2, 20, difficulty=0.3)
+        tasks = synth_tasks(SeededRng(4).substream("data"), 1, 2, 20, 16, 0.3)
         assert tasks[0].train.images.min() >= 0.0
         assert tasks[0].train.images.max() <= 1.0
-
-    def test_parameter_validation(self):
-        rng = SeededRng(0)
-        with pytest.raises(ValueError):
-            synth_tasks(rng, 0, 2, 20)
-        with pytest.raises(ValueError):
-            synth_tasks(rng, 1, 2, 20, difficulty=0.0)
-        with pytest.raises(ValueError):
-            synth_tasks(rng, 1, 2, 20, image_size=4)
 
 
 class TestSynthBytes:

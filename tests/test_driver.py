@@ -8,7 +8,7 @@ from growcl.backbone import BackboneState, KernelState, SlotState
 from growcl.config import ConfigError, parse_config_data
 from growcl.driver import (
     CLAIM_INIT,
-    TaskSpec,
+    EXPLORE_PER_EPOCH,
     TaskTrainer,
     baseline_scratch,
     build_eval_view,
@@ -86,8 +86,7 @@ class TestRunGrown:
     def test_forward_multipliers_are_binary(self, grown_run):
         cfg, res = grown_run
         tasks = build_tasks(cfg)
-        spec = TaskSpec(2, tasks[1], 0.9, cfg.growth_cap)
-        trainer = TaskTrainer(res.backbone, spec, cfg, True, SeededRng(0))
+        trainer = TaskTrainer(res.backbone, tasks[1], cfg, True, SeededRng(0))
         for mult in trainer.build_train_view().multipliers.values():
             assert set(np.unique(mult)) <= {0.0, 1.0}
         view = build_eval_view(res.backbone, res.snapshots[1])
@@ -168,16 +167,14 @@ class TestNonFiniteGuard:
         backbone = BackboneState(cfg.arch)
         from growcl.driver import _grow_seed_channels
         _grow_seed_channels(backbone, root.substream("growth"))
-        tr1 = TaskTrainer(backbone, TaskSpec(1, tasks[0], 0.9, cfg.growth_cap),
-                          cfg, False, root)
-        tr1.train_phase("grow", 1, grow=True, epoch_log=[])
+        tr1 = TaskTrainer(backbone, tasks[0], cfg, False, root)
+        tr1.train_phase("grow", 1, [], target=0.9)
         tr1.finalize()
         weights = [l.weights.copy() for l in backbone.layers]
-        tr2 = TaskTrainer(backbone, TaskSpec(2, tasks[1], 0.9, cfg.growth_cap),
-                          cfg, False, root)
+        tr2 = TaskTrainer(backbone, tasks[1], cfg, False, root)
         tr2.head_bias[0] = np.nan
         with pytest.raises(FloatingPointError, match="non-finite head"):
-            tr2.train_phase("pick", 1, grow=False, epoch_log=[])
+            tr2.train_phase("pick", 1, [])
         for layer, before in zip(backbone.layers, weights):
             assert np.all(np.isfinite(layer.weights))
             assert layer.weights.tobytes() == before.tobytes()
@@ -205,17 +202,17 @@ class TestBaselines:
         # per-task outcome equals an isolated single-task run with same seed
         # (on a fresh parse, whose memo holds none of the sequence's models)
         tasks = build_tasks(cfg)
-        solo = train_scratch_model(tasks[1], tiny_config(n_tasks=2), cfg.seed)
+        solo = train_scratch_model(tasks[1], tiny_config(n_tasks=2))
         assert solo.test_accuracy == res.test_accuracies[2]
 
     def test_scratch_is_order_equivariant(self):
         cfg = tiny_config(n_tasks=2)
         tasks = build_tasks(cfg)
-        a = train_scratch_model(tasks[0], cfg, cfg.seed)
-        b = train_scratch_model(tasks[1], cfg, cfg.seed)
+        a = train_scratch_model(tasks[0], cfg)
+        b = train_scratch_model(tasks[1], cfg)
         again = tiny_config(n_tasks=2)   # retrains, in the other order
-        b2 = train_scratch_model(tasks[1], again, cfg.seed)
-        a2 = train_scratch_model(tasks[0], again, cfg.seed)
+        b2 = train_scratch_model(tasks[1], again)
+        a2 = train_scratch_model(tasks[0], again)
         assert (a.test_accuracy, b.test_accuracy) == (a2.test_accuracy, b2.test_accuracy)
 
     def test_grow_only_never_allocates_selection_masks(self):
@@ -252,15 +249,15 @@ class TestKeepAllKernelMasks:
         backbone = BackboneState(cfg.arch)
         from growcl.driver import _grow_seed_channels
         _grow_seed_channels(backbone, root.substream("growth"))
-        tr1 = TaskTrainer(backbone, TaskSpec(1, tasks[0], 0.9, cfg.growth_cap),
-                          cfg, False, root)
-        tr1.train_phase("grow", 2, grow=True, epoch_log=[])
+        tr1 = TaskTrainer(backbone, tasks[0], cfg, False, root)
+        tr1.train_phase("grow", 2, [], target=0.9)
         assert_kernel_logits_at_init(tr1)
         tr1.finalize()
 
         # target and cap 1.0: task 2 keeps growing channels to the end
-        tr2 = TaskTrainer(backbone, TaskSpec(2, tasks[1], 1.0, 1.0), cfg, False, root)
-        tr2.train_phase("grow", 2, grow=True, epoch_log=[])
+        uncapped = dataclasses.replace(cfg, growth_cap=1.0)
+        tr2 = TaskTrainer(backbone, tasks[1], uncapped, False, root)
+        tr2.train_phase("grow", 2, [], target=1.0)
         assert_kernel_logits_at_init(tr2)
         view = tr2.build_train_view()
         n_used = n_growing = 0
@@ -284,9 +281,61 @@ class TestKeepAllKernelMasks:
 
         monkeypatch.setattr(driver, "TaskTrainer", Recording)
         cfg = tiny_config(n_tasks=1)
-        train_scratch_model(build_tasks(cfg)[0], cfg, cfg.seed)
+        train_scratch_model(build_tasks(cfg)[0], cfg)
         (trainer,) = trainers
         assert_kernel_logits_at_init(trainer)
+
+
+class TestTargetGatesGrowth:
+    """``train_phase`` grows only when given a target, and tries UNGROWN
+    slots only while validation accuracy is below it."""
+
+    class Recording(TaskTrainer):
+        """Per epoch query: need_growth and the UNGROWN slots grown, per layer."""
+
+        def query_epoch(self, temperature, need_growth):
+            before = [l.slot_state == SlotState.UNGROWN for l in self.backbone.layers]
+            super().query_epoch(temperature, need_growth)
+            self.queries.append((need_growth, [
+                int((was & (l.slot_state != SlotState.UNGROWN)).sum())
+                for was, l in zip(before, self.backbone.layers)]))
+
+    def seeded_trainer(self):
+        cfg = tiny_config(n_tasks=1)
+        (task,) = build_tasks(cfg)
+        root = SeededRng(cfg.seed)
+        backbone = BackboneState(cfg.arch)
+        from growcl.driver import _grow_seed_channels
+        _grow_seed_channels(backbone, root.substream("growth"))
+        trainer = self.Recording(backbone, task, cfg, False, root)
+        trainer.queries = []
+        return trainer
+
+    def test_no_target_changes_no_slot_and_no_gate_logit(self):
+        trainer = self.seeded_trainer()
+        states = [l.slot_state.tobytes() for l in trainer.backbone.layers]
+        logits = {name: m.logits.tobytes() for name, m in trainer.grow_masks.items()}
+        trainer.train_phase("pick", 3, [])
+        assert trainer.queries == []
+        assert [l.slot_state.tobytes() for l in trainer.backbone.layers] == states
+        assert {name: m.logits.tobytes() for name, m in trainer.grow_masks.items()} == logits
+
+    def test_met_target_grows_no_ungrown_slot(self):
+        trainer = self.seeded_trainer()
+        ungrown = [l.slot_state == SlotState.UNGROWN for l in trainer.backbone.layers]
+        assert all(mask.any() for mask in ungrown)
+        trainer.train_phase("grow", 4, [], target=1e-6)
+        assert [need for need, _ in trainer.queries] == [False] * 4
+        for was, layer in zip(ungrown, trainer.backbone.layers):
+            assert np.all(layer.slot_state[was] == SlotState.UNGROWN)
+
+    def test_unmet_target_grows_a_bounded_number_per_epoch(self):
+        trainer = self.seeded_trainer()
+        trainer.train_phase("grow", 4, [], target=1.0)
+        assert trainer.queries and all(need for need, _ in trainer.queries)
+        grown = [n for _, per_layer in trainer.queries for n in per_layer]
+        assert max(grown) <= EXPLORE_PER_EPOCH
+        assert sum(grown) > 0
 
 
 class TestPickTransferOracle:
@@ -300,9 +349,8 @@ class TestPickTransferOracle:
         backbone = BackboneState(cfg.arch)
         from growcl.driver import _grow_seed_channels
         _grow_seed_channels(backbone, root.substream("growth"))
-        spec1 = TaskSpec(1, tasks[0], 0.9, cfg.growth_cap)
-        tr1 = TaskTrainer(backbone, spec1, cfg, False, root)
-        tr1.train_phase("grow", cfg.epochs["task1"], grow=True, epoch_log=[])
+        tr1 = TaskTrainer(backbone, tasks[0], cfg, False, root)
+        tr1.train_phase("grow", cfg.epochs["task1"], [], target=0.9)
         tr1.finalize()
         # grow-only task 1 claims everything: no released kernels exist
         assert not any(
@@ -310,9 +358,8 @@ class TestPickTransferOracle:
         )
 
         # pick phase with selection machinery disabled
-        spec2 = TaskSpec(2, tasks[1], 0.9, cfg.growth_cap)
-        tr2 = TaskTrainer(backbone, spec2, cfg, False, root)
-        tr2.train_phase("pick", cfg.epochs["pick"], grow=False, epoch_log=[])
+        tr2 = TaskTrainer(backbone, tasks[1], cfg, False, root)
+        tr2.train_phase("pick", cfg.epochs["pick"], [])
         candidate = tr2.validation_accuracy()
 
         # independent linear probe: same frozen features, same head streams
@@ -361,14 +408,14 @@ class TestDetachedSlotFreezes:
     def test_slot_detached_at_query_keeps_its_bytes_despite_velocity(self):
         # the slot trains for an epoch, so its weight and bias velocities are
         # nonzero when the next epoch's query detaches it
-        cfg = tiny_config(n_tasks=1)
+        cfg = tiny_config(n_tasks=1, growth_cap=1.0)
         (task,) = build_tasks(cfg)
         root = SeededRng(cfg.seed)
         backbone = BackboneState(cfg.arch)
         from growcl.driver import _grow_seed_channels
         _grow_seed_channels(backbone, root.substream("growth"))
-        trainer = TaskTrainer(backbone, TaskSpec(1, task, 1.0, 1.0), cfg, True, root)
-        trainer.train_phase("grow", 1, grow=True, epoch_log=[])
+        trainer = TaskTrainer(backbone, task, cfg, True, root)
+        trainer.train_phase("grow", 1, [], target=1.0)
         layer = backbone.layers[0]
         (j, *_) = np.flatnonzero(layer.slot_state == SlotState.GROWN_TRAINING)
         assert np.any(trainer.velocity["conv1 weights"][j] != 0.0)
@@ -376,7 +423,7 @@ class TestDetachedSlotFreezes:
         weights, bias = layer.weights[j].tobytes(), layer.bias[j].tobytes()
 
         trainer.grow_masks["conv1"].logits[j] = -5.0
-        trainer.train_phase("grow", 1, grow=True, epoch_log=[])
+        trainer.train_phase("grow", 1, [], target=1.0)
         assert layer.slot_state[j] == SlotState.DETACHED
         assert layer.weights[j].tobytes() == weights
         assert layer.bias[j].tobytes() == bias
@@ -391,9 +438,8 @@ class TestReleasedKernelFlow:
         backbone = BackboneState(cfg.arch)
         from growcl.driver import _grow_seed_channels
         _grow_seed_channels(backbone, root.substream("growth"))
-        spec1 = TaskSpec(1, tasks[0], 0.9, cfg.growth_cap)
-        tr1 = TaskTrainer(backbone, spec1, cfg, True, root)
-        tr1.train_phase("grow", cfg.epochs["task1"], grow=True, epoch_log=[])
+        tr1 = TaskTrainer(backbone, tasks[0], cfg, True, root)
+        tr1.train_phase("grow", cfg.epochs["task1"], [], target=0.9)
         # force some releases over a live input channel (a pruned input
         # would leave the released kernels with legitimately zero gradient)
         layers = {l.spec.name: l for l in backbone.layers}
@@ -410,9 +456,8 @@ class TestReleasedKernelFlow:
 
         before = {key: layers[key[0]].weights[key[1]].copy()
                   for key in released}
-        spec2 = TaskSpec(2, tasks[1], 0.9, cfg.growth_cap)
-        tr2 = TaskTrainer(backbone, spec2, cfg, True, root)
-        tr2.train_phase("pick", cfg.epochs["pick"], grow=False, epoch_log=[])
+        tr2 = TaskTrainer(backbone, tasks[1], cfg, True, root)
+        tr2.train_phase("pick", cfg.epochs["pick"], [])
         snap2 = tr2.finalize()
 
         moved = 0
@@ -492,7 +537,7 @@ class TestOneTaskView:
             def train_phase(self, phase, *args, **kwargs):
                 masks = self.reuse_masks if phase == "pick" else self.claim_masks
                 for i, mask in enumerate(masks.values()):
-                    drop(mask.logits, self.spec.task_id, i, phase)
+                    drop(mask.logits, self.task.task_id, i, phase)
                 return super().train_phase(phase, *args, **kwargs)
 
             def train_step(self, *args, **kwargs):
@@ -507,7 +552,7 @@ class TestOneTaskView:
 
             def finalize(self):
                 for i, mask in enumerate(self.claim_masks.values()):
-                    drop(mask.logits, self.spec.task_id, i, "finalize")
+                    drop(mask.logits, self.task.task_id, i, "finalize")
                 return super().finalize()
 
         def checked_eval_view(backbone, snapshot):
@@ -546,7 +591,7 @@ def scratch_trainings(monkeypatch):
 
     def counting(self, phase, *args, **kwargs):
         if phase == "scratch":
-            trained.append(self.spec.task_id)
+            trained.append(self.task.task_id)
         return train_phase(self, phase, *args, **kwargs)
 
     monkeypatch.setattr(driver.TaskTrainer, "train_phase", counting)
@@ -573,16 +618,16 @@ class TestScratchMemo:
         assert scratch_trainings == [1, 2] * 3
 
     @pytest.mark.parametrize("variant", [
-        lambda task, cfg: (task, one_epoch_config(), cfg.seed),
-        lambda task, cfg: (task, dataclasses.replace(cfg, epochs={"scratch": 2}), cfg.seed),
-        lambda task, cfg: (task, cfg, cfg.seed + 1),
-        lambda task, cfg: (build_tasks(one_epoch_config(seed=5))[0], cfg, cfg.seed),
+        lambda task, cfg: (task, one_epoch_config()),
+        lambda task, cfg: (task, dataclasses.replace(cfg, epochs={"scratch": 2})),
+        lambda task, cfg: (task, dataclasses.replace(cfg, seed=cfg.seed + 1)),
+        lambda task, cfg: (build_tasks(one_epoch_config(seed=5))[0], cfg),
     ], ids=["fresh-parse", "replaced-epochs", "other-seed", "same-id-other-data"])
     def test_trains_again_outside_the_key(self, scratch_trainings, variant):
         cfg = one_epoch_config()
         task = build_tasks(cfg)[0]
-        first = train_scratch_model(task, cfg, cfg.seed)
-        assert train_scratch_model(task, cfg, cfg.seed) == first
+        first = train_scratch_model(task, cfg)
+        assert train_scratch_model(task, cfg) == first
         assert scratch_trainings == [1]
         train_scratch_model(*variant(task, cfg))
         assert scratch_trainings == [1, 1]
@@ -590,17 +635,17 @@ class TestScratchMemo:
     def test_outcome_is_a_copy(self, scratch_trainings):
         cfg = one_epoch_config()
         task = build_tasks(cfg)[0]
-        outcome = train_scratch_model(task, cfg, cfg.seed)
+        outcome = train_scratch_model(task, cfg)
         expected = copy.deepcopy(outcome)
         outcome.val_accuracy = -1.0
         outcome.epoch_log[0].loss = -1.0
         outcome.epoch_log.extend(outcome.epoch_log)
-        assert train_scratch_model(task, cfg, cfg.seed) == expected
+        assert train_scratch_model(task, cfg) == expected
         assert scratch_trainings == [1]
 
     def test_memo_is_no_part_of_the_config(self):
         cfg, other = one_epoch_config(), one_epoch_config()
-        train_scratch_model(build_tasks(cfg)[0], cfg, cfg.seed)
+        train_scratch_model(build_tasks(cfg)[0], cfg)
         assert cfg.scratch_outcomes and not other.scratch_outcomes
         assert "scratch_outcomes" not in cfg.resolved
         assert cfg.digest == other.digest

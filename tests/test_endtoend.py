@@ -34,7 +34,7 @@ class TestScratchCalibration:
             "epochs": {"scratch": 20},
         })
         for task in build_tasks(cfg):
-            outcome = train_scratch_model(task, cfg, cfg.seed)
+            outcome = train_scratch_model(task, cfg)
             assert outcome.test_accuracy >= 0.9, f"task {task.task_id}"
 
 
