@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .backbone import ArchSpec, ConvLayerSpec
@@ -119,31 +121,43 @@ def _read(value, table: dict, where: str, allowed=None) -> dict:
     return {key: _num(obj, key, row, where) for key, row in table.items()}
 
 
+_MAPPINGS = ("temperature", "epochs", "tasks")   # RunConfig holds these read-only
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """``resolved``'s values by name, but ``arch`` an ArchSpec, ``target_accuracy`` a tuple."""
+    """``resolved``'s values by name, but ``arch`` an ArchSpec, ``target_accuracy`` a
+    tuple, and the ``_MAPPINGS`` read-only.  Every instance, ``dataclasses.replace``'s
+    included, is checked by the schema tables: ``__post_init__`` re-reads the fields."""
     seed: int
     arch: ArchSpec
     lambda_l0: float
-    temperature: dict[str, float]   # Gumbel temperature at the first and last epoch
+    temperature: Mapping[str, float]   # Gumbel temperature at the first and last epoch
     learning_rate: float
     momentum: float
     batch_size: int
-    epochs: dict[str, int]
+    epochs: Mapping[str, int]
     growth_cap: float
     target_slack: float
     target_accuracy: tuple[float, ...] | None
-    tasks: dict
+    tasks: Mapping
     output_dir: str | None
     # driver.train_scratch_model's outcomes under this config; not a knob, so outside
     # ``resolved`` and the digest, and ``dataclasses.replace`` starts an empty memo
     scratch_outcomes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for name, value in _fields(self.resolved).items():
+            object.__setattr__(self, name, value)
+        if self.tasks["source"] == "synthetic":   # an idx source's task count is in its groups file
+            check_target_count(self)
+
     @property
     def resolved(self) -> dict:
         """The fields as the JSON object ``parse_config_data`` reads back to this config."""
         values = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
-        return {**values, "arch": arch_dict(self.arch), "target_accuracy":
+        return {**values, **{key: dict(values[key]) for key in _MAPPINGS},
+                "arch": arch_dict(self.arch), "target_accuracy":
                 None if self.target_accuracy is None else list(self.target_accuracy)}
 
     @property
@@ -209,7 +223,8 @@ def arch_dict(arch: ArchSpec) -> dict:
     return {**{key: getattr(arch, key) for key in (*_ARCH, "group_norm")}, "layers": layers}
 
 
-def parse_config_data(data: dict) -> RunConfig:
+def _fields(data: dict) -> dict:
+    """``RunConfig``'s fields read from the JSON object ``data``, every value checked."""
     values = _read(data, _TOP, "config", DEFAULTS)
     values["temperature"] = _read(data.get("temperature", {}), _TEMPERATURE, "config.temperature")
     values["epochs"] = _read(data.get("epochs", {}), _EPOCHS, "config.epochs")
@@ -243,10 +258,11 @@ def parse_config_data(data: dict) -> RunConfig:
         raise ConfigError(f"config.output_dir must be a string path, got {output_dir!r}")
 
     values.update(arch=arch, target_accuracy=target, tasks=tasks, output_dir=output_dir)
-    config = RunConfig(**values)
-    if source == "synthetic":   # an idx source's task count is in its groups file
-        check_target_count(config)
-    return config
+    return {**values, **{key: MappingProxyType(values[key]) for key in _MAPPINGS}}
+
+
+def parse_config_data(data: dict) -> RunConfig:
+    return RunConfig(**_fields(data))
 
 
 def parse_config(path: str | Path) -> RunConfig:

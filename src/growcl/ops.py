@@ -13,9 +13,14 @@ on channels and still reproduce the full-width results.
 Documented tie-breaks (oracles in the tests rely on these):
   * relu subgradient at exactly 0 is 0;
   * maxpool routes the gradient to the first maximal element in row-major
-    window order, and NaN counts as below every number.  With these two
-    rules relu commutes with maxpool, forward and backward, byte for byte:
-    the backbone pools first and runs relu on the k*k times smaller tensor.
+    window order (an all-NaN window: its first), and NaN counts as below
+    every number.  With these two rules relu commutes with maxpool, forward
+    and backward, byte for byte: the backbone pools first and runs relu on
+    the k*k times smaller tensor.
+
+The maxpool forward only takes maxima (one ``np.fmax`` per window slot) and
+caches its input and output; the backward finds each window's winning slot.
+Inference passes, which never run a backward, so skip the winner search.
 """
 
 from __future__ import annotations
@@ -54,7 +59,9 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> tuple[np.ndarray, t
     ho = conv_out_size(h, k, stride, pad)
     wo = conv_out_size(w, k, stride, pad)
     if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+        xp[:, :, pad:pad + h, pad:pad + w] = x
+        x = xp
     sn, sc, sh, sw = x.strides
     patches = np.lib.stride_tricks.as_strided(
         x,
@@ -181,33 +188,45 @@ def pool_out_size(extent: int, k: int) -> int:
 
 
 def maxpool2d(x, k: int):
-    """Max over non-overlapping k x k windows (stride k) of [N,C,H,W]; ties
-    go to the first row-major element, and NaN loses to every number.
+    """Max over non-overlapping k x k windows (stride k) of [N,C,H,W]; NaN
+    loses to every number, and an all-NaN window pools to NaN.
 
-    One strided compare per window slot; the cache keeps the winning slot."""
+    A copy of window slot 0, then one ``np.fmax`` per further slot.  The
+    winning slot is not searched for here, so a pass that never runs the
+    backward pays nothing for it; ``maxpool2d_backward`` finds it.  The value
+    pooled from a +-0.0 tie may carry either sign (the relu that follows
+    maps both to +0.0).  The cache holds ``x`` and the returned pooled array
+    itself: callers must not write into either."""
     x = _as_array(x)
     n, c, h, w = x.shape
     hk, wk = pool_out_size(h, k) * k, pool_out_size(w, k) * k
     out = x[:, :, 0:hk:k, 0:wk:k].copy()
-    arg = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1))
     for s in range(1, k * k):
         ki, kj = divmod(s, k)
-        v = x[:, :, ki:hk:k, kj:wk:k]
-        take = (v > out) | (np.isnan(out) & ~np.isnan(v))
-        np.copyto(out, v, where=take)
-        np.copyto(arg, s, where=take)
-    return out, (x.shape, k, arg)
+        np.fmax(out, x[:, :, ki:hk:k, kj:wk:k], out=out)
+    return out, (x, k, out)
 
 
 def maxpool2d_backward(dout: np.ndarray, cache) -> np.ndarray:
-    """Each window's gradient goes to its winning slot, added into zeros (a
-    -0.0 gradient lands as +0.0)."""
-    x_shape, k, arg = cache
-    hk, wk = arg.shape[2] * k, arg.shape[3] * k
-    dx = np.zeros(x_shape, dtype=dout.dtype)
+    """Each window's gradient goes to its winner: the first slot, in
+    row-major order, equal to the pooled value (so a +-0.0 tie goes to the
+    first zero), and slot 0 for an all-NaN window; every other slot gets
+    +0.0.  The forward cached what this search needs, and a -0.0 gradient
+    lands as +0.0."""
+    x, k, out = cache
+    hk, wk = out.shape[2] * k, out.shape[3] * k
+    dx = np.zeros(x.shape, dtype=dout.dtype)
+    grad = dout + 0.0
     for s in range(k * k):
         ki, kj = divmod(s, k)
-        dx[:, :, ki:hk:k, kj:wk:k] += np.where(arg == s, dout, 0.0)
+        win = x[:, :, ki:hk:k, kj:wk:k] == out
+        if s == 0:
+            win |= np.isnan(out)   # nothing equals an all-NaN window's NaN
+            open_ = ~win           # windows whose winner is still to be found
+        else:
+            win &= open_
+            open_ ^= win
+        dx[:, :, ki:hk:k, kj:wk:k] = np.where(win, grad, 0.0)
     return dx
 
 

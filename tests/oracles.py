@@ -4,6 +4,8 @@ The op references are deliberately written as plain nested loops so they
 share no code path (im2col, BLAS, strided compares) with the package.  The
 argmax maxpool with its scatter-add backward is the kernel the package ran
 before it pooled ahead of relu; after relu, it is the reference for both.
+The strided compare-and-copy maxpool is the kernel it ran next, until the
+forward took maxima alone; it is the reference for the standalone op.
 The full-width backbone passes are the reference for the compacted ones:
 they run relu before that maxpool, and share conv and norm, not the channel
 bookkeeping.  ``train_view_reference`` and ``eval_view_reference`` build a
@@ -140,6 +142,37 @@ def maxpool2d_argmax_backward(dout, cache):
     ns = np.arange(n)[:, None, None, None]
     cs = np.arange(c)[None, :, None, None]
     np.add.at(dx, (ns, cs, rows, colz), dout)
+    return dx
+
+
+def maxpool2d_strided(x, k):
+    """The compare-and-copy maxpool the package ran before it took maxima
+    with ``np.fmax``: one strided compare per window slot builds the winning
+    slot in the forward.  Ties go to the first row-major element, NaN loses
+    to every number, and an all-NaN window keeps slot 0."""
+    x = np.asarray(x, dtype=np.float64)
+    n, c, h, w = x.shape
+    hk, wk = pool_out_size(h, k) * k, pool_out_size(w, k) * k
+    out = x[:, :, 0:hk:k, 0:wk:k].copy()
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(k * k - 1))
+    for s in range(1, k * k):
+        ki, kj = divmod(s, k)
+        v = x[:, :, ki:hk:k, kj:wk:k]
+        take = (v > out) | (np.isnan(out) & ~np.isnan(v))
+        np.copyto(out, v, where=take)
+        np.copyto(arg, s, where=take)
+    return out, (x.shape, k, arg)
+
+
+def maxpool2d_strided_backward(dout, cache):
+    """Each window's gradient goes to its winning slot, added into zeros (a
+    -0.0 gradient lands as +0.0)."""
+    x_shape, k, arg = cache
+    hk, wk = arg.shape[2] * k, arg.shape[3] * k
+    dx = np.zeros(x_shape, dtype=dout.dtype)
+    for s in range(k * k):
+        ki, kj = divmod(s, k)
+        dx[:, :, ki:hk:k, kj:wk:k] += np.where(arg == s, dout, 0.0)
     return dx
 
 

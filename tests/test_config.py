@@ -29,6 +29,28 @@ def test_replaced_field_moves_the_digest():
     assert replaced.digest == parse_config_data({"seed": 5}).digest
 
 
+@pytest.mark.parametrize("changes, match", [
+    ({"momentum": 2.0, "growth_cap": -1.0}, r"config\.momentum = 2\.0 outside \[0, 1\)"),
+    ({"growth_cap": -1.0}, r"config\.growth_cap = -1\.0 outside \(0, 1\]"),
+    ({"epochs": {"scratch": 0}}, r"config\.epochs\.scratch = 0 outside \[1, 1e\+06\]"),
+    ({"target_accuracy": (0.5, 0.5)}, "config.target_accuracy has 2 values for 5 tasks"),
+], ids=["momentum-and-cap", "growth-cap", "epochs", "target-count"])
+def test_replace_runs_the_schema_tables(changes, match):
+    with pytest.raises(ConfigError, match=match):
+        dataclasses.replace(parse_config_data({}), **changes)
+
+
+@pytest.mark.parametrize("name, key", [
+    ("epochs", "scratch"), ("temperature", "start"), ("tasks", "n_tasks")])
+def test_mapping_fields_are_read_only(name, key):
+    cfg = parse_config_data({})
+    digest = cfg.digest
+    with pytest.raises(TypeError):
+        getattr(cfg, name)[key] = 1
+    assert cfg.digest == digest
+    assert type(cfg.resolved[name]) is dict
+
+
 def test_unknown_key_named():
     with pytest.raises(ConfigError, match="lamda"):
         parse_config_data({"lamda": 0.1})

@@ -27,6 +27,8 @@ from oracles import (
     maxpool2d_argmax,
     maxpool2d_argmax_backward,
     maxpool2d_loops,
+    maxpool2d_strided,
+    maxpool2d_strided_backward,
 )
 
 
@@ -294,6 +296,55 @@ class TestPoolBeforeRelu:
         assert maxpool2d_backward(out, cache).shape == x.shape
         r = rng(22)
         self.check(special_array(r, (2, 3, 7, 5)), 3, special_array(r, (2, 3, 2, 1)))
+
+
+class TestStandaloneMaxpool:
+    """maxpool2d and its backward, on their own, against the strided
+    compare-and-copy kernel: relu(out) byte for byte, out up to the sign of
+    a pooled zero, and dx byte for byte."""
+
+    def check(self, x, k, dout):
+        want, want_cache = maxpool2d_strided(x, k)
+        got, cache = maxpool2d(x, k)
+        assert got.shape == want.shape
+        assert relu(got)[0].tobytes() == relu(want)[0].tobytes()
+        assert np.array_equal(got, want, equal_nan=True)
+        want_dx = maxpool2d_strided_backward(dout, want_cache)
+        got_dx = maxpool2d_backward(dout, cache)
+        assert got_dx.shape == want_dx.shape and got_dx.tobytes() == want_dx.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_special_values_ragged_extents_and_zero_channels(self, k):
+        r = rng(30 + k)
+        for _ in range(200):
+            shape = (int(r.integers(1, 3)), int(r.integers(0, 3)),
+                     int(r.integers(k, 3 * k + 2)), int(r.integers(k, 3 * k + 2)))
+            x = special_array(r, shape, frac=float(r.choice([0.3, 0.9])))
+            dout = special_array(r, shape[:2] + (shape[2] // k, shape[3] // k))
+            self.check(x, k, dout)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_windows_of_nan_and_signed_zeros(self, k):
+        # all-NaN windows and +-0.0 ties in every mix, with -0.0 gradients
+        r = rng(40 + k)
+        x = r.choice([np.nan, 0.0, -0.0], p=[0.7, 0.15, 0.15], size=(2, 3, 4 * k + 1, 5 * k))
+        dout = r.choice([-0.0, 0.0, 1.0, -2.0, np.nan], size=(2, 3, 4, 5))
+        self.check(x, k, dout)
+
+    def test_all_nan_window_routes_to_slot_zero(self):
+        out, cache = maxpool2d(np.full((1, 1, 3, 3), np.nan), 3)
+        assert np.isnan(out[0, 0, 0, 0])
+        dx = maxpool2d_backward(np.full((1, 1, 1, 1), 2.0), cache)
+        expect = np.zeros((1, 1, 3, 3))
+        expect[0, 0, 0, 0] = 2.0
+        assert dx.tobytes() == expect.tobytes()
+
+    def test_signed_zero_tie_routes_to_first_zero(self):
+        x = np.array([[[[-1.0, 0.0], [-0.0, 0.0]]]])
+        out, cache = maxpool2d(x, 2)
+        assert out[0, 0, 0, 0] == 0.0
+        dx = maxpool2d_backward(np.ones((1, 1, 1, 1)), cache)
+        assert dx.tobytes() == np.array([[[[0.0, 1.0], [0.0, 0.0]]]]).tobytes()
 
 
 class TestCrossEntropy:
