@@ -72,13 +72,6 @@ class ConvLayerSpec:
     pad: int = 1
     pool: int = 2           # maxpool window, ahead of relu; 0 disables
 
-    def __post_init__(self):
-        if not 0 <= self.seed_channels <= self.out_channels:
-            raise ValueError(
-                f"{self.name}: seed_channels {self.seed_channels} outside "
-                f"[0, {self.out_channels}]"
-            )
-
     @property
     def params_per_channel(self) -> int:
         return self.in_channels * self.kernel * self.kernel + 1  # + bias
@@ -94,17 +87,6 @@ class ArchSpec:
     in_channels: int
     layers: tuple[ConvLayerSpec, ...]
     group_norm: bool = False
-    norm_eps: float = 1e-5
-
-    def __post_init__(self):
-        prev = self.in_channels
-        for spec in self.layers:
-            if spec.in_channels != prev:
-                raise ValueError(
-                    f"layer {spec.name} expects {spec.in_channels} input channels "
-                    f"but the previous stage provides {prev}"
-                )
-            prev = spec.out_channels
 
     def spatial_after(self, index: int) -> int:
         """Spatial extent after layer ``index`` (conv + optional pool), by
@@ -298,8 +280,7 @@ def forward_pass(backbone: BackboneState, view: TaskView, x: np.ndarray,
         if view.norm_scale is not None:
             h, norm_cache = group_norm(
                 _scatter(h, oi, layer.spec.out_channels), view.norm_scale[name],
-                view.norm_shift[name], eps=backbone.arch.norm_eps,
-            )
+                view.norm_shift[name])
             h = np.take(h, oi, axis=1)
         pool_cache = None
         if layer.spec.pool:

@@ -32,7 +32,6 @@ run of the same config object trained.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 from dataclasses import dataclass, field
 
@@ -125,7 +124,7 @@ class GateLogEntry:
     expanded: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpochLogEntry:
     task_id: int
     phase: str
@@ -498,11 +497,11 @@ def forgetting_check(snapshots: dict[int, TaskSnapshot],
 # scratch training (independent full-capacity model per task)
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ScratchOutcome:
     val_accuracy: float
     test_accuracy: float
-    epoch_log: list[EpochLogEntry]
+    epoch_log: tuple[EpochLogEntry, ...]
 
 
 def _task_digest(task: Task) -> str:
@@ -526,7 +525,8 @@ def train_scratch_model(task: Task, config: RunConfig) -> ScratchOutcome:
     Outcomes are memoized on the parsed config (``config.scratch_outcomes``),
     keyed on the task id and class count and the task's data bytes:
     ``scratch``, ``grown`` and ``grow_only`` runs of one config train each
-    scratch model once.  Each call returns its own copy.
+    scratch model once.  Each call returns the stored outcome, which is
+    immutable: frozen, with its epoch log a tuple of frozen entries.
     """
     key = (task.task_id, task.n_classes, _task_digest(task))
     if key not in config.scratch_outcomes:
@@ -542,9 +542,9 @@ def train_scratch_model(task: Task, config: RunConfig) -> ScratchOutcome:
         config.scratch_outcomes[key] = ScratchOutcome(
             val_accuracy=epoch_log[-1].val_accuracy,
             test_accuracy=_dataset_accuracy(backbone, trainer.build_train_view(), task.test),
-            epoch_log=epoch_log,
+            epoch_log=tuple(epoch_log),
         )
-    return copy.deepcopy(config.scratch_outcomes[key])
+    return config.scratch_outcomes[key]
 
 
 # ---------------------------------------------------------------------------

@@ -69,9 +69,7 @@ def query_and_transition(layer: LayerState, bits: np.ndarray,
         )
     actions: list[SlotAction] = []
     for j in np.flatnonzero(~fixed):
-        bit = bits[j]
-        if np.isnan(bit):
-            continue
+        bit = bits[j]   # NaN matches no transition below
         state = SlotState(layer.slot_state[j])
         if state == SlotState.UNGROWN and bit == 1.0:
             layer.weights[j] = grow_filter(layer.spec, rng)

@@ -7,6 +7,7 @@ yields byte-identical files.  Nothing here writes wall-clock time.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -247,9 +248,9 @@ def read_manifest(run_dir: str | Path) -> dict:
             raise ValueError(f"task_ids {ids!r} are not n_tasks = {m['n_tasks']!r} ids")
         values = [(key, m[key], types) for key, types in _MANIFEST_TYPES.items()]
         values += [("task id", t, int) for t in ids]
-        values += [(key, m[key][str(t)], types)
-                   for key, types in _PER_TASK_TYPES.items() for t in ids]
-        for key, value, types in values:
+        per_task = ((key, m[key][str(t)], types)   # looked up once the ids pass
+                    for key, types in _PER_TASK_TYPES.items() for t in ids)
+        for key, value, types in itertools.chain(values, per_task):
             if not _typed(value, types):
                 raise TypeError(f"{key} has the wrong type: {value!r}")
     except (ValueError, KeyError, TypeError) as e:
@@ -259,11 +260,11 @@ def read_manifest(run_dir: str | Path) -> dict:
 
 
 def save_run(result: RunResult, run_dir: str | Path) -> Path:
+    """Write the run directory.  The manifest comes last, so a directory
+    that has one holds a complete run."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest = build_manifest(result)
-    write_text_atomic(run_dir / "manifest.json",
-                      json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     write_text_atomic(run_dir / "accuracy.csv", accuracy_csv([manifest]))
     write_text_atomic(run_dir / "size.csv", size_csv([manifest]))
     write_text_atomic(run_dir / "curves.csv", curves_csv(result.epoch_log))
@@ -276,6 +277,8 @@ def save_run(result: RunResult, run_dir: str | Path) -> Path:
         snap_dir.mkdir(exist_ok=True)
         for t, snapshot in sorted(result.snapshots.items()):
             save_snapshot(snapshot, snap_dir / f"task_{t:03d}.snap")
+    write_text_atomic(run_dir / "manifest.json",
+                      json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return run_dir
 
 

@@ -227,10 +227,7 @@ def forward_pass_full(backbone, view, x, want_cache=False):
         h, conv_cache = conv2d(h, eff_w, eff_b, stride=layer.spec.stride, pad=layer.spec.pad)
         norm_cache = None
         if view.norm_scale is not None:
-            h, norm_cache = group_norm(
-                h, view.norm_scale[name], view.norm_shift[name],
-                eps=backbone.arch.norm_eps,
-            )
+            h, norm_cache = group_norm(h, view.norm_scale[name], view.norm_shift[name])
         h[:, ~on] = 0.0   # kill bias/norm leakage from channels outside the task
         h, relu_cache = relu(h)
         pool_cache = None

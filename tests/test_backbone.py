@@ -62,16 +62,6 @@ def populated_backbone(arch=None, seed=0):
 
 
 class TestArchSpec:
-    def test_layer_chaining_validated(self):
-        with pytest.raises(ValueError):
-            ArchSpec(
-                image_size=8, in_channels=1,
-                layers=(
-                    ConvLayerSpec("a", 1, 4, seed_channels=0),
-                    ConvLayerSpec("b", 5, 4, seed_channels=0),
-                ),
-            )
-
     def test_feature_dim_tracks_pooling(self):
         arch = tiny_arch()
         assert arch.spatial_after(0) == 4
@@ -183,7 +173,7 @@ class TestBackwardPass:
         w0 = view.head_weight.copy()
         res = finite_diff_check(f_head, w0.ravel().copy(), eps=1e-5)
         view.head_weight = w0
-        assert res.max_rel_error < 1e-6
+        assert res < 1e-6
 
         # gradient w.r.t. conv1 raw weights; multiplier is all-ones so
         # d_raw == d_effective
@@ -197,7 +187,7 @@ class TestBackwardPass:
             return l, grads.d_eff_weights["conv1"].ravel()
 
         res = finite_diff_check(f_w, layer.weights.ravel().copy(), eps=1e-5)
-        assert res.max_rel_error < 1e-5
+        assert res < 1e-5
 
     def test_protected_digests_track_used_kernels(self):
         bb = populated_backbone()

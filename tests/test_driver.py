@@ -633,14 +633,19 @@ class TestScratchMemo:
         assert scratch_trainings == [1, 1]
 
     def test_outcome_is_a_copy(self, scratch_trainings):
+        """The memo hands out its stored outcome, so no write may reach it."""
         cfg = one_epoch_config()
         task = build_tasks(cfg)[0]
         outcome = train_scratch_model(task, cfg)
         expected = copy.deepcopy(outcome)
-        outcome.val_accuracy = -1.0
-        outcome.epoch_log[0].loss = -1.0
-        outcome.epoch_log.extend(outcome.epoch_log)
-        assert train_scratch_model(task, cfg) == expected
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            outcome.val_accuracy = -1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            outcome.epoch_log[0].loss = -1.0
+        with pytest.raises(AttributeError):
+            outcome.epoch_log.extend(outcome.epoch_log)
+        again = train_scratch_model(task, cfg)
+        assert again is outcome and again == expected
         assert scratch_trainings == [1]
 
     def test_memo_is_no_part_of_the_config(self):

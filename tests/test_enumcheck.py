@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from growcl.enumcheck import (
-    EnumBudgetError,
     MicroInstance,
     random_instance,
     run_sweep,
@@ -22,18 +21,6 @@ def make_instance(grid=(-1.0, -0.5, 0.0, 0.5, 1.0), ci=2, lam=0.1, seed=0):
     inputs = r.uniform(-1, 1, size=(6, ci))
     labels = r.integers(0, 2, size=6).astype(np.int64)
     return MicroInstance(1, 2, ci, grid, inputs, labels, lam)
-
-
-class TestMicroInstance:
-    def test_budget_enforced(self):
-        grid = tuple(np.linspace(-1, 1, 48))   # 48^4 * 4 * 16 > 1e7
-        with pytest.raises(EnumBudgetError):
-            make_instance(grid=grid)
-
-    def test_size_limits(self):
-        with pytest.raises(ValueError):
-            MicroInstance(1, 3, 1, (-1.0, 1.0), np.zeros((2, 1)),
-                          np.zeros(2, dtype=np.int64), 0.0)
 
 
 class TestEnumerateMinLoss:
@@ -124,4 +111,9 @@ class TestSweep:
         rng = SeededRng(5)
         for i in range(30):
             inst = random_instance(rng.substream(str(i)), i)
-            assert inst.search_space_size <= 10**7
+            assert (inst.out_channels, inst.in_channels) == (2, 2)
+            assert 5 <= len(inst.inputs) == len(inst.labels) <= 8
+            assert set(inst.labels) <= {0, 1}
+            # weights x channel gates x kernel masks
+            size = len(inst.weight_grid) ** inst.n_weights * 2**2 * 2**inst.n_weights
+            assert size <= 10**7

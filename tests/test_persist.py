@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from growcl import persist
+from growcl.cli import main
 from growcl.config import arch_dict, parse_arch, parse_config_data
 from growcl.driver import (
     TaskSnapshot, build_tasks, evaluate, forgetting_check, run_id, run_pipeline,
@@ -209,20 +211,38 @@ class TestManifest:
         with pytest.raises(FileNotFoundError):
             load_run(tmp_path)
 
-    @pytest.mark.parametrize("rewrite", [
-        lambda m: "not json {",
-        lambda m: json.dumps([m]),
-        lambda m: json.dumps({**m, "task_ids": []}),
-        lambda m: json.dumps({**m, "n_tasks": 3}),
-        lambda m: json.dumps({**m, "test_accuracies": {"1": m["test_accuracies"]["1"]}}),
+    @pytest.mark.parametrize("rewrite, detail", [
+        (lambda m: "not json {", ""),
+        (lambda m: json.dumps([m]), ""),
+        (lambda m: json.dumps({**m, "task_ids": []}), ""),
+        (lambda m: json.dumps({**m, "n_tasks": 3}), ""),
+        (lambda m: json.dumps({**m, "test_accuracies": {"1": m["test_accuracies"]["1"]}}), ""),
+        (lambda m: json.dumps({**m, "task_ids": [1, 2.0]}), "task id has the wrong type"),
     ], ids=["not-json", "json-list", "no-task-ids", "n-tasks-not-len-task-ids",
-            "id-without-accuracy"])
-    def test_malformed_manifest_rejected(self, saved_run, tmp_path, rewrite):
+            "id-without-accuracy", "float-task-id"])
+    def test_malformed_manifest_rejected(self, saved_run, tmp_path, rewrite, detail):
         _, _, run_dir = saved_run
         manifest = json.loads((run_dir / "manifest.json").read_text())
         (tmp_path / "manifest.json").write_text(rewrite(manifest))
-        with pytest.raises(StoreFormatError, match="^malformed manifest"):
+        with pytest.raises(StoreFormatError, match=f"^malformed manifest .*{detail}"):
             load_run(tmp_path)
+
+    def test_crash_while_saving_leaves_no_manifest(self, saved_run, tmp_path, monkeypatch):
+        _, result, _ = saved_run
+        written = []
+
+        def failing_save_snapshot(snapshot, path):
+            if written:
+                raise OSError("disk full")
+            written.append(path)
+            save_snapshot(snapshot, path)
+
+        monkeypatch.setattr(persist, "save_snapshot", failing_save_snapshot)
+        with pytest.raises(OSError, match="disk full"):
+            save_run(result, tmp_path / "run")
+        assert len(written) == 1 and written[0].exists()
+        assert not (tmp_path / "run" / "manifest.json").exists()
+        assert main(["report", str(tmp_path / "run"), "--out", str(tmp_path / "report")]) == 2
 
 
 class TestMalformedFiles:
