@@ -7,11 +7,13 @@ The second search space is a subset of the first, so
 
     min_free <= min_constrained
 
-must hold exactly -- both minima are read from one shared enumeration table,
-so the comparison carries zero numerical tolerance.  Strict inequality on
-some instances shows the kernel mask buys real freedom; grids that exclude
-the value 0 model trained weights (which are never exactly zero), and those
-are where strict gaps appear.
+must hold exactly.  Every entry of the effective weights ``w * g * k`` is a
+grid value or 0, so one table holds the data loss of each distinct effective
+matrix, at most ``|grid + {0}| ** (co * ci)`` rows.  Both minima are read
+from it, so the comparison carries zero numerical tolerance.  Strict
+inequality on some instances shows the kernel mask buys real freedom; grids
+that exclude the value 0 model trained weights (which are never exactly
+zero), and those are where strict gaps appear.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ class MicroInstance:
     """A fully enumerable one-layer classification problem (1x1 kernels).
 
     ``random_instance`` builds every one: 2x2 channels, 5-8 points, labels
-    0/1 and at most 5 grid values, so at most 40,000 configurations."""
+    0/1 and at most 5 grid values, so at most 625 distinct effective weight
+    matrices."""
 
     instance_id: int
     out_channels: int                 # also the class count
@@ -42,43 +45,6 @@ class MicroInstance:
     @property
     def n_weights(self) -> int:
         return self.out_channels * self.in_channels
-
-
-def _loss_table(instance: MicroInstance,
-                kernel_configs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Penalized loss for every (w, gate, kernel mask) combination.
-
-    Returns (losses [nw, ng, nk], w_configs, gate_configs); enumeration
-    order is lexicographic in each axis, so a flat argmin is the documented
-    tie-break.
-    """
-    co, ci = instance.out_channels, instance.in_channels
-    w_configs = np.array(
-        list(itertools.product(instance.weight_grid, repeat=instance.n_weights))
-    ).reshape(-1, co, ci)
-    gate_configs = np.array(
-        list(itertools.product((0.0, 1.0), repeat=co))
-    ).reshape(-1, co)
-    x = instance.inputs                       # [P, ci]
-    y = instance.labels
-    # effective weights: [nw, ng, nk, co, ci]
-    eff = (w_configs[:, None, None, :, :]
-           * gate_configs[None, :, None, :, None]
-           * kernel_configs[None, None, :, :, :])
-    logits = np.einsum("abcoi,pi->abcop", eff, x)          # [nw, ng, nk, co, P]
-    zmax = logits.max(axis=3, keepdims=True)
-    logp = logits - zmax - np.log(np.exp(logits - zmax).sum(axis=3, keepdims=True))
-    picked = np.take_along_axis(logp, y[None, None, None, None, :], axis=3)[..., 0, :]
-    data_loss = -picked.mean(axis=-1)                       # [nw, ng, nk]
-    penalty = instance.lam * gate_configs.sum(axis=1)       # [ng]
-    return data_loss + penalty[None, :, None], w_configs, gate_configs
-
-
-def _all_kernel_configs(instance: MicroInstance) -> np.ndarray:
-    co, ci = instance.out_channels, instance.in_channels
-    return np.array(
-        list(itertools.product((0.0, 1.0), repeat=instance.n_weights))
-    ).reshape(-1, co, ci)
 
 
 # mathematically tied configurations can differ by ~1 ulp through different
@@ -99,19 +65,38 @@ def verify_mask_freedom(instance: MicroInstance,
                         force_identity_mask: bool = False) -> VerifyResult:
     """Check min_free <= min_constrained from one shared enumeration.
 
+    A gate reaches the effective matrices whose off-gate rows are zero; at
+    kernel mask all-ones, its on-gate rows hold grid values only.  Adding
+    ``lam * |g|`` is monotone, so a branch's minimum over gates of (its
+    rows' minimum data loss + penalty) is its minimum penalized loss.
+
     ``force_identity_mask`` plants a fault for verifier self-tests: the
     "free" branch is evaluated with the kernel mask pinned to all-ones, so
     strict inequalities disappear and the sweep's suspicious-equality
     diagnostic must fire.
     """
-    if force_identity_mask:
-        kernel_configs = np.ones((1, instance.out_channels, instance.in_channels))
-    else:
-        kernel_configs = _all_kernel_configs(instance)
-    losses, _, _ = _loss_table(instance, kernel_configs)
-    ones_index = kernel_configs.shape[0] - 1   # all-ones is last in lex order
-    min_free = float(losses.min())
-    min_constrained = float(losses[:, :, ones_index].min())
+    co, ci = instance.out_channels, instance.in_channels
+    values = sorted(set(instance.weight_grid) | {0.0})
+    eff = np.array(list(itertools.product(values, repeat=co * ci))).reshape(-1, co, ci)
+    logits = np.einsum("eoi,pi->eop", eff, instance.inputs)  # [ne, co, P]
+    zmax = logits.max(axis=1, keepdims=True)
+    logp = logits - zmax - np.log(np.exp(logits - zmax).sum(axis=1, keepdims=True))
+    picked = np.take_along_axis(logp, instance.labels[None, None, :], axis=1)[:, 0, :]
+    data_loss = -picked.mean(axis=-1)                        # [ne]
+
+    gates = np.array(list(itertools.product((0.0, 1.0), repeat=co)))   # [ng, co]
+    penalty = instance.lam * gates.sum(axis=1)               # [ng]
+    on = gates.astype(bool)[None]                            # [1, ng, co]
+    zero_rows = (eff == 0.0).all(axis=2)[:, None, :]         # [ne, 1, co]
+    grid_rows = np.isin(eff, instance.weight_grid).all(axis=2)[:, None, :]
+    constrained = np.where(on, grid_rows, zero_rows).all(axis=2)     # [ne, ng]
+    free = constrained if force_identity_mask else (on | zero_rows).all(axis=2)
+
+    def branch_min(reachable: np.ndarray) -> float:
+        per_gate = np.where(reachable, data_loss[:, None], np.inf).min(axis=0)
+        return float((per_gate + penalty).min())
+
+    min_free, min_constrained = branch_min(free), branch_min(constrained)
     return VerifyResult(
         instance_id=instance.instance_id,
         min_free=min_free,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import BackboneState
+from .backbone import BackboneState, KernelState, SlotState
 from .config import ConfigError, _typed, arch_dict, parse_arch
 from .driver import EpochLogEntry, RunResult, TaskSnapshot, _frozen, run_id
 from .growth import ratio_label
@@ -138,6 +138,8 @@ def load_snapshot(path: str | Path) -> TaskSnapshot:
 
 
 _LAYER_ARRAYS = ("weights", "bias", "slot_state", "slot_owner", "kernel_state", "kernel_owner")
+# state array -> the enum its every value must belong to
+_STATE_ENUMS = {"slot_state": SlotState, "kernel_state": KernelState}
 
 
 def save_backbone(backbone: BackboneState, path: str | Path) -> None:
@@ -163,11 +165,16 @@ def load_backbone(path: str | Path) -> BackboneState:
     backbone = BackboneState(arch)
     for layer in backbone.layers:
         for attr in _LAYER_ARRAYS:
-            target = getattr(layer, attr)
-            arr = _array(arrays, f"{layer.spec.name}/{attr}", path, target.shape)
+            key, target = f"{layer.spec.name}/{attr}", getattr(layer, attr)
+            arr = _array(arrays, key, path, target.shape)
             if arr.dtype != target.dtype:
-                raise StoreFormatError(f"{path}: array '{layer.spec.name}/{attr}' has "
+                raise StoreFormatError(f"{path}: array {key!r} has "
                                        f"dtype {arr.dtype}, expected {target.dtype}")
+            states = _STATE_ENUMS.get(attr)
+            outside = arr[~np.isin(arr, list(states))] if states else ()
+            if len(outside):
+                raise StoreFormatError(f"{path}: array {key!r} holds {outside[0]}, "
+                                       f"which is no {states.__name__}")
             target[:] = arr
     return backbone
 
@@ -288,8 +295,10 @@ def load_run(run_dir: str | Path) -> tuple[dict, BackboneState | None, dict[int,
     backbone = None
     if (run_dir / "backbone.bin").exists():
         backbone = load_backbone(run_dir / "backbone.bin")
-    snapshots: dict[int, TaskSnapshot] = {}
-    for path in sorted((run_dir / "snapshots").glob("task_*.snap")):
-        snap = load_snapshot(path)
-        snapshots[snap.task_id] = snap
-    return manifest, backbone, snapshots
+    snapshots = [load_snapshot(p) for p in sorted((run_dir / "snapshots").glob("task_*.snap"))]
+    ids = [snap.task_id for snap in snapshots]
+    if backbone is not None and ids != manifest["task_ids"]:
+        # a run with a backbone saved one snapshot per task, in task order
+        raise StoreFormatError(f"{run_dir}: snapshot task ids {ids} differ from "
+                               f"the manifest's task_ids {manifest['task_ids']}")
+    return manifest, backbone, {snap.task_id: snap for snap in snapshots}

@@ -10,17 +10,20 @@ The full-width backbone passes are the reference for the compacted ones:
 they run relu before that maxpool, and share conv and norm, not the channel
 bookkeeping.  ``train_view_reference`` and ``eval_view_reference`` build a
 task in training's view and a finished task's view, each by its own rule;
-they are the reference for ``growcl.backbone.task_view``.  The per-sample renderers and ``synth_tasks_per_sample`` are
-the reference for ``growcl.data.synth_tasks``, which renders a class at
-once.  The enumeration argmin and single-configuration loss re-check
-``growcl.enumcheck``'s shared table, and ``save_idx`` writes the IDX files
-that ``growcl.data.load_idx`` reads.  ``first_difference`` is
+they are the reference for ``growcl.backbone.task_view``.  The per-sample
+renderers and ``synth_tasks_per_sample`` are the reference for
+``growcl.data.synth_tasks``, which renders a class at once.  The brute-force
+table over every (weights, gate, kernel mask) triple, its argmin and the
+single-configuration loss re-check ``growcl.enumcheck``'s table over
+distinct effective matrices, and ``save_idx`` writes the IDX files that
+``growcl.data.load_idx`` reads.  ``first_difference`` is
 ``bench/rundiff.py``'s, the byte-identity check of two run directories.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -43,7 +46,7 @@ from growcl.data import (
     _separated_layout,
     _split_indices,
 )
-from growcl.enumcheck import MicroInstance, _all_kernel_configs, _loss_table
+from growcl.enumcheck import MicroInstance
 from growcl.ops import (
     conv2d,
     conv2d_backward,
@@ -320,6 +323,36 @@ class EnumResult:
     argmin_kernel_mask: np.ndarray    # [Cout, Cin]
 
 
+def _loss_table(instance: MicroInstance,
+                kernel_configs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Penalized loss for every (w, gate, kernel mask) combination.
+
+    Returns (losses [nw, ng, nk], w_configs, gate_configs); enumeration
+    order is lexicographic in each axis, so a flat argmin is the documented
+    tie-break.
+    """
+    co, ci = instance.out_channels, instance.in_channels
+    w_configs = np.array(
+        list(itertools.product(instance.weight_grid, repeat=instance.n_weights))
+    ).reshape(-1, co, ci)
+    gate_configs = np.array(
+        list(itertools.product((0.0, 1.0), repeat=co))
+    ).reshape(-1, co)
+    x = instance.inputs                       # [P, ci]
+    y = instance.labels
+    # effective weights: [nw, ng, nk, co, ci]
+    eff = (w_configs[:, None, None, :, :]
+           * gate_configs[None, :, None, :, None]
+           * kernel_configs[None, None, :, :, :])
+    logits = np.einsum("abcoi,pi->abcop", eff, x)          # [nw, ng, nk, co, P]
+    zmax = logits.max(axis=3, keepdims=True)
+    logp = logits - zmax - np.log(np.exp(logits - zmax).sum(axis=3, keepdims=True))
+    picked = np.take_along_axis(logp, y[None, None, None, None, :], axis=3)[..., 0, :]
+    data_loss = -picked.mean(axis=-1)                       # [nw, ng, nk]
+    penalty = instance.lam * gate_configs.sum(axis=1)       # [ng]
+    return data_loss + penalty[None, :, None], w_configs, gate_configs
+
+
 def enumerate_min_loss(instance: MicroInstance, attentive_free: bool) -> EnumResult:
     """Exact global minimum over the discretized configuration space.
 
@@ -327,7 +360,9 @@ def enumerate_min_loss(instance: MicroInstance, attentive_free: bool) -> EnumRes
     otherwise it is pinned to all-ones, which leaves every weight in play.
     """
     if attentive_free:
-        kernel_configs = _all_kernel_configs(instance)
+        kernel_configs = np.array(
+            list(itertools.product((0.0, 1.0), repeat=instance.n_weights))
+        ).reshape(-1, instance.out_channels, instance.in_channels)
     else:
         kernel_configs = np.ones((1, instance.out_channels, instance.in_channels))
     losses, w_configs, gate_configs = _loss_table(instance, kernel_configs)

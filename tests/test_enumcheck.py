@@ -89,6 +89,24 @@ class TestVerify:
         free = enumerate_min_loss(inst, attentive_free=True)
         assert np.any(free.argmin_kernel_mask == 0.0)
 
+    @pytest.mark.parametrize("force", [False, True], ids=["free", "identity-mask"])
+    def test_minima_equal_the_full_triple_table(self, force):
+        # the sweep's own instances at 3 seeds, plus one- and two-input
+        # instances on grids with and without 0
+        instances = [
+            random_instance(SeededRng(seed).substream("enumcheck").substream(f"instance{i}"), i)
+            for seed in range(3) for i in range(1, 101)
+        ]
+        instances += [
+            make_instance(grid=grid, ci=ci, seed=seed)
+            for grid in ((-1.0, -0.5, 0.0, 0.5, 1.0), (-1.0, 0.0, 1.0), (-1.0, 1.0), (-1.0, 0.5))
+            for ci in (1, 2) for seed in range(3)
+        ]
+        for inst in instances:
+            res = verify_mask_freedom(inst, force_identity_mask=force)
+            assert res.min_free == enumerate_min_loss(inst, attentive_free=not force).min_loss
+            assert res.min_constrained == enumerate_min_loss(inst, attentive_free=False).min_loss
+
     def test_planted_identity_fault_removes_strict_gaps(self):
         report = run_sweep(40, seed=11, force_identity_mask=True)
         assert report.all_passed            # equality still satisfies <=

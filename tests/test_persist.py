@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -245,7 +247,40 @@ class TestManifest:
         assert main(["report", str(tmp_path / "run"), "--out", str(tmp_path / "report")]) == 2
 
 
+class TestSnapshotSet:
+    @pytest.mark.parametrize("change, found", [
+        ("deleted-1", [2]), ("deleted-2", [1]), ("extra-3", [1, 2, 3]), ("duplicate-2", [1, 2, 2]),
+    ], ids=["deleted-1", "deleted-2", "extra-3", "duplicate-2"])
+    def test_snapshot_ids_must_match_the_manifest(self, saved_run, tmp_path, change, found):
+        # a run with a backbone holds one snapshot per manifest task id
+        _, _, run_dir = saved_run
+        shutil.copytree(run_dir, tmp_path / "run")
+        snaps = tmp_path / "run" / "snapshots"
+        kind, task = change.split("-")
+        if kind == "deleted":
+            (snaps / f"task_00{task}.snap").unlink()
+        else:
+            header, arrays = read_container(snaps / "task_002.snap")
+            write_container(snaps / "task_003.snap", {**header, "task_id": int(task)}, arrays)
+        message = f"snapshot task ids {found} differ from the manifest's task_ids [1, 2]"
+        with pytest.raises(StoreFormatError, match=re.escape(message)):
+            load_run(tmp_path / "run")
+
+
 class TestMalformedFiles:
+    @pytest.mark.parametrize("key, value, enum", [
+        ("conv2/slot_state", 64, "SlotState"), ("conv1/slot_state", -1, "SlotState"),
+        ("conv2/kernel_state", 3, "KernelState"),
+    ])
+    def test_out_of_range_state_rejected(self, saved_run, tmp_path, key, value, enum):
+        _, _, run_dir = saved_run
+        header, arrays = read_container(run_dir / "backbone.bin")
+        arrays[key] = arrays[key].copy()
+        arrays[key].flat[-1] = value
+        write_container(tmp_path / "b.bin", header, arrays)
+        with pytest.raises(StoreFormatError, match=f"'{key}' holds {value}, which is no {enum}"):
+            load_backbone(tmp_path / "b.bin")
+
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_truncated_snapshot_rejected(self, saved_run, tmp_path_factory, data):
