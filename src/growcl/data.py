@@ -114,7 +114,7 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
 def _stripe_images(size: int, angle, freq: float, phase) -> np.ndarray:
     """Stripe gratings; an [S, 1, 1] ``angle`` or ``phase`` renders S of them."""
     ax = np.arange(size) / size
-    yy, xx = np.meshgrid(ax, ax, indexing="ij")
+    yy, xx = ax[:, None], ax[None, :]
     t = xx * np.cos(angle) + yy * np.sin(angle)
     return 0.5 + 0.5 * np.sin(2.0 * np.pi * freq * t + phase)
 
@@ -123,10 +123,12 @@ def _blob_images(size: int, centers: np.ndarray, width: float,
                  dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """Blob constellations, one per [S, 1, 1] entry of the shifts dx, dy."""
     ax = np.arange(size)
-    yy, xx = np.meshgrid(ax, ax, indexing="ij")
+    yy, xx = ax[:, None], ax[None, :]
     img = np.zeros((len(dx), size, size))
     for cy, cx in centers:
-        # toroidal shift keeps full blob mass in frame
+        # toroidal shift keeps full blob mass in frame; each distance is
+        # taken along its own axis ([S, size, 1] and [S, 1, size]) and
+        # broadcast only in the sum
         ddy = (yy - (cy + dy) + size / 2) % size - size / 2
         ddx = (xx - (cx + dx) + size / 2) % size - size / 2
         img += np.exp(-(ddx**2 + ddy**2) / (2.0 * width**2))

@@ -51,6 +51,7 @@ from .data import Task, TaskSequence, load_group_file, load_idx, split_by_class,
 from .growth import (
     ContractViolation,
     GrowthLedger,
+    boundary_violation,
     enforce_growth_cap,
     finalize_task,
     query_and_transition,
@@ -612,6 +613,9 @@ def resolve_targets(tasks: TaskSequence, config: RunConfig) -> dict[int, float]:
 
 
 def _check_boundary(result: RunResult, digests_before: dict, after_task: int) -> dict:
+    violation = boundary_violation(result.backbone, after_task)
+    if violation:
+        raise ContractViolation(f"backbone after task {after_task}: {violation}")
     digests_now = result.backbone.protected_digests()
     for key, value in digests_before.items():
         if digests_now.get(key) != value:

@@ -10,14 +10,18 @@ The second search space is a subset of the first, so
 must hold exactly.  Every entry of the effective weights ``w * g * k`` is a
 grid value or 0, so one table holds the data loss of each distinct effective
 matrix, at most ``|grid + {0}| ** (co * ci)`` rows.  Both minima are read
-from it, so the comparison carries zero numerical tolerance.  Strict
-inequality on some instances shows the kernel mask buys real freedom; grids
-that exclude the value 0 model trained weights (which are never exactly
-zero), and those are where strict gaps appear.
+from it, so the comparison carries zero numerical tolerance.  The matrices,
+the gates and which matrices each branch reaches depend only on the shape
+and the grid, so ``_grid_tables`` builds them once per grid, read-only; an
+instance computes only its data losses, penalties and the two minima.
+Strict inequality on some instances shows the kernel mask buys real
+freedom; grids that exclude the value 0 model trained weights (which are
+never exactly zero), and those are where strict gaps appear.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -61,6 +65,32 @@ class VerifyResult:
     strict: bool      # gap above STRICT_GAP_FLOOR: masking bought real freedom
 
 
+@functools.lru_cache(maxsize=16)
+def _grid_tables(co: int, ci: int, weight_grid: tuple[float, ...],
+                 force_identity_mask: bool):
+    """The tables of one shape and grid, which no instance data reaches: the
+    effective matrices over ``grid + {0}``, the gates' penalty units, and
+    per branch the matrices each gate reaches, gate after gate, with where
+    each gate's run starts.  Cached read-only: a sweep draws every instance
+    from a handful of grids."""
+    values = sorted(set(weight_grid) | {0.0})
+    eff = np.array(list(itertools.product(values, repeat=co * ci))).reshape(-1, co, ci)
+    gates = np.array(list(itertools.product((0.0, 1.0), repeat=co)))   # [ng, co]
+    units = gates.sum(axis=1)                                # [ng]
+    on = gates.astype(bool)[None]                            # [1, ng, co]
+    zero_rows = (eff == 0.0).all(axis=2)[:, None, :]         # [ne, 1, co]
+    grid_rows = np.isin(eff, weight_grid).all(axis=2)[:, None, :]
+    constrained = np.where(on, grid_rows, zero_rows).all(axis=2)     # [ne, ng]
+    free = constrained if force_identity_mask else (on | zero_rows).all(axis=2)
+    tables = [eff, units]
+    for reachable in (free, constrained):
+        gate, row = np.nonzero(reachable.T)   # gate-major; no gate reaches nothing
+        tables += [row, np.searchsorted(gate, np.arange(len(gates)))]
+    for table in tables:
+        table.flags.writeable = False
+    return tuple(tables)
+
+
 def verify_mask_freedom(instance: MicroInstance,
                         force_identity_mask: bool = False) -> VerifyResult:
     """Check min_free <= min_constrained from one shared enumeration.
@@ -68,35 +98,27 @@ def verify_mask_freedom(instance: MicroInstance,
     A gate reaches the effective matrices whose off-gate rows are zero; at
     kernel mask all-ones, its on-gate rows hold grid values only.  Adding
     ``lam * |g|`` is monotone, so a branch's minimum over gates of (its
-    rows' minimum data loss + penalty) is its minimum penalized loss.
+    rows' minimum data loss + penalty) is its minimum penalized loss.  A
+    minimum is exact in any order, so reading it per gate from the cached
+    row runs gives the bytes a masked minimum over the whole table does.
 
     ``force_identity_mask`` plants a fault for verifier self-tests: the
     "free" branch is evaluated with the kernel mask pinned to all-ones, so
     strict inequalities disappear and the sweep's suspicious-equality
     diagnostic must fire.
     """
-    co, ci = instance.out_channels, instance.in_channels
-    values = sorted(set(instance.weight_grid) | {0.0})
-    eff = np.array(list(itertools.product(values, repeat=co * ci))).reshape(-1, co, ci)
+    eff, units, *branches = _grid_tables(
+        instance.out_channels, instance.in_channels, instance.weight_grid,
+        force_identity_mask)
     logits = np.einsum("eoi,pi->eop", eff, instance.inputs)  # [ne, co, P]
     zmax = logits.max(axis=1, keepdims=True)
     logp = logits - zmax - np.log(np.exp(logits - zmax).sum(axis=1, keepdims=True))
     picked = np.take_along_axis(logp, instance.labels[None, None, :], axis=1)[:, 0, :]
     data_loss = -picked.mean(axis=-1)                        # [ne]
-
-    gates = np.array(list(itertools.product((0.0, 1.0), repeat=co)))   # [ng, co]
-    penalty = instance.lam * gates.sum(axis=1)               # [ng]
-    on = gates.astype(bool)[None]                            # [1, ng, co]
-    zero_rows = (eff == 0.0).all(axis=2)[:, None, :]         # [ne, 1, co]
-    grid_rows = np.isin(eff, instance.weight_grid).all(axis=2)[:, None, :]
-    constrained = np.where(on, grid_rows, zero_rows).all(axis=2)     # [ne, ng]
-    free = constrained if force_identity_mask else (on | zero_rows).all(axis=2)
-
-    def branch_min(reachable: np.ndarray) -> float:
-        per_gate = np.where(reachable, data_loss[:, None], np.inf).min(axis=0)
-        return float((per_gate + penalty).min())
-
-    min_free, min_constrained = branch_min(free), branch_min(constrained)
+    penalty = instance.lam * units                           # [ng]
+    min_free, min_constrained = (
+        float((np.minimum.reduceat(data_loss[rows], starts) + penalty).min())
+        for rows, starts in (branches[:2], branches[2:]))
     return VerifyResult(
         instance_id=instance.instance_id,
         min_free=min_free,

@@ -121,6 +121,51 @@ def finalize_task(layer: LayerState, claim_bits: np.ndarray, task_id: int) -> li
     return actions
 
 
+def boundary_violation(backbone: BackboneState, last: int) -> str | None:
+    """The first way ``backbone`` breaks what ``finalize_task`` leaves after
+    task ``last``, as ``layer/array[index] = value: rule``; None if none.
+
+    - every slot is UNGROWN, PRUNED or FIXED;
+    - ``slot_owner`` is at least 1 on the FIXED slots and 0 on the rest;
+    - a non-FIXED row holds only UNTRACKED kernels of owner 0, and its
+      weight and bias bytes are all +0.0;
+    - a FIXED row holds no UNTRACKED kernel, its USED kernels belong to the
+      row's task or a later one, and its RELEASED kernels have owner 0;
+    - no owner is above ``last``.
+    """
+    for layer in backbone.layers:
+        fixed = layer.slot_state == SlotState.FIXED
+        row = fixed[:, None]
+        state, owner = layer.kernel_state, layer.kernel_owner
+        rules = (
+            ("slot_state", np.isin(layer.slot_state, (SlotState.GROWN_TRAINING,
+                                                      SlotState.DETACHED)),
+             "a task boundary holds only UNGROWN, PRUNED or FIXED slots"),
+            ("slot_owner", np.where(fixed, layer.slot_owner < 1, layer.slot_owner != 0),
+             "a FIXED slot has an owner of at least 1, any other slot owner 0"),
+            ("kernel_state", row == (state == KernelState.UNTRACKED),
+             "a FIXED row's kernels are tracked, any other row's UNTRACKED"),
+            ("kernel_owner", ~row & (owner != 0), "a row that is not FIXED has owners 0"),
+            ("kernel_owner", (state == KernelState.USED) & (owner < layer.slot_owner[:, None]),
+             "a USED kernel belongs to its row's task or a later one"),
+            ("kernel_owner", (state == KernelState.RELEASED) & (owner != 0),
+             "a RELEASED kernel has owner 0"),
+            ("slot_owner", layer.slot_owner > last, f"no owner is above the last task {last}"),
+            ("kernel_owner", owner > last, f"no owner is above the last task {last}"),
+            ("weights", ~row[:, :, None, None] & (layer.weights.view(np.int64) != 0),
+             "a row that is not FIXED holds +0.0 weights"),
+            ("bias", ~fixed & (layer.bias.view(np.int64) != 0),
+             "a row that is not FIXED holds a +0.0 bias"),
+        )
+        for array, broken, rule in rules:
+            if broken.any():
+                index = tuple(int(i) for i in np.argwhere(broken)[0])
+                value = getattr(layer, array)[index]
+                return (f"{layer.spec.name}/{array}[{', '.join(map(str, index))}] "
+                        f"= {value}: {rule}")
+    return None
+
+
 def enforce_growth_cap(backbone: BackboneState,
                        grow_logits: dict[str, np.ndarray],
                        cap_ratio: float) -> list[SlotAction]:

@@ -17,7 +17,7 @@ import numpy as np
 from .backbone import BackboneState, KernelState, SlotState
 from .config import ConfigError, _typed, arch_dict, parse_arch
 from .driver import EpochLogEntry, RunResult, TaskSnapshot, _frozen, run_id
-from .growth import ratio_label
+from .growth import boundary_violation, ratio_label
 from .store import StoreFormatError, read_container, write_container, write_text_atomic
 
 FORMAT_VERSION = 1
@@ -156,7 +156,9 @@ def save_backbone(backbone: BackboneState, path: str | Path) -> None:
     write_container(path, header, arrays)
 
 
-def load_backbone(path: str | Path) -> BackboneState:
+def load_backbone(path: str | Path, last_task: int | None = None) -> BackboneState:
+    """A saved backbone, held to ``growth.boundary_violation``'s rules; with
+    no ``last_task`` (a file read without its manifest) owners are unbounded."""
     header, arrays = _read_kind(path, "backbone")
     try:
         arch = parse_arch(_field(header, "arch", path), "arch")
@@ -176,6 +178,10 @@ def load_backbone(path: str | Path) -> BackboneState:
                 raise StoreFormatError(f"{path}: array {key!r} holds {outside[0]}, "
                                        f"which is no {states.__name__}")
             target[:] = arr
+    last = np.iinfo(np.int32).max if last_task is None else last_task
+    violation = boundary_violation(backbone, last)
+    if violation:
+        raise StoreFormatError(f"{path}: {violation}")
     return backbone
 
 
@@ -294,7 +300,7 @@ def load_run(run_dir: str | Path) -> tuple[dict, BackboneState | None, dict[int,
     manifest = read_manifest(run_dir)
     backbone = None
     if (run_dir / "backbone.bin").exists():
-        backbone = load_backbone(run_dir / "backbone.bin")
+        backbone = load_backbone(run_dir / "backbone.bin", max(manifest["task_ids"]))
     snapshots = [load_snapshot(p) for p in sorted((run_dir / "snapshots").glob("task_*.snap"))]
     ids = [snap.task_id for snap in snapshots]
     if backbone is not None and ids != manifest["task_ids"]:

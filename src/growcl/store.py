@@ -90,6 +90,8 @@ def _parse_records(raw: bytes) -> tuple[object, dict[str, np.ndarray], int]:
         pos += 4 * ndim
         dt = _DTYPES[code]
         count = math.prod(shape)   # 1 for a 0-d array, 0 for an empty one
+        if count * dt.itemsize > len(raw) - pos:   # also a shape past ssize_t
+            raise ValueError(f"record {name!r} of shape {shape} runs past the end")
         arr = np.frombuffer(raw, dtype=dt, count=count, offset=pos).reshape(shape)
         pos += count * dt.itemsize
         arrays[name] = arr.copy()

@@ -19,6 +19,7 @@ from growcl.driver import (
     run_pipeline,
     train_scratch_model,
 )
+from growcl.growth import ContractViolation, finalize_task
 from growcl.ops import cross_entropy, linear, linear_backward, sgd_step
 from growcl.persist import save_run
 from growcl.rng import SeededRng
@@ -57,6 +58,23 @@ class TestRunGrown:
             assert states <= {SlotState.FIXED, SlotState.PRUNED, SlotState.UNGROWN}
             fixed = layer.slot_state == SlotState.FIXED
             assert np.all(layer.slot_owner[fixed] >= 1)
+
+    def test_boundary_rules_checked_after_each_task(self, monkeypatch):
+        # a finalize that leaves a bias in a row it did not fix is caught at
+        # that task's boundary, before the forgetting check
+        import growcl.driver as driver
+
+        def leaky_finalize(layer, claim_bits, task_id):
+            actions = finalize_task(layer, claim_bits, task_id)
+            if task_id == 2 and layer.spec.name == "conv2":
+                j = int(np.flatnonzero(layer.slot_state != SlotState.FIXED)[0])
+                layer.bias[j] = 0.5
+            return actions
+
+        monkeypatch.setattr(driver, "finalize_task", leaky_finalize)
+        with pytest.raises(ContractViolation,
+                           match=r"^backbone after task 2: conv2/bias\[\d+\] = 0\.5: a row that"):
+            run_pipeline(tiny_config(n_tasks=3), "grown")
 
     def test_ratio_monotone_and_capped(self, grown_run):
         cfg, res = grown_run

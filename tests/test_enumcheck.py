@@ -5,6 +5,7 @@ import pytest
 
 from growcl.enumcheck import (
     MicroInstance,
+    _grid_tables,
     random_instance,
     run_sweep,
     verify_mask_freedom,
@@ -106,6 +107,29 @@ class TestVerify:
             res = verify_mask_freedom(inst, force_identity_mask=force)
             assert res.min_free == enumerate_min_loss(inst, attentive_free=not force).min_loss
             assert res.min_constrained == enumerate_min_loss(inst, attentive_free=False).min_loss
+
+    def test_cached_tables_serve_interleaved_calls(self):
+        # one process, one cache: the planted fault on and off, grids with
+        # and without 0 and one or two inputs, each key met twice in a
+        # shuffled order, and every minimum still the oracle's
+        _grid_tables.cache_clear()
+        keys = [(force, grid, ci, seed)
+                for force in (False, True)
+                for grid in ((-1.0, 0.0, 1.0), (-1.0, 0.5), (-1.0, 1.0))
+                for ci in (1, 2) for seed in (0, 1)]
+        order = np.random.default_rng(4).permutation(len(keys))
+        for force, grid, ci, seed in (keys[k] for k in order):
+            inst = make_instance(grid=grid, ci=ci, seed=seed, lam=0.05 * seed)
+            res = verify_mask_freedom(inst, force_identity_mask=force)
+            assert res.min_free == enumerate_min_loss(inst, attentive_free=not force).min_loss
+            assert res.min_constrained == enumerate_min_loss(inst, attentive_free=False).min_loss
+        info = _grid_tables.cache_info()
+        assert (info.misses, info.hits) == (len(keys) // 2, len(keys) // 2)
+
+    def test_cached_tables_are_read_only(self):
+        for table in _grid_tables(2, 2, (-1.0, 0.5), False):
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = table[(0,) * table.ndim]
 
     def test_planted_identity_fault_removes_strict_gaps(self):
         report = run_sweep(40, seed=11, force_identity_mask=True)

@@ -5,7 +5,8 @@ One subprocess, with BLAS and OpenMP pinned to one thread, runs
 four run directories; each run directory's ``tree_digest``
 (``bench/rundiff.py``) and the report directory's must equal the constants
 recorded for them.  A change that alters numerics on purpose updates the
-constants once and says so.
+constants once and says so.  A second test runs one small grown run under 1
+and then 2 BLAS threads and asserts the two run directories are identical.
 """
 
 import importlib.util
@@ -80,3 +81,25 @@ def test_run_directories_match_golden_digests(tmp_path):
         digests[name] = tree_digest(run_dir)
     assert digests == GOLDEN
     assert tree_digest(tmp_path / "report") == GOLDEN_REPORT
+
+
+def test_run_directory_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # one small grown run at the 48/64 arch, under 1 and then 2 BLAS and
+    # OpenMP threads, each in its own working directory: a GEMM split across
+    # threads may sum in another order, and no run byte may show it
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps(dict(BASE, output_dir="wide", arch={"layers": [
+        {"capacity": 48, "seed_channels": 16}, {"capacity": 64, "seed_channels": 16}]})))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env.pop("GROWCL_OUTPUT_ROOT", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        subprocess.run([sys.executable, "-c", RUNNER, "wide", "grown", str(config)],
+                       env=env, check=True, cwd=cwd)
+        (run_dir,) = (cwd / "wide").iterdir()
+        digests.append(load_rundiff().tree_digest(run_dir))
+    assert digests[0] == digests[1]

@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import math
 import re
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +13,12 @@ from hypothesis import strategies as st
 
 from growcl import persist
 from growcl.cli import main
+from growcl.backbone import SlotState
 from growcl.config import arch_dict, parse_arch, parse_config_data
 from growcl.driver import (
     TaskSnapshot, build_tasks, evaluate, forgetting_check, run_id, run_pipeline,
 )
+from growcl.growth import boundary_violation
 from growcl.persist import (
     build_manifest,
     load_backbone,
@@ -120,6 +124,16 @@ class TestModeRuns:
             assert (back.reuse_bits is not None) == (result.mode == "grown")
             assert (back.claim_logits is not None) == (result.mode == "grown")
             assert (back.norm_scale is not None) == cfg.arch.group_norm
+
+    def test_backbone_keeps_the_boundary_rules(self, mode_run, tmp_path):
+        _, result = mode_run
+        assert boundary_violation(result.backbone, max(result.task_ids)) is None
+        save_backbone(result.backbone, tmp_path / "b.bin")
+        load_backbone(tmp_path / "b.bin", max(result.task_ids))
+        # below the latest task that owns anything, that task's owners are too high
+        top = max(int(l.kernel_owner.max()) for l in result.backbone.layers)
+        with pytest.raises(StoreFormatError, match=f"no owner is above the last task {top - 1}"):
+            load_backbone(tmp_path / "b.bin", top - 1)
 
     def test_val_accuracy_is_the_frozen_tasks(self, mode_run):
         cfg, result = mode_run
@@ -383,3 +397,114 @@ class TestMalformedFiles:
         write_container(tmp_path / "s.snap", header, arrays)
         with pytest.raises(StoreFormatError, match="'claim_logits/conv1' has shape"):
             load_snapshot(tmp_path / "s.snap")
+
+
+# In the saved grown run, conv2's row 0 is PRUNED and row 1 is FIXED by task
+# 1 with every kernel USED by task 1; the manifest's last task is 2.
+def _set(**values):
+    def mutate(arrays):
+        for key, (index, value) in values.items():
+            arrays[f"conv2/{key}"][index] = value
+    return mutate
+
+
+BOUNDARY_BREAKS = {
+    "growing-slot": (_set(slot_state=(0, 1)), "slot_state[0] = 1: a task boundary holds only"),
+    "fixed-slot-ungrown": (_set(slot_state=(1, 0)), "slot_owner[1] = 1: a FIXED slot"),
+    "owned-pruned-slot": (_set(slot_owner=(0, 1)), "slot_owner[0] = 1: a FIXED slot"),
+    "negative-owner": (_set(slot_owner=(0, -1)), "slot_owner[0] = -1: a FIXED slot"),
+    "untracked-in-fixed-row": (_set(kernel_state=((1, 2), 0)),
+                               "kernel_state[1, 2] = 0: a FIXED row's kernels are tracked"),
+    "used-in-pruned-row": (_set(kernel_state=((0, 2), 1)),
+                           "kernel_state[0, 2] = 1: a FIXED row's kernels are tracked"),
+    "owner-in-pruned-row": (_set(kernel_owner=((0, 2), 1)),
+                            "kernel_owner[0, 2] = 1: a row that is not FIXED has owners 0"),
+    "used-before-its-row": (_set(kernel_owner=((1, 2), 0)),
+                            "kernel_owner[1, 2] = 0: a USED kernel belongs to its row's task"),
+    "owned-release": (_set(kernel_state=((1, 2), 2)),
+                      "kernel_owner[1, 2] = 1: a RELEASED kernel has owner 0"),
+    "kernel-owner-after-last": (_set(kernel_owner=((1, 2), 3)),
+                                "kernel_owner[1, 2] = 3: no owner is above the last task 2"),
+    "slot-owner-after-last": (_set(slot_owner=(1, 3), kernel_owner=(1, 3)),
+                              "slot_owner[1] = 3: no owner is above the last task 2"),
+    "weight-in-pruned-row": (_set(weights=((0, 5, 2, 1), -0.0)),
+                             "weights[0, 5, 2, 1] = -0.0: a row that is not FIXED"),
+    "bias-in-pruned-row": (_set(bias=(0, 1e-300)), "bias[0] = 1e-300: a row that is not FIXED"),
+}
+
+
+class TestBoundaryRules:
+    @pytest.mark.parametrize("name", list(BOUNDARY_BREAKS))
+    def test_broken_rule_rejected_at_load(self, saved_run, tmp_path, name):
+        # the message names the layer, the array and the index
+        _, result, run_dir = saved_run
+        layer = result.backbone.layers[1]
+        assert list(layer.slot_state[:2]) == [SlotState.PRUNED, SlotState.FIXED]
+        assert set(layer.kernel_owner[1]) == {1}
+        mutate, message = BOUNDARY_BREAKS[name]
+        shutil.copytree(run_dir, tmp_path / "run")
+        header, arrays = read_container(run_dir / "backbone.bin")
+        arrays = {key: arr.copy() for key, arr in arrays.items()}
+        mutate(arrays)
+        write_container(tmp_path / "run" / "backbone.bin", header, arrays)
+        with pytest.raises(StoreFormatError, match=re.escape(f"backbone.bin: conv2/{message}")):
+            load_run(tmp_path / "run")
+        if "above the last" not in message:   # no manifest bounds a lone backbone
+            with pytest.raises(StoreFormatError, match=re.escape(f"conv2/{message}")):
+                load_backbone(tmp_path / "run" / "backbone.bin")
+
+
+def _record_spans(raw: bytes) -> dict[str, tuple[int, int]]:
+    """Byte range of each array record's payload in a container."""
+    pos = 8 + struct.unpack_from("<I", raw, 4)[0]
+    (n_records,) = struct.unpack_from("<I", raw, pos)
+    pos += 4
+    spans = {}
+    for _ in range(n_records):
+        (name_len,) = struct.unpack_from("<H", raw, pos)
+        name = raw[pos + 2:pos + 2 + name_len].decode()
+        code, ndim = struct.unpack_from("<BB", raw, pos + 2 + name_len)
+        pos += 4 + name_len
+        shape = struct.unpack_from(f"<{ndim}I", raw, pos)
+        pos += 4 * ndim
+        end = pos + math.prod(shape) * {0: 8, 1: 1, 2: 4, 3: 8}[code]
+        spans[name] = (pos, end)
+        pos = end
+    return spans
+
+
+class TestBitFlips:
+    def test_single_bit_flips_raise_only_store_errors(self, saved_run, tmp_path):
+        """Seeded single-bit flips in the backbone and the snapshots, one at
+        a time.  A flip may load (weights, owners and logits carry no
+        checksum), but nothing other than StoreFormatError is raised, and
+        every flip in a slot_state or kernel_state byte is rejected."""
+        _, _, run_dir = saved_run
+        shutil.copytree(run_dir, tmp_path / "run")
+        files = [tmp_path / "run" / "backbone.bin",
+                 *sorted((tmp_path / "run" / "snapshots").glob("*.snap"))]
+        spans = _record_spans(files[0].read_bytes())
+        state_bits = [8 * byte + bit for key, (lo, hi) in spans.items()
+                      if key.endswith(("/slot_state", "/kernel_state"))
+                      for byte in range(lo, hi) for bit in range(8)]
+        rng = np.random.default_rng(20)
+        trials = [(files[0], b) for b in rng.choice(state_bits, 120, replace=False)]
+        for path in files:
+            size = 8 * path.stat().st_size
+            trials += [(path, b) for b in rng.choice(size, 100, replace=False)]
+        state_bits = set(state_bits)
+        rejected = 0
+        for path, bit in trials:
+            raw = path.read_bytes()
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                load_run(tmp_path / "run")
+            except StoreFormatError:
+                rejected += 1
+            else:
+                assert not (path == files[0] and bit in state_bits), (path.name, bit)
+            finally:
+                path.write_bytes(raw)
+        assert rejected > 120

@@ -101,6 +101,21 @@ def test_bad_dtype_code_rejected(tmp_path):
         read_container(p)
 
 
+@pytest.mark.parametrize("ndim, shape", [(1, (3,)), (4, (2**31, 2**31, 2**31, 2**31))],
+                         ids=["one-past", "past-ssize_t"])
+def test_record_past_the_end_rejected(tmp_path, ndim, shape):
+    # a shape whose payload overruns the file, however large, is a format error
+    p = tmp_path / "x.bin"
+    write_container(p, {}, {"a": np.zeros(2)})
+    raw = bytearray(p.read_bytes())
+    ndim_at = 4 + 4 + len(b"{}") + 4 + 2 + len(b"a") + 1
+    head = bytes([ndim]) + np.array(shape, dtype="<u4").tobytes()
+    raw[ndim_at:ndim_at + 1 + 4] = head
+    p.write_bytes(bytes(raw))
+    with pytest.raises(StoreFormatError, match="runs past the end"):
+        read_container(p)
+
+
 @pytest.mark.parametrize("header", [[1, 2], "text", 3])
 def test_non_object_header_rejected(tmp_path, header):
     write_container(tmp_path / "x.bin", header, {})
