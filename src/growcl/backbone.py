@@ -4,8 +4,8 @@ Every conv layer is allocated at its full channel capacity up front, but a
 channel only participates once a task has grown it.  Each channel slot walks
 the lifecycle UNGROWN -> GROWN_TRAINING <-> DETACHED -> PRUNED/FIXED; once
 FIXED it belongs to its owner task forever.  Within a FIXED slot, each
-(out, in) kernel is either USED by some task (immutable) or RELEASED
-(trainable by the current task until it claims it).
+(out, in) kernel is USED by its owner task (immutable) or RELEASED, owner 0
+(trainable by the current task until it claims it); only owners are stored.
 
 The per-task sub-network is expressed as a kernel multiplier grid plus a
 channel-activity row mask (a ``TaskView``).  One function, ``task_view``,
@@ -119,10 +119,17 @@ class LayerState:
         self.bias = np.zeros(spec.out_channels)
         self.slot_state = np.full(spec.out_channels, SlotState.UNGROWN, dtype=np.int8)
         self.slot_owner = np.zeros(spec.out_channels, dtype=np.int32)
-        self.kernel_state = np.full(
-            (spec.out_channels, spec.in_channels), KernelState.UNTRACKED, dtype=np.int8
-        )
         self.kernel_owner = np.zeros((spec.out_channels, spec.in_channels), dtype=np.int32)
+
+    @property
+    def kernel_state(self) -> np.ndarray:
+        """Read-only: USED where a task owns the kernel, RELEASED in a FIXED
+        row where none does, UNTRACKED elsewhere."""
+        fixed = (self.slot_state == SlotState.FIXED)[:, None]
+        state = np.where(self.kernel_owner > 0, KernelState.USED, np.where(
+            fixed, KernelState.RELEASED, KernelState.UNTRACKED)).astype(np.int8)
+        state.flags.writeable = False
+        return state
 
     def active_channels(self, include_training: bool = True) -> np.ndarray:
         active = self.slot_state == SlotState.FIXED

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, parse_config
-from .driver import run_id, run_pipeline
+from .driver import MODES, run_id, run_pipeline
 from .enumcheck import run_sweep
 from .growth import ContractViolation, GrowthCapError
 from .persist import accuracy_csv, read_manifest, save_run, size_csv
@@ -112,7 +112,6 @@ def _gradient_suite(plant_fault: bool = False) -> str | None:
         conv2d, conv2d_backward, cross_entropy, finite_diff_check, linear,
         linear_backward,
     )
-    from .rng import SeededRng
 
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -213,8 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a pipeline and write a run directory")
     p_run.add_argument("--config", required=True, help="JSON config path")
-    p_run.add_argument("--mode", required=True,
-                       choices=["grown", "scratch", "grow_only"])
+    p_run.add_argument("--mode", required=True, choices=MODES)
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser(

@@ -67,6 +67,7 @@ from .masks import (
 from .ops import cross_entropy, sgd_step
 from .rng import SeededRng
 
+MODES = ("scratch", "grown", "grow_only")
 PROBE_SIZE = 64
 EVAL_BATCH = 256
 
@@ -271,11 +272,8 @@ class TaskTrainer:
             for action in query_and_transition(layer, bits, self.growth):
                 if action.action == "grow":
                     logits[action.index] = 1.0
-        self._enforce_cap()
-
-    def _enforce_cap(self) -> None:
-        logits = {name: m.logits for name, m in self.grow_masks.items()}
-        enforce_growth_cap(self.backbone, logits, self.config.growth_cap)
+        enforce_growth_cap(self.backbone, {name: m.logits for name, m in self.grow_masks.items()},
+                           self.config.growth_cap)
 
     # -- one optimization step ---------------------------------------------
 
@@ -311,14 +309,15 @@ class TaskTrainer:
             mult = view.multipliers[name]
             d_eff = grads.d_eff_weights[name]
             rows = layer.slot_state == SlotState.GROWN_TRAINING   # this task's growth
-            used = layer.kernel_state == KernelState.USED
+            state = layer.kernel_state
+            used = state == KernelState.USED
             row_grid = np.broadcast_to(rows[:, None], used.shape)
             if learns_masks:   # sensitivity to each kernel's bit, before weights move
                 d_mult = (d_eff * layer.weights).sum(axis=(2, 3))
 
             # weights: only this task's growing rows and released kernels move
             trainable = np.broadcast_to(
-                (row_grid | (layer.kernel_state == KernelState.RELEASED))[:, :, None, None],
+                (row_grid | (state == KernelState.RELEASED))[:, :, None, None],
                 layer.weights.shape,
             )
             self._update(f"{name} weights", d_eff * mult[:, :, None, None], lr, trainable)
@@ -416,10 +415,9 @@ class TaskTrainer:
         """Freeze exactly the network the task last trained with.
 
         No query runs here: the active set is the one the head has adapted
-        to, so fixing it cannot ablate features the task depends on.
-        """
+        to (and the last ``query_epoch`` held it to the growth cap), so fixing
+        it cannot ablate features the task depends on."""
         t = self.task.task_id
-        self._enforce_cap()   # no-op unless a caller skipped the epoch queries
         claim_bits = {name: m.hard_bits() for name, m in self.claim_masks.items()}
         for layer in self.backbone.layers:
             finalize_task(layer, claim_bits[layer.spec.name], t)
@@ -638,8 +636,6 @@ def train_task1(backbone: BackboneState, task: Task, target: float, config: RunC
                 kernel_masks: bool, root: SeededRng,
                 epoch_log: list[EpochLogEntry]) -> TaskSnapshot:
     """Sparse-grow the seed backbone on the first task and freeze it."""
-    if backbone.active_params(include_training=False) != 0:
-        raise ContractViolation("task 1 requires an empty ownership ledger")
     trainer = TaskTrainer(backbone, task, config, kernel_masks, root)
     trainer.train_phase("grow", config.epochs["task1"], epoch_log, target)
     return trainer.finalize()
@@ -655,8 +651,6 @@ def pick_and_reuse(backbone: BackboneState, task: Task, config: RunConfig,
     (for a possible expansion) plus the candidate validation accuracy, which
     is the one the last pick epoch logged.
     """
-    if task.task_id < 2:
-        raise ContractViolation("pick_and_reuse applies to tasks 2..T")
     trainer = TaskTrainer(backbone, task, config, True, root)
     trainer.train_phase("pick", config.epochs["pick"], epoch_log)
     return trainer, epoch_log[-1].val_accuracy
@@ -699,11 +693,11 @@ def run_pipeline(config: RunConfig, mode: str) -> RunResult:
     comparison isolates the mask/claim/retrain machinery rather than the
     growth budget.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     check_target_count(config)
     if mode == "scratch":
         return baseline_scratch(config)
-    if mode not in ("grown", "grow_only"):
-        raise ValueError(f"unknown mode {mode!r}")
     kernel_masks = mode == "grown"
     tasks = build_tasks(config)
     targets = resolve_targets(tasks, config)

@@ -9,11 +9,11 @@ value for the slot; FIXED slots must never be queried):
     DETACHED       + 1 -> GROWN_TRAINING   (original weights restored)
     anything else      -> unchanged        (PRUNED stays pruned)
 
-At task end, ``finalize_task`` claims every RELEASED kernel as USED(owner)
-(the task retrained them), turns DETACHED into PRUNED (weights dropped) and
-GROWN_TRAINING into FIXED(owner); kernels of newly fixed slots are
-partitioned by the task's claim bits into USED(owner) and RELEASED.  It is
-the only code that hands out kernel ownership.
+At task end, ``finalize_task`` gives the task every RELEASED kernel (it
+retrained them), turns DETACHED into PRUNED (weights dropped) and
+GROWN_TRAINING into FIXED(owner); a newly fixed slot's kernels get the task
+as owner where its claim bit is 1 and owner 0 (RELEASED) where it is 0.  It
+is the only code that hands out kernel ownership.
 """
 
 from __future__ import annotations
@@ -88,21 +88,19 @@ def query_and_transition(layer: LayerState, bits: np.ndarray,
 def finalize_task(layer: LayerState, claim_bits: np.ndarray, task_id: int) -> list[SlotAction]:
     """End-of-task cleanup for one layer; the one place kernels change owner.
 
-    Every RELEASED kernel becomes USED(task_id) first: the task retrained
-    it, so it is now part of the task's function (``task_view`` relies on
-    no RELEASED kernel of an earlier task's channel outliving a finished
-    task).  Then DETACHED slots become PRUNED (weights discarded) and
-    GROWN_TRAINING slots become FIXED(task_id), their kernels tagged
-    USED(task_id) where the claim bit is 1 and RELEASED where it is 0.
+    Every RELEASED kernel becomes task_id's first: the task retrained it, so
+    it is now part of the task's function (``task_view`` relies on no
+    RELEASED kernel of an earlier task's channel outliving a finished task).
+    Then DETACHED slots become PRUNED (weights discarded) and GROWN_TRAINING
+    slots become FIXED(task_id), their kernels owned by task_id where the
+    claim bit is 1 and by none (RELEASED) where it is 0.
     """
     claim_bits = np.asarray(claim_bits, dtype=np.float64)
-    if claim_bits.shape != layer.kernel_state.shape:
+    if claim_bits.shape != layer.kernel_owner.shape:
         raise ContractViolation(
-            f"{layer.spec.name}: claim bits must be shape {layer.kernel_state.shape}"
+            f"{layer.spec.name}: claim bits must be shape {layer.kernel_owner.shape}"
         )
-    released = layer.kernel_state == KernelState.RELEASED
-    layer.kernel_state[released] = KernelState.USED
-    layer.kernel_owner[released] = task_id
+    layer.kernel_owner[layer.kernel_state == KernelState.RELEASED] = task_id
     actions: list[SlotAction] = []
     for j in np.flatnonzero(layer.slot_state == SlotState.DETACHED):
         layer.weights[j] = 0.0
@@ -112,11 +110,7 @@ def finalize_task(layer: LayerState, claim_bits: np.ndarray, task_id: int) -> li
     for j in np.flatnonzero(layer.slot_state == SlotState.GROWN_TRAINING):
         layer.slot_state[j] = SlotState.FIXED
         layer.slot_owner[j] = task_id
-        claimed = claim_bits[j] == 1.0
-        layer.kernel_state[j, claimed] = KernelState.USED
-        layer.kernel_owner[j, claimed] = task_id
-        layer.kernel_state[j, ~claimed] = KernelState.RELEASED
-        layer.kernel_owner[j, ~claimed] = 0
+        layer.kernel_owner[j] = np.where(claim_bits[j] == 1.0, task_id, 0)
         actions.append(SlotAction(layer.spec.name, int(j), "fix"))
     return actions
 
@@ -127,29 +121,25 @@ def boundary_violation(backbone: BackboneState, last: int) -> str | None:
 
     - every slot is UNGROWN, PRUNED or FIXED;
     - ``slot_owner`` is at least 1 on the FIXED slots and 0 on the rest;
-    - a non-FIXED row holds only UNTRACKED kernels of owner 0, and its
-      weight and bias bytes are all +0.0;
-    - a FIXED row holds no UNTRACKED kernel, its USED kernels belong to the
-      row's task or a later one, and its RELEASED kernels have owner 0;
+    - a non-FIXED row holds owners 0, and its weight and bias bytes are all
+      +0.0;
+    - a kernel's owner is 0 (RELEASED, in a FIXED row) or its row's task or
+      a later one;
     - no owner is above ``last``.
     """
     for layer in backbone.layers:
         fixed = layer.slot_state == SlotState.FIXED
         row = fixed[:, None]
-        state, owner = layer.kernel_state, layer.kernel_owner
+        owner = layer.kernel_owner
         rules = (
-            ("slot_state", np.isin(layer.slot_state, (SlotState.GROWN_TRAINING,
-                                                      SlotState.DETACHED)),
+            ("slot_state", ~np.isin(layer.slot_state, (SlotState.UNGROWN, SlotState.PRUNED,
+                                                       SlotState.FIXED)),
              "a task boundary holds only UNGROWN, PRUNED or FIXED slots"),
             ("slot_owner", np.where(fixed, layer.slot_owner < 1, layer.slot_owner != 0),
              "a FIXED slot has an owner of at least 1, any other slot owner 0"),
-            ("kernel_state", row == (state == KernelState.UNTRACKED),
-             "a FIXED row's kernels are tracked, any other row's UNTRACKED"),
             ("kernel_owner", ~row & (owner != 0), "a row that is not FIXED has owners 0"),
-            ("kernel_owner", (state == KernelState.USED) & (owner < layer.slot_owner[:, None]),
-             "a USED kernel belongs to its row's task or a later one"),
-            ("kernel_owner", (state == KernelState.RELEASED) & (owner != 0),
-             "a RELEASED kernel has owner 0"),
+            ("kernel_owner", (owner != 0) & (owner < layer.slot_owner[:, None]),
+             "a kernel's owner is 0 or its row's task or a later one"),
             ("slot_owner", layer.slot_owner > last, f"no owner is above the last task {last}"),
             ("kernel_owner", owner > last, f"no owner is above the last task {last}"),
             ("weights", ~row[:, :, None, None] & (layer.weights.view(np.int64) != 0),

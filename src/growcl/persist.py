@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import BackboneState, KernelState, SlotState
+from .backbone import BackboneState
 from .config import ConfigError, _typed, arch_dict, parse_arch
-from .driver import EpochLogEntry, RunResult, TaskSnapshot, _frozen, run_id
+from .driver import MODES, EpochLogEntry, RunResult, TaskSnapshot, _frozen, run_id
 from .growth import boundary_violation, ratio_label
 from .store import StoreFormatError, read_container, write_container, write_text_atomic
 
@@ -138,8 +138,6 @@ def load_snapshot(path: str | Path) -> TaskSnapshot:
 
 
 _LAYER_ARRAYS = ("weights", "bias", "slot_state", "slot_owner", "kernel_state", "kernel_owner")
-# state array -> the enum its every value must belong to
-_STATE_ENUMS = {"slot_state": SlotState, "kernel_state": KernelState}
 
 
 def save_backbone(backbone: BackboneState, path: str | Path) -> None:
@@ -157,8 +155,8 @@ def save_backbone(backbone: BackboneState, path: str | Path) -> None:
 
 
 def load_backbone(path: str | Path, last_task: int | None = None) -> BackboneState:
-    """A saved backbone, held to ``growth.boundary_violation``'s rules; with
-    no ``last_task`` (a file read without its manifest) owners are unbounded."""
+    """A saved backbone, held to ``growth.boundary_violation``'s rules and its
+    derived ``kernel_state``; with no ``last_task`` owners are unbounded."""
     header, arrays = _read_kind(path, "backbone")
     try:
         arch = parse_arch(_field(header, "arch", path), "arch")
@@ -172,16 +170,17 @@ def load_backbone(path: str | Path, last_task: int | None = None) -> BackboneSta
             if arr.dtype != target.dtype:
                 raise StoreFormatError(f"{path}: array {key!r} has "
                                        f"dtype {arr.dtype}, expected {target.dtype}")
-            states = _STATE_ENUMS.get(attr)
-            outside = arr[~np.isin(arr, list(states))] if states else ()
-            if len(outside):
-                raise StoreFormatError(f"{path}: array {key!r} holds {outside[0]}, "
-                                       f"which is no {states.__name__}")
-            target[:] = arr
+            if attr != "kernel_state":
+                target[:] = arr
     last = np.iinfo(np.int32).max if last_task is None else last_task
     violation = boundary_violation(backbone, last)
     if violation:
         raise StoreFormatError(f"{path}: {violation}")
+    for layer in backbone.layers:
+        key, derived = f"{layer.spec.name}/kernel_state", layer.kernel_state
+        for j, i in np.argwhere(arrays[key] != derived)[:1]:
+            raise StoreFormatError(f"{path}: {key}[{j}, {i}] = {arrays[key][j, i]}: "
+                                   f"slot_state and kernel_owner derive {derived[j, i]}")
     return backbone
 
 
@@ -243,16 +242,18 @@ def curves_csv(epoch_log: list[EpochLogEntry]) -> str:
 
 # manifest key -> the JSON type its readers need (a bool is not a number);
 # each per-task key maps str(task id) to such a value for every task id
-_MANIFEST_TYPES = {"seed": int, "n_tasks": int, "mode": str, "config_digest": str,
-                   "avg_accuracy": (int, float)}
-_PER_TASK_TYPES = {"test_accuracies": (int, float), "ratio_labels": str}
+_MANIFEST_TYPES = {"format_version": int, "seed": int, "n_tasks": int, "mode": str,
+                   "config_digest": str, "avg_accuracy": (int, float)}
+_ACCURACIES = ("test_accuracies", "val_accuracies")   # each in [0, 1]
+_PER_TASK_TYPES = {**dict.fromkeys(_ACCURACIES, (int, float)), "ratio_labels": str}
 
 
 def read_manifest(run_dir: str | Path) -> dict:
     """A run directory's manifest: FileNotFoundError when it has none,
-    StoreFormatError when it breaks the schema ``build_manifest`` writes."""
+    StoreFormatError when its schema or values are not what ``build_manifest``
+    writes (``avg_accuracy`` is ``RunResult.avg_accuracy``, bit for bit)."""
     path = Path(run_dir) / "manifest.json"
-    try:   # ValueError: not JSON; KeyError: a key missing; TypeError: a bad type
+    try:   # ValueError: not JSON or a bad value; KeyError: a key missing; TypeError: a bad type
         m = json.loads(path.read_text())
         if not isinstance(m, dict):
             raise TypeError(f"{type(m).__name__}, not an object")
@@ -266,6 +267,13 @@ def read_manifest(run_dir: str | Path) -> dict:
         for key, value, types in itertools.chain(values, per_task):
             if not _typed(value, types):
                 raise TypeError(f"{key} has the wrong type: {value!r}")
+            if key in _ACCURACIES and not 0.0 <= value <= 1.0:   # NaN fails too
+                raise ValueError(f"{key} holds {value}, outside [0, 1]")
+        for key, allowed in (("format_version", (FORMAT_VERSION,)), ("mode", MODES)):
+            if m[key] not in allowed:
+                raise ValueError(f"{key} {m[key]!r} is not one of {allowed}")
+        if m["avg_accuracy"] != float(np.mean([m["test_accuracies"][str(t)] for t in ids])):
+            raise ValueError(f"avg_accuracy {m['avg_accuracy']!r} is not the mean test accuracy")
     except (ValueError, KeyError, TypeError) as e:
         raise StoreFormatError(
             f"malformed manifest {path}: {type(e).__name__}: {e}") from None

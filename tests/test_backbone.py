@@ -5,7 +5,6 @@ from growcl.backbone import (
     ArchSpec,
     BackboneState,
     ConvLayerSpec,
-    KernelState,
     SlotState,
     TaskView,
     backward_pass,
@@ -194,7 +193,6 @@ class TestBackwardPass:
         layer = bb.layers[0]
         layer.slot_state[:] = SlotState.FIXED
         layer.slot_owner[:] = 1
-        layer.kernel_state[:] = KernelState.USED
         layer.kernel_owner[:] = 1
         before = bb.protected_digests()
         assert len(before) == 3 + 3  # 3 kernels (cin=1) + 3 biases for conv1

@@ -333,9 +333,10 @@ class TestReportCommand:
     def write_manifests(self, tmp_path, **changes):
         """Two run directories with the fields ``report`` reads; ``changes``
         edits the second manifest."""
-        base = {"mode": "grown", "seed": 0, "config_digest": "c0", "n_tasks": 2,
-                "task_ids": [1, 2],
-                "test_accuracies": {"1": 0.9, "2": 0.8}, "avg_accuracy": 0.85,
+        base = {"format_version": 1, "mode": "grown", "seed": 0, "config_digest": "c0",
+                "n_tasks": 2, "task_ids": [1, 2],
+                "test_accuracies": {"1": 0.875, "2": 0.75}, "avg_accuracy": 0.8125,
+                "val_accuracies": {"1": 0.9, "2": 0.8},
                 "ratio_labels": {"1": "0.3x", "2": "0.4x"}}
         dirs = []
         for name, m in (("a", base), ("b", {**base, "mode": "grow_only", **changes})):
@@ -354,8 +355,9 @@ class TestReportCommand:
                 ("grown", "b", 0.875), ("grow_only", "b", 0.75), ("grown", "c", 1.0)]
         dirs = []
         for i, (mode, digest, avg) in enumerate(runs):
-            m = {"mode": mode, "seed": 3, "config_digest": digest, "n_tasks": 1,
-                 "task_ids": [1], "test_accuracies": {"1": avg}, "avg_accuracy": avg,
+            m = {"format_version": 1, "mode": mode, "seed": 3, "config_digest": digest,
+                 "n_tasks": 1, "task_ids": [1], "test_accuracies": {"1": avg},
+                 "val_accuracies": {"1": avg}, "avg_accuracy": avg,
                  "ratio_labels": {"1": "0.5x"}}
             (tmp_path / str(i)).mkdir()
             (tmp_path / str(i) / "manifest.json").write_text(json.dumps(m))
@@ -376,6 +378,21 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed manifest")
         assert "Traceback" not in err
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("changes", [
+        {"format_version": 2}, {"mode": "x"}, {"avg_accuracy": 0.8},
+        {"test_accuracies": {"1": float("nan"), "2": 0.75}, "avg_accuracy": float("nan")},
+        {"test_accuracies": {"1": 1.5, "2": 0.75}, "avg_accuracy": 1.125},
+        {"val_accuracies": {"1": -0.25, "2": 0.8}},
+    ], ids=["format-version-2", "unknown-mode", "avg-not-the-mean", "nan-accuracy",
+            "accuracy-above-1", "negative-val-accuracy"])
+    def test_nonsense_manifest_usage_error(self, tmp_path, capsys, changes):
+        # report would turn these into nan or out-of-range averages and deltas
+        dirs = self.write_manifests(tmp_path, **changes)
+        assert main(["report", *dirs, "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed manifest") and "ValueError" in err
         assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize("changes", [

@@ -21,8 +21,9 @@ from growcl.driver import (
 )
 from growcl.growth import ContractViolation, finalize_task
 from growcl.ops import cross_entropy, linear, linear_backward, sgd_step
-from growcl.persist import save_run
+from growcl.persist import load_run, save_run
 from growcl.rng import SeededRng
+from growcl.store import read_container
 
 from oracles import first_difference
 
@@ -495,11 +496,10 @@ class TestReleasedKernelFlow:
         layer = backbone.layers[0]
         layer.slot_state[:3] = SlotState.FIXED
         layer.slot_owner[:3] = [1, 2, 3]
-        layer.kernel_state[:3] = KernelState.USED
         layer.kernel_owner[0] = 1
         layer.kernel_owner[1] = 2
         layer.kernel_owner[2] = 3
-        layer.kernel_state[1, 0] = KernelState.RELEASED
+        layer.kernel_owner[1, 0] = 0   # RELEASED: a FIXED row's kernel that no task owns
         from growcl.driver import TaskSnapshot
         reuse = {l.spec.name: np.full((l.spec.out_channels, l.spec.in_channels), 0.0)
                  for l in backbone.layers}
@@ -539,12 +539,12 @@ class TestOneTaskView:
             assert view.channel_on[name].tobytes() == ref.channel_on[name].tobytes()
 
     @pytest.mark.parametrize("group_norm", [False, True], ids=["plain", "group-norm"])
-    def test_task_view_matches_both_references(self, monkeypatch, group_norm):
+    def test_task_view_matches_both_references(self, monkeypatch, tmp_path, group_norm):
         import growcl.driver as driver
         from oracles import eval_view_reference, train_view_reference
 
         counts = dict.fromkeys(["steps", "released", "zero claim bits", "eval views",
-                                "zero reuse bits"], 0)
+                                "zero reuse bits", "saved runs", "saved released"], 0)
         same = self.assert_same_view
 
         def drop(logits, task_id, layer_index, phase):   # ~30 % of them to -1
@@ -586,8 +586,26 @@ class TestOneTaskView:
                     for l in backbone.layers)
             return view
 
+        def saved_boundary(result, digests, after_task):
+            # the run so far is saved at each boundary, the last one being
+            # the end of the run, and must load and re-verify cold
+            digests = check_boundary(result, digests, after_task)
+            run_dir = save_run(result, tmp_path / f"after{after_task}")
+            _, backbone, snapshots = load_run(run_dir)
+            _, stored = read_container(run_dir / "backbone.bin")
+            for layer in result.backbone.layers:   # the in-memory derivation, stored
+                assert (stored[f"{layer.spec.name}/kernel_state"].tobytes()
+                        == layer.kernel_state.tobytes())
+            assert all(forgetting_check(snapshots, backbone).values())
+            counts["saved runs"] += 1
+            counts["saved released"] += sum(
+                int((l.kernel_state == KernelState.RELEASED).sum()) for l in backbone.layers)
+            return digests
+
+        check_boundary = driver._check_boundary
         monkeypatch.setattr(driver, "TaskTrainer", Checked)
         monkeypatch.setattr(driver, "build_eval_view", checked_eval_view)
+        monkeypatch.setattr(driver, "_check_boundary", saved_boundary)
         cfg = tiny_config(target_accuracy=1.0, growth_cap=1.0,
                           arch={"group_norm": group_norm},
                           tasks={"n_tasks": 4, "samples_per_class": 40},
@@ -598,6 +616,7 @@ class TestOneTaskView:
         assert counts["steps"] > 0 and counts["eval views"] > 0
         assert counts["released"] > 0 and counts["zero claim bits"] > 0
         assert counts["zero reuse bits"] > 0
+        assert counts["saved runs"] == 4 and counts["saved released"] > 0
 
 
 @pytest.fixture

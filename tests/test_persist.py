@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import json
 import math
+import operator
 import re
 import shutil
 import struct
@@ -281,18 +283,26 @@ class TestSnapshotSet:
             load_run(tmp_path / "run")
 
 
+SLOT_RULE = "a task boundary holds only UNGROWN, PRUNED or FIXED slots"
+DERIVED = "slot_state and kernel_owner derive"
+
+
 class TestMalformedFiles:
-    @pytest.mark.parametrize("key, value, enum", [
-        ("conv2/slot_state", 64, "SlotState"), ("conv1/slot_state", -1, "SlotState"),
-        ("conv2/kernel_state", 3, "KernelState"),
-    ])
-    def test_out_of_range_state_rejected(self, saved_run, tmp_path, key, value, enum):
+    @pytest.mark.parametrize("key, value, rule", [
+        ("conv2/slot_state", 64, SLOT_RULE), ("conv1/slot_state", -1, SLOT_RULE),
+        ("conv2/kernel_state", 3, DERIVED),
+    ], ids=["conv2/slot_state-64-SlotState", "conv1/slot_state--1-SlotState",
+            "conv2/kernel_state-3-KernelState"])
+    def test_out_of_range_state_rejected(self, saved_run, tmp_path, key, value, rule):
+        # the slot rule and the kernel_state derivation reject any value
+        # outside SlotState and KernelState, at the last index
         _, _, run_dir = saved_run
         header, arrays = read_container(run_dir / "backbone.bin")
         arrays[key] = arrays[key].copy()
         arrays[key].flat[-1] = value
         write_container(tmp_path / "b.bin", header, arrays)
-        with pytest.raises(StoreFormatError, match=f"'{key}' holds {value}, which is no {enum}"):
+        index = ", ".join(str(n - 1) for n in arrays[key].shape)
+        with pytest.raises(StoreFormatError, match=re.escape(f"{key}[{index}] = {value}: {rule}")):
             load_backbone(tmp_path / "b.bin")
 
     @given(data=st.data())
@@ -408,21 +418,22 @@ def _set(**values):
     return mutate
 
 
+OWNER_RULE = "a kernel's owner is 0 or its row's task or a later one"
 BOUNDARY_BREAKS = {
     "growing-slot": (_set(slot_state=(0, 1)), "slot_state[0] = 1: a task boundary holds only"),
     "fixed-slot-ungrown": (_set(slot_state=(1, 0)), "slot_owner[1] = 1: a FIXED slot"),
     "owned-pruned-slot": (_set(slot_owner=(0, 1)), "slot_owner[0] = 1: a FIXED slot"),
     "negative-owner": (_set(slot_owner=(0, -1)), "slot_owner[0] = -1: a FIXED slot"),
     "untracked-in-fixed-row": (_set(kernel_state=((1, 2), 0)),
-                               "kernel_state[1, 2] = 0: a FIXED row's kernels are tracked"),
+                               f"kernel_state[1, 2] = 0: {DERIVED} 1"),
     "used-in-pruned-row": (_set(kernel_state=((0, 2), 1)),
-                           "kernel_state[0, 2] = 1: a FIXED row's kernels are tracked"),
+                           f"kernel_state[0, 2] = 1: {DERIVED} 0"),
     "owner-in-pruned-row": (_set(kernel_owner=((0, 2), 1)),
                             "kernel_owner[0, 2] = 1: a row that is not FIXED has owners 0"),
-    "used-before-its-row": (_set(kernel_owner=((1, 2), 0)),
-                            "kernel_owner[1, 2] = 0: a USED kernel belongs to its row's task"),
-    "owned-release": (_set(kernel_state=((1, 2), 2)),
-                      "kernel_owner[1, 2] = 1: a RELEASED kernel has owner 0"),
+    "used-before-its-row": (_set(slot_owner=(1, 2)), "kernel_owner[1, 0] = 1: " + OWNER_RULE),
+    "negative-kernel-owner": (_set(kernel_owner=((1, 2), -1)),
+                              "kernel_owner[1, 2] = -1: " + OWNER_RULE),
+    "owned-release": (_set(kernel_state=((1, 2), 2)), f"kernel_state[1, 2] = 2: {DERIVED} 1"),
     "kernel-owner-after-last": (_set(kernel_owner=((1, 2), 3)),
                                 "kernel_owner[1, 2] = 3: no owner is above the last task 2"),
     "slot-owner-after-last": (_set(slot_owner=(1, 3), kernel_owner=(1, 3)),
@@ -508,3 +519,57 @@ class TestBitFlips:
             finally:
                 path.write_bytes(raw)
         assert rejected > 120
+
+
+# what a manifest mutation writes: null, a string, numbers in and out of
+# [0, 1], a bool, containers, a huge number, a numeric string and NaN
+MANIFEST_VALUES = [None, "x", -1, 0, 1.5, True, [], {}, 1e30, "4", float("nan")]
+# top-level keys every mutation under which must be rejected, except a
+# validation accuracy set to 0, which is a real accuracy
+MUST_REJECT = ("format_version", "mode", "avg_accuracy", "test_accuracies", "val_accuracies")
+
+
+def _key_paths(obj, path=()):
+    """The path of every dict key and list index under obj."""
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield path + (key,)
+            yield from _key_paths(value, path + (key,))
+
+
+class TestManifestMutations:
+    def test_mutations_raise_only_store_errors(self, saved_run, tmp_path):
+        """Seeded single edits of manifest.json, one at a time: delete one
+        key or list item, or set it to one of MANIFEST_VALUES.  An edit may
+        load (nothing yet checks the config against its digest), but nothing
+        other than StoreFormatError is raised, and every edit under a
+        MUST_REJECT key is rejected."""
+        _, _, run_dir = saved_run
+        shutil.copytree(run_dir, tmp_path / "run")
+        path = tmp_path / "run" / "manifest.json"
+        text = path.read_text()
+        paths = list(_key_paths(json.loads(text)))
+        rng = np.random.default_rng(21)
+        rejected, loaded = set(), 0
+        for _ in range(600):
+            where = paths[rng.integers(len(paths))]
+            pick = int(rng.integers(len(MANIFEST_VALUES) + 1))
+            manifest = json.loads(text)
+            parent = functools.reduce(operator.getitem, where[:-1], manifest)
+            value = "deleted" if pick == len(MANIFEST_VALUES) else MANIFEST_VALUES[pick]
+            if value == "deleted":
+                del parent[where[-1]]
+            else:
+                parent[where[-1]] = value
+            path.write_text(json.dumps(manifest))
+            try:
+                load_run(tmp_path / "run")
+            except StoreFormatError:
+                rejected.add(where[0])
+            else:
+                loaded += 1
+                real_accuracy = where[0] == "val_accuracies" and len(where) == 2 and value == 0
+                assert where[0] not in MUST_REJECT or real_accuracy, (where, value)
+        path.write_text(text)
+        load_run(tmp_path / "run")
+        assert set(MUST_REJECT) <= rejected and loaded > 0
