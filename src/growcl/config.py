@@ -5,8 +5,8 @@ Each config section has one table: ``_TOP`` (top-level scalars), ``_TEMPERATURE`
 ``arch.layers``).  A table's ``Row`` states a numeric key's default, its bounds (open
 or closed) and whether it is an integer, once; ``_num`` reads every row and cites the
 bounds a value breaks, and ``DEFAULTS`` is built from the tables.  Unknown keys are
-rejected by name.  The digest of the fully resolved config (sha256 of canonical JSON)
-names run directories and goes into every manifest.
+rejected by name.  The digest of the fully resolved config (sha256 of canonical JSON,
+without ``output_dir``) names run directories and goes into every manifest.
 """
 
 from __future__ import annotations
@@ -162,7 +162,10 @@ class RunConfig:
 
     @property
     def digest(self) -> str:
-        blob = json.dumps(self.resolved, sort_keys=True, separators=(",", ":"))
+        """sha256 of ``resolved``, but for ``output_dir``: where a run is
+        written changes none of its results."""
+        blob = json.dumps({**self.resolved, "output_dir": None}, sort_keys=True,
+                          separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
     @property

@@ -98,24 +98,20 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TaskSnapshot:
-    """Everything needed to reproduce one task's inference bit-exactly,
-    given the shared backbone.
-
-    The frozen bits are what inference uses; the raw mask logits ride along
-    for post-hoc analysis (they never affect evaluation)."""
+    """What one task adds to the shared backbone to reproduce its inference
+    bit-exactly: its head, and per layer its reuse bits (``grown``) and norm
+    parameters (group norm).  Its own kernels are the backbone's ``kernel_owner``
+    entries; the probe images' logit fingerprint lets a cold load check it."""
 
     task_id: int
     n_classes: int
     reuse_bits: dict[str, np.ndarray] | None
-    claim_bits: dict[str, np.ndarray]
     head_weight: np.ndarray
     head_bias: np.ndarray
     norm_scale: dict[str, np.ndarray] | None
     norm_shift: dict[str, np.ndarray] | None
     probe_images: np.ndarray
     probe_fingerprint: str
-    reuse_logits: dict[str, np.ndarray] | None = None
-    claim_logits: dict[str, np.ndarray] | None = None
 
 
 @dataclass
@@ -418,22 +414,16 @@ class TaskTrainer:
         to (and the last ``query_epoch`` held it to the growth cap), so fixing
         it cannot ablate features the task depends on."""
         t = self.task.task_id
-        claim_bits = {name: m.hard_bits() for name, m in self.claim_masks.items()}
         for layer in self.backbone.layers:
-            finalize_task(layer, claim_bits[layer.spec.name], t)
-        reuse_bits = reuse_logits = claim_logits = None
+            finalize_task(layer, self.claim_masks[layer.spec.name].hard_bits(), t)
+        reuse_bits = None
         if self.kernel_masks:
             reuse_bits = {n: _frozen(m.hard_bits()) for n, m in self.reuse_masks.items()}
-            reuse_logits = {n: _frozen(m.logits) for n, m in self.reuse_masks.items()}
-            claim_logits = {n: _frozen(m.logits) for n, m in self.claim_masks.items()}
         probe = _frozen(self.task.val.images[:PROBE_SIZE])
         snapshot = TaskSnapshot(
             task_id=t,
             n_classes=self.task.n_classes,
             reuse_bits=reuse_bits,
-            claim_bits={name: _frozen(bits) for name, bits in claim_bits.items()},
-            reuse_logits=reuse_logits,
-            claim_logits=claim_logits,
             head_weight=_frozen(self.head_weight),
             head_bias=_frozen(self.head_bias),
             norm_scale=(None if self.norm_scale is None

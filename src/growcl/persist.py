@@ -1,71 +1,63 @@
-"""Run-directory layout: manifest, CSV reports, snapshots, backbone.
+"""Run-directory layout (format 2): manifest, CSV reports, snapshots, backbone.
 
 A run directory is self-describing (manifest + config digest + seed
 reproduce it exactly) and deterministic: rerunning the same config and seed
-yields byte-identical files.  Nothing here writes wall-clock time.
+yields byte-identical files.  Nothing here writes wall-clock time.  Kernel
+states and size labels are derived, not stored; at load the manifest's seed,
+digest, run id and sizes must equal what its config and the backbone derive,
+and each snapshot's records must fit the backbone's arch.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .backbone import BackboneState
-from .config import ConfigError, _typed, arch_dict, parse_arch
+from .backbone import ArchSpec, BackboneState, SlotState
+from .config import ConfigError, _typed, arch_dict, parse_arch, parse_config_data
 from .driver import MODES, EpochLogEntry, RunResult, TaskSnapshot, _frozen, run_id
 from .growth import boundary_violation, ratio_label
 from .store import StoreFormatError, read_container, write_container, write_text_atomic
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
 # snapshot / backbone containers
 # ---------------------------------------------------------------------------
 
-# record prefix -> (TaskSnapshot field, header flags it needs, grid-shaped);
-# a grid record is [out, in] per layer like the claim bits, the rest [out]
+# record prefix -> (TaskSnapshot field, the header flag for it, the record's
+# shape for a layer); each is one record per layer of the arch, or none
 _SNAPSHOT_RECORDS = {
-    "claim": ("claim_bits", (), True),
-    "claim_logits": ("claim_logits", ("has_logits",), True),
-    "reuse": ("reuse_bits", ("has_reuse",), True),
-    "reuse_logits": ("reuse_logits", ("has_logits", "has_reuse"), True),
-    "norm_scale": ("norm_scale", ("has_norm",), False),
-    "norm_shift": ("norm_shift", ("has_norm",), False),
+    "reuse": ("reuse_bits", "has_reuse", lambda spec: (spec.out_channels, spec.in_channels)),
+    "norm_scale": ("norm_scale", "has_norm", lambda spec: (spec.out_channels,)),
+    "norm_shift": ("norm_shift", "has_norm", lambda spec: (spec.out_channels,)),
 }
-# header flag -> the TaskSnapshot field whose presence it records
-_SNAPSHOT_FLAGS = {"has_reuse": "reuse_bits", "has_norm": "norm_scale",
-                   "has_logits": "claim_logits"}
 
 
 def save_snapshot(snapshot: TaskSnapshot, path: str | Path) -> None:
-    layers = sorted(snapshot.claim_bits)
-    flags = {flag: getattr(snapshot, attr) is not None for flag, attr in _SNAPSHOT_FLAGS.items()}
     header = {
         "format_version": FORMAT_VERSION,
         "kind": "task_snapshot",
         "task_id": snapshot.task_id,
         "n_classes": snapshot.n_classes,
         "probe_fingerprint": snapshot.probe_fingerprint,
-        "layers": layers,
-        # mask granularity tag: claim and reuse masks are
-        # kernel-wise grids bound to each layer's (out, in) capacity
-        "mask_granularity": "kernel",
-        **flags,
     }
     arrays: dict[str, np.ndarray] = {
         "head_weight": snapshot.head_weight,
         "head_bias": snapshot.head_bias,
         "probe_images": snapshot.probe_images,
     }
-    for prefix, (attr, needs, _) in _SNAPSHOT_RECORDS.items():
-        if all(flags[f] for f in needs):
-            per_layer = getattr(snapshot, attr)
-            arrays.update((f"{prefix}/{name}", per_layer[name]) for name in layers)
+    for prefix, (attr, flag, _) in _SNAPSHOT_RECORDS.items():
+        per_layer = getattr(snapshot, attr)
+        header[flag] = per_layer is not None
+        if per_layer is not None:
+            arrays.update((f"{prefix}/{name}", arr) for name, arr in per_layer.items())
     write_container(path, header, arrays)
 
 
@@ -85,9 +77,9 @@ def _field(header: dict, key: str, path: str | Path):
     return header[key]
 
 
-# header key -> the JSON type load_snapshot needs; "layers" holds str names
-_SNAPSHOT_TYPES = {"layers": list, "task_id": int, "n_classes": int,
-                   "probe_fingerprint": str, **dict.fromkeys(_SNAPSHOT_FLAGS, bool)}
+# header key -> the JSON type load_snapshot needs
+_SNAPSHOT_TYPES = {"task_id": int, "n_classes": int, "probe_fingerprint": str,
+                   "has_reuse": bool, "has_norm": bool}
 
 
 def _array(arrays: dict[str, np.ndarray], key: str, path: str | Path,
@@ -103,41 +95,34 @@ def _array(arrays: dict[str, np.ndarray], key: str, path: str | Path,
     return arr
 
 
-def load_snapshot(path: str | Path) -> TaskSnapshot:
+def load_snapshot(path: str | Path, arch: ArchSpec) -> TaskSnapshot:
+    """A saved snapshot, every record's shape checked against ``arch``."""
     header, arrays = _read_kind(path, "task_snapshot")
     fields = {key: _field(header, key, path) for key in _SNAPSHOT_TYPES}
     for key, types in _SNAPSHOT_TYPES.items():
-        value = fields[key]
-        if not _typed(value, types) or key == "layers" and not all(
-                isinstance(name, str) for name in value):
-            raise StoreFormatError(f"{path}: header {key!r} has the wrong type: {value!r}")
-    layers, n_classes = fields["layers"], fields["n_classes"]
-
-    def per_layer(prefix: str, grid: bool) -> dict[str, np.ndarray]:
-        # claim bits fix each layer's [out, in] grid; the rest must match it
-        out = {}
-        for name in layers:
-            claim = _array(arrays, f"claim/{name}", path, (None, None))
-            shape = claim.shape if grid else claim.shape[:1]
-            out[name] = _frozen(_array(arrays, f"{prefix}/{name}", path, shape))
-        return out
-
+        if not _typed(fields[key], types):
+            raise StoreFormatError(f"{path}: header {key!r} has the wrong type: {fields[key]!r}")
+    if fields["has_norm"] != arch.group_norm:
+        raise StoreFormatError(f"{path}: has_norm differs from the arch's group_norm")
+    n_classes, size = fields["n_classes"], arch.image_size
     records = {
-        attr: per_layer(prefix, grid) if all(fields[f] for f in needs) else None
-        for prefix, (attr, needs, grid) in _SNAPSHOT_RECORDS.items()
+        attr: {spec.name: _frozen(_array(arrays, f"{prefix}/{spec.name}", path, shape(spec)))
+               for spec in arch.layers} if fields[flag] else None
+        for prefix, (attr, flag, shape) in _SNAPSHOT_RECORDS.items()
     }
     return TaskSnapshot(
         task_id=fields["task_id"],
         n_classes=n_classes,
-        head_weight=_frozen(_array(arrays, "head_weight", path, (n_classes, None))),
+        head_weight=_frozen(_array(arrays, "head_weight", path, (n_classes, arch.feature_dim))),
         head_bias=_frozen(_array(arrays, "head_bias", path, (n_classes,))),
-        probe_images=_frozen(_array(arrays, "probe_images", path, (None,) * 4)),
+        probe_images=_frozen(_array(arrays, "probe_images", path,
+                                    (None, arch.in_channels, size, size))),
         probe_fingerprint=fields["probe_fingerprint"],
         **records,
     )
 
 
-_LAYER_ARRAYS = ("weights", "bias", "slot_state", "slot_owner", "kernel_state", "kernel_owner")
+_LAYER_ARRAYS = ("weights", "bias", "slot_state", "slot_owner", "kernel_owner")
 
 
 def save_backbone(backbone: BackboneState, path: str | Path) -> None:
@@ -155,8 +140,8 @@ def save_backbone(backbone: BackboneState, path: str | Path) -> None:
 
 
 def load_backbone(path: str | Path, last_task: int | None = None) -> BackboneState:
-    """A saved backbone, held to ``growth.boundary_violation``'s rules and its
-    derived ``kernel_state``; with no ``last_task`` owners are unbounded."""
+    """A saved backbone, held to ``growth.boundary_violation``'s rules; with
+    no ``last_task`` owners are unbounded."""
     header, arrays = _read_kind(path, "backbone")
     try:
         arch = parse_arch(_field(header, "arch", path), "arch")
@@ -170,17 +155,11 @@ def load_backbone(path: str | Path, last_task: int | None = None) -> BackboneSta
             if arr.dtype != target.dtype:
                 raise StoreFormatError(f"{path}: array {key!r} has "
                                        f"dtype {arr.dtype}, expected {target.dtype}")
-            if attr != "kernel_state":
-                target[:] = arr
+            target[:] = arr
     last = np.iinfo(np.int32).max if last_task is None else last_task
     violation = boundary_violation(backbone, last)
     if violation:
         raise StoreFormatError(f"{path}: {violation}")
-    for layer in backbone.layers:
-        key, derived = f"{layer.spec.name}/kernel_state", layer.kernel_state
-        for j, i in np.argwhere(arrays[key] != derived)[:1]:
-            raise StoreFormatError(f"{path}: {key}[{j}, {i}] = {arrays[key][j, i]}: "
-                                   f"slot_state and kernel_owner derive {derived[j, i]}")
     return backbone
 
 
@@ -204,7 +183,6 @@ def build_manifest(result: RunResult) -> dict:
         "targets": {str(t): result.targets[t] for t in sorted(result.targets)},
         "avg_accuracy": result.avg_accuracy,
         "ratios": {str(t): result.ratios[t] for t in ids},
-        "ratio_labels": {str(t): ratio_label(result.ratios[t]) for t in ids},
         "gate_log": [asdict(e) for e in result.gate_log],
         "forgetting": result.forgetting_log,
     }
@@ -216,7 +194,7 @@ def _csv(manifests: list[dict], tail: str, row) -> str:
     n_tasks = manifests[0]["n_tasks"]
     lines = ["method," + ",".join(str(i) for i in range(1, n_tasks + 1)) + tail]
     for m in manifests:
-        labels = [m["ratio_labels"][str(t)] for t in m["task_ids"]]
+        labels = [ratio_label(m["ratios"][str(t)]) for t in m["task_ids"]]
         lines.append(",".join([m["mode"], *row(m, labels)]))
     return "\n".join(lines) + "\n"
 
@@ -244,14 +222,15 @@ def curves_csv(epoch_log: list[EpochLogEntry]) -> str:
 # each per-task key maps str(task id) to such a value for every task id
 _MANIFEST_TYPES = {"format_version": int, "seed": int, "n_tasks": int, "mode": str,
                    "config_digest": str, "avg_accuracy": (int, float)}
-_ACCURACIES = ("test_accuracies", "val_accuracies")   # each in [0, 1]
-_PER_TASK_TYPES = {**dict.fromkeys(_ACCURACIES, (int, float)), "ratio_labels": str}
+# per-task key -> the largest value it may hold; each is a number, at least 0
+_PER_TASK_BOUNDS = {"test_accuracies": 1.0, "val_accuracies": 1.0, "ratios": math.inf}
 
 
 def read_manifest(run_dir: str | Path) -> dict:
     """A run directory's manifest: FileNotFoundError when it has none,
     StoreFormatError when its schema or values are not what ``build_manifest``
-    writes (``avg_accuracy`` is ``RunResult.avg_accuracy``, bit for bit)."""
+    writes (``avg_accuracy`` is ``RunResult.avg_accuracy``, bit for bit, and
+    ``seed``, ``config_digest`` and ``run_id`` are those of ``config``)."""
     path = Path(run_dir) / "manifest.json"
     try:   # ValueError: not JSON or a bad value; KeyError: a key missing; TypeError: a bad type
         m = json.loads(path.read_text())
@@ -262,18 +241,24 @@ def read_manifest(run_dir: str | Path) -> dict:
             raise ValueError(f"task_ids {ids!r} are not n_tasks = {m['n_tasks']!r} ids")
         values = [(key, m[key], types) for key, types in _MANIFEST_TYPES.items()]
         values += [("task id", t, int) for t in ids]
-        per_task = ((key, m[key][str(t)], types)   # looked up once the ids pass
-                    for key, types in _PER_TASK_TYPES.items() for t in ids)
+        per_task = ((key, m[key][str(t)], (int, float))   # looked up once the ids pass
+                    for key in _PER_TASK_BOUNDS for t in ids)
         for key, value, types in itertools.chain(values, per_task):
             if not _typed(value, types):
                 raise TypeError(f"{key} has the wrong type: {value!r}")
-            if key in _ACCURACIES and not 0.0 <= value <= 1.0:   # NaN fails too
-                raise ValueError(f"{key} holds {value}, outside [0, 1]")
+            if key in _PER_TASK_BOUNDS and not 0.0 <= value <= _PER_TASK_BOUNDS[key]:
+                raise ValueError(f"{key} holds {value}, outside [0, {_PER_TASK_BOUNDS[key]}]")
         for key, allowed in (("format_version", (FORMAT_VERSION,)), ("mode", MODES)):
             if m[key] not in allowed:
                 raise ValueError(f"{key} {m[key]!r} is not one of {allowed}")
         if m["avg_accuracy"] != float(np.mean([m["test_accuracies"][str(t)] for t in ids])):
             raise ValueError(f"avg_accuracy {m['avg_accuracy']!r} is not the mean test accuracy")
+        config = parse_config_data(m["config"])   # a ConfigError is a ValueError
+        derived = {"seed": config.seed, "config_digest": config.digest,
+                   "run_id": run_id(m["mode"], config)}
+        for key, value in derived.items():
+            if m[key] != value:
+                raise ValueError(f"{key} {m[key]!r} is not the config's {value!r}")
     except (ValueError, KeyError, TypeError) as e:
         raise StoreFormatError(
             f"malformed manifest {path}: {type(e).__name__}: {e}") from None
@@ -304,15 +289,24 @@ def save_run(result: RunResult, run_dir: str | Path) -> Path:
 
 
 def load_run(run_dir: str | Path) -> tuple[dict, BackboneState | None, dict[int, TaskSnapshot]]:
+    """A run directory's manifest, backbone and snapshots (none without a backbone)."""
     run_dir = Path(run_dir)
     manifest = read_manifest(run_dir)
-    backbone = None
-    if (run_dir / "backbone.bin").exists():
-        backbone = load_backbone(run_dir / "backbone.bin", max(manifest["task_ids"]))
-    snapshots = [load_snapshot(p) for p in sorted((run_dir / "snapshots").glob("task_*.snap"))]
+    paths = sorted((run_dir / "snapshots").glob("task_*.snap"))
+    if not (run_dir / "backbone.bin").exists():
+        if paths:
+            raise StoreFormatError(f"{run_dir}: snapshots without a backbone.bin")
+        return manifest, None, {}
+    backbone = load_backbone(run_dir / "backbone.bin", max(manifest["task_ids"]))
+    snapshots = [load_snapshot(p, backbone.arch) for p in paths]
     ids = [snap.task_id for snap in snapshots]
-    if backbone is not None and ids != manifest["task_ids"]:
+    if ids != manifest["task_ids"]:
         # a run with a backbone saved one snapshot per task, in task order
         raise StoreFormatError(f"{run_dir}: snapshot task ids {ids} differ from "
                                f"the manifest's task_ids {manifest['task_ids']}")
-    return manifest, backbone, {snap.task_id: snap for snap in snapshots}
+    for t in ids:   # the size after task t counts the slots tasks 1..t fixed
+        fixed = sum(int(((l.slot_state == SlotState.FIXED) & (l.slot_owner <= t)).sum())
+                    * l.spec.params_per_channel for l in backbone.layers)
+        if manifest["ratios"][str(t)] != fixed / backbone.arch.full_params:
+            raise StoreFormatError(f"{run_dir}: ratios[{t}] is not backbone.bin's size")
+    return manifest, backbone, dict(zip(ids, snapshots))

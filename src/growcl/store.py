@@ -1,14 +1,17 @@
 """On-disk container for run artifacts.
 
-One file = a JSON header plus named little-endian array records with shape
-headers.  Writing the same payload twice produces identical bytes (no
-timestamps, sorted JSON keys), which is what makes whole run directories
-byte-comparable across reruns.  Files are written atomically
-(write-temp-then-rename).
+One file = the magic ``GCL2``, a JSON header, named little-endian array
+records with shape headers, and the sha256 of every byte before it.  A
+reader checks that digest before it parses anything, so a flipped or
+truncated file is rejected whole.  Writing the same payload twice produces
+identical bytes (no timestamps, sorted JSON keys), which is what makes
+whole run directories byte-comparable across reruns.  Files are written
+atomically (write-temp-then-rename).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-MAGIC = b"GCL1"
+MAGIC = b"GCL2"
 
 # dtype code of an array record -> the little-endian dtype of its payload
 _DTYPES = {0: np.dtype("<f8"), 1: np.dtype("|i1"), 2: np.dtype("<i4"), 3: np.dtype("<i8")}
@@ -50,15 +53,20 @@ def write_container(path: str | Path, header: dict,
         chunks.append(struct.pack("<BB", codes[0], arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(payload)
-    _write_atomic(path, b"".join(chunks))
+    body = b"".join(chunks)
+    _write_atomic(path, body + hashlib.sha256(body).digest())
 
 
 def read_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Header and arrays of a container file; StoreFormatError for any file
-    that is not one (bad magic, truncated, unknown dtype, trailing bytes)."""
+    that is not one (bad magic or checksum, truncated, unknown dtype,
+    trailing bytes)."""
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise StoreFormatError(f"{path}: bad magic {raw[:4]!r}")
+    raw, digest = raw[:-32], raw[-32:]
+    if hashlib.sha256(raw).digest() != digest:
+        raise StoreFormatError(f"{path}: sha256 checksum mismatch")
     try:
         header, arrays, pos = _parse_records(raw)
     except (struct.error, ValueError, KeyError) as e:   # UnicodeDecodeError is a ValueError

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from growcl.cli import main
+from growcl.config import parse_config_data
+from growcl.driver import run_id
 
 TINY = {
     "arch": {"layers": [
@@ -330,16 +332,24 @@ class TestReportCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "report").exists()
 
+    @staticmethod
+    def config_keys(mode, **config):
+        """The manifest keys ``read_manifest`` derives from a real config."""
+        cfg = parse_config_data(config)
+        return {"mode": mode, "seed": cfg.seed, "config": cfg.resolved,
+                "config_digest": cfg.digest, "run_id": run_id(mode, cfg)}
+
     def write_manifests(self, tmp_path, **changes):
         """Two run directories with the fields ``report`` reads; ``changes``
         edits the second manifest."""
-        base = {"format_version": 1, "mode": "grown", "seed": 0, "config_digest": "c0",
+        base = {"format_version": 2, **self.config_keys("grown"),
                 "n_tasks": 2, "task_ids": [1, 2],
                 "test_accuracies": {"1": 0.875, "2": 0.75}, "avg_accuracy": 0.8125,
                 "val_accuracies": {"1": 0.9, "2": 0.8},
-                "ratio_labels": {"1": "0.3x", "2": "0.4x"}}
+                "ratios": {"1": 0.3, "2": 0.4}}
         dirs = []
-        for name, m in (("a", base), ("b", {**base, "mode": "grow_only", **changes})):
+        for name, m in (("a", base), ("b", {**base, **self.config_keys("grow_only"),
+                                            **changes})):
             (tmp_path / name).mkdir()
             (tmp_path / name / "manifest.json").write_text(json.dumps(m))
             dirs.append(str(tmp_path / name))
@@ -351,14 +361,14 @@ class TestReportCommand:
         assert (tmp_path / "report" / "deltas.csv").exists()
 
     def test_deltas_pair_runs_of_one_config(self, tmp_path):
-        runs = [("grown", "a", 0.5), ("grow_only", "a", 0.625),
-                ("grown", "b", 0.875), ("grow_only", "b", 0.75), ("grown", "c", 1.0)]
+        # three configs, told apart by lambda_l0
+        runs = [("grown", 0.5, 0.5), ("grow_only", 0.5, 0.625),
+                ("grown", 0.25, 0.875), ("grow_only", 0.25, 0.75), ("grown", 0.125, 1.0)]
         dirs = []
-        for i, (mode, digest, avg) in enumerate(runs):
-            m = {"format_version": 1, "mode": mode, "seed": 3, "config_digest": digest,
+        for i, (mode, lambda_l0, avg) in enumerate(runs):
+            m = {"format_version": 2, **self.config_keys(mode, seed=3, lambda_l0=lambda_l0),
                  "n_tasks": 1, "task_ids": [1], "test_accuracies": {"1": avg},
-                 "val_accuracies": {"1": avg}, "avg_accuracy": avg,
-                 "ratio_labels": {"1": "0.5x"}}
+                 "val_accuracies": {"1": avg}, "avg_accuracy": avg, "ratios": {"1": 0.5}}
             (tmp_path / str(i)).mkdir()
             (tmp_path / str(i) / "manifest.json").write_text(json.dumps(m))
             dirs.append(str(tmp_path / str(i)))
@@ -370,7 +380,7 @@ class TestReportCommand:
     @pytest.mark.parametrize("changes", [
         {"seed": "4"}, {"avg_accuracy": "0.9"}, {"seed": True}, {"n_tasks": 2.0},
         {"mode": 3}, {"test_accuracies": {"1": 0.9, "2": None}},
-        {"ratio_labels": {"1": "0.3x", "2": 0.4}}, {"config_digest": 5},
+        {"ratios": {"1": 0.3, "2": "0.4"}}, {"config_digest": 5},
     ])
     def test_mistyped_manifest_usage_error(self, tmp_path, capsys, changes):
         dirs = self.write_manifests(tmp_path, **changes)
@@ -381,12 +391,15 @@ class TestReportCommand:
         assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize("changes", [
-        {"format_version": 2}, {"mode": "x"}, {"avg_accuracy": 0.8},
+        {"format_version": 1}, {"mode": "x"}, {"avg_accuracy": 0.8},
         {"test_accuracies": {"1": float("nan"), "2": 0.75}, "avg_accuracy": float("nan")},
         {"test_accuracies": {"1": 1.5, "2": 0.75}, "avg_accuracy": 1.125},
         {"val_accuracies": {"1": -0.25, "2": 0.8}},
-    ], ids=["format-version-2", "unknown-mode", "avg-not-the-mean", "nan-accuracy",
-            "accuracy-above-1", "negative-val-accuracy"])
+        {"seed": 1}, {"config_digest": "0" * 64}, {"run_id": "grow_only-seed0-00000000"},
+        {"ratios": {"1": 0.3, "2": -0.4}},
+    ], ids=["format-version-1", "unknown-mode", "avg-not-the-mean", "nan-accuracy",
+            "accuracy-above-1", "negative-val-accuracy", "seed-not-the-configs",
+            "digest-not-the-configs", "run-id-not-the-configs", "negative-ratio"])
     def test_nonsense_manifest_usage_error(self, tmp_path, capsys, changes):
         # report would turn these into nan or out-of-range averages and deltas
         dirs = self.write_manifests(tmp_path, **changes)

@@ -23,7 +23,6 @@ from growcl.growth import ContractViolation, finalize_task
 from growcl.ops import cross_entropy, linear, linear_backward, sgd_step
 from growcl.persist import load_run, save_run
 from growcl.rng import SeededRng
-from growcl.store import read_container
 
 from oracles import first_difference
 
@@ -239,9 +238,7 @@ class TestBaselines:
         res = run_pipeline(cfg, "grow_only")
         for snap in res.snapshots.values():
             assert snap.reuse_bits is None
-            assert snap.reuse_logits is None and snap.claim_logits is None
-            for bits in snap.claim_bits.values():
-                assert np.all(bits == 1.0)
+        # every claim bit was 1: each FIXED row's kernels are all owned
         for layer in res.backbone.layers:
             assert not np.any(layer.kernel_state == KernelState.RELEASED)
 
@@ -506,8 +503,6 @@ class TestReleasedKernelFlow:
         reuse["conv1"][0, :] = 1.0
         snap = TaskSnapshot(
             task_id=2, n_classes=2, reuse_bits=reuse,
-            claim_bits={l.spec.name: np.ones_like(l.kernel_state, dtype=float)
-                        for l in backbone.layers},
             head_weight=np.zeros((2, cfg.arch.feature_dim)), head_bias=np.zeros(2),
             norm_scale=None, norm_shift=None,
             probe_images=np.zeros((1, 1, 16, 16)), probe_fingerprint="",
@@ -592,10 +587,6 @@ class TestOneTaskView:
             digests = check_boundary(result, digests, after_task)
             run_dir = save_run(result, tmp_path / f"after{after_task}")
             _, backbone, snapshots = load_run(run_dir)
-            _, stored = read_container(run_dir / "backbone.bin")
-            for layer in result.backbone.layers:   # the in-memory derivation, stored
-                assert (stored[f"{layer.spec.name}/kernel_state"].tobytes()
-                        == layer.kernel_state.tobytes())
             assert all(forgetting_check(snapshots, backbone).values())
             counts["saved runs"] += 1
             counts["saved released"] += sum(

@@ -1,7 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from growcl.store import StoreFormatError, read_container, write_container
+
+
+def reseal(body: bytes) -> bytes:
+    """``body`` with the sha256 trailer a container ends in."""
+    return body + hashlib.sha256(body).digest()
 
 
 def test_round_trip_arrays_and_header(tmp_path):
@@ -43,6 +50,32 @@ def test_bad_magic_rejected(tmp_path):
         read_container(p)
 
 
+def test_format_1_container_rejected(tmp_path):
+    # a format-1 file (magic GCL1, no trailer) fails on its first four bytes
+    p = tmp_path / "x.bin"
+    write_container(p, {}, {"a": np.zeros(2)})
+    p.write_bytes(b"GCL1" + p.read_bytes()[4:-32])
+    with pytest.raises(StoreFormatError, match="bad magic b'GCL1'"):
+        read_container(p)
+
+
+def test_container_ends_in_its_sha256(tmp_path):
+    p = small_container(tmp_path)
+    raw = p.read_bytes()
+    assert raw[:4] == b"GCL2" and raw == reseal(raw[:-32])
+
+
+def test_every_bit_flip_rejected(tmp_path):
+    p = small_container(tmp_path)
+    raw = p.read_bytes()
+    for bit in range(8 * len(raw)):
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        p.write_bytes(bytes(flipped))
+        with pytest.raises(StoreFormatError, match="magic|checksum"):
+            read_container(p)
+
+
 def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(StoreFormatError, match="dtype"):
         write_container(tmp_path / "x.bin", {}, {"a": np.zeros(2, dtype=np.float32)})
@@ -51,7 +84,11 @@ def test_unsupported_dtype_rejected(tmp_path):
 def test_trailing_garbage_rejected(tmp_path):
     p = tmp_path / "x.bin"
     write_container(p, {}, {"a": np.zeros(2)})
-    p.write_bytes(p.read_bytes() + b"junk")
+    raw = p.read_bytes()
+    p.write_bytes(raw + b"junk")   # past the trailer: the checksum no longer matches
+    with pytest.raises(StoreFormatError, match="checksum"):
+        read_container(p)
+    p.write_bytes(reseal(raw[:-32] + b"junk"))   # resealed: the parser finds the bytes
     with pytest.raises(StoreFormatError, match="trailing"):
         read_container(p)
 
@@ -96,7 +133,7 @@ def test_bad_dtype_code_rejected(tmp_path):
     code_at = 4 + 4 + len(b"{}") + 4 + 2 + len(b"a")
     assert raw[code_at] == 0   # the float64 code
     raw[code_at] = 9
-    p.write_bytes(bytes(raw))
+    p.write_bytes(reseal(bytes(raw[:-32])))
     with pytest.raises(StoreFormatError, match="KeyError"):
         read_container(p)
 
@@ -111,7 +148,7 @@ def test_record_past_the_end_rejected(tmp_path, ndim, shape):
     ndim_at = 4 + 4 + len(b"{}") + 4 + 2 + len(b"a") + 1
     head = bytes([ndim]) + np.array(shape, dtype="<u4").tobytes()
     raw[ndim_at:ndim_at + 1 + 4] = head
-    p.write_bytes(bytes(raw))
+    p.write_bytes(reseal(bytes(raw[:-32])))
     with pytest.raises(StoreFormatError, match="runs past the end"):
         read_container(p)
 
