@@ -21,10 +21,27 @@ Documented tie-breaks (oracles in the tests rely on these):
 The maxpool forward only takes maxima (one ``np.fmax`` per window slot) and
 caches its input and output; the backward finds each window's winning slot.
 Inference passes, which never run a backward, so skip the winner search.
+
+Workspaces: ``conv2d``, ``conv2d_backward`` and ``maxpool2d_backward`` take
+an optional ``workspace``, a dict that the caller owns and hands to one
+layer's ops on every call (``backbone`` takes one per layer, and a trainer
+keeps its list until it finalizes its task).  Each large array the op
+builds is then a view of the dict's buffer for its role, grown to the
+largest shape asked for and never shrunk, so a training step reuses the
+pages the step before it faulted in.  The roles: ``image`` (the padded
+input, then the image gradient), ``cols`` (the im2col columns, then their
+gradient, written once the filter gradient has read them), ``out`` (the
+conv output, then the pooling gradient, written once the winners are
+found) and the pooling masks.  A view lives until the next call that takes
+its role, so a conv output and its caches serve one pooling pass and one
+backward, and a ``dx`` must be read before the layer below runs.  Without
+a workspace every call allocates fresh arrays, so its results share no
+memory with any other call's.  The bytes are the same either way.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -36,6 +53,25 @@ class ShapeError(ValueError):
 
 def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
+
+
+Workspace = dict[str, np.ndarray]   # role -> grow-only flat buffer
+
+
+def _buffer(workspace: Workspace | None, role: str, shape: tuple,
+            dtype=np.float64) -> np.ndarray:
+    """An uninitialized C-contiguous array of ``shape``: a fresh one without
+    a workspace, else a view of the workspace's ``role`` buffer, which is
+    replaced by a larger one when it is too small."""
+    if workspace is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    buf = workspace.pop(role, None)
+    if buf is None or buf.size < size or buf.dtype != dtype:
+        buf = None   # freed first, so the allocator may reuse its pages
+        buf = np.empty(size, dtype)
+    workspace[role] = buf
+    return buf[:size].reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -53,13 +89,17 @@ def conv_out_size(extent: int, k: int, stride: int, pad: int) -> int:
     return span // stride + 1
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> tuple[np.ndarray, tuple]:
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int,
+            workspace: Workspace | None) -> tuple[np.ndarray, tuple]:
     """[N,C,H,W] -> [N, C*k*k, Ho*Wo] patch matrix (copy, C-contiguous)."""
     n, c, h, w = x.shape
     ho = conv_out_size(h, k, stride, pad)
     wo = conv_out_size(w, k, stride, pad)
     if pad > 0:
-        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+        # a reused buffer's border holds whatever its last shape put there
+        xp = _buffer(workspace, "image", (n, c, h + 2 * pad, w + 2 * pad))
+        xp[:, :, :pad] = xp[:, :, pad + h:] = 0.0
+        xp[:, :, :, :pad] = xp[:, :, :, pad + w:] = 0.0
         xp[:, :, pad:pad + h, pad:pad + w] = x
         x = xp
     sn, sc, sh, sw = x.strides
@@ -69,17 +109,19 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> tuple[np.ndarray, t
         strides=(sn, sc, sh, sw, stride * sh, stride * sw),
         writeable=False,
     )
-    cols = np.ascontiguousarray(patches).reshape(n, c * k * k, ho * wo)
-    return cols, (x.shape, ho, wo)
+    cols = _buffer(workspace, "cols", patches.shape)
+    np.copyto(cols, patches)
+    return cols.reshape(n, c * k * k, ho * wo), (x.shape, ho, wo)
 
 
 def _col2im(cols: np.ndarray, x_padded_shape: tuple, k: int, stride: int, pad: int,
-            out_hw: tuple[int, int]) -> np.ndarray:
+            out_hw: tuple[int, int], workspace: Workspace | None) -> np.ndarray:
     """Scatter-add [N, C*k*k, Ho*Wo] columns back to the unpadded image."""
     n, c, hp, wp = x_padded_shape
     ho, wo = out_hw
     grid = cols.reshape(n, c, k, k, ho, wo)
-    x = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+    x = _buffer(workspace, "image", (n, c, hp, wp))
+    x.fill(0.0)
     for ki in range(k):
         h_end = ki + stride * ho
         for kj in range(k):
@@ -90,10 +132,12 @@ def _col2im(cols: np.ndarray, x_padded_shape: tuple, k: int, stride: int, pad: i
     return x
 
 
-def conv2d(x, filters, bias, stride: int = 1, pad: int = 0):
+def conv2d(x, filters, bias, stride: int = 1, pad: int = 0,
+           workspace: Workspace | None = None):
     """Cross-correlate [N,Cin,H,W] with [Cout,Cin,k,k] filters plus bias.
 
-    Returns ``(out [N,Cout,Ho,Wo], cache)``.
+    Returns ``(out [N,Cout,Ho,Wo], cache)``; with a ``workspace``, ``out``
+    and the cache's columns are views of its buffers.
     """
     x, w, b = _as_array(x), _as_array(filters), _as_array(bias)
     if x.ndim != 4 or w.ndim != 4:
@@ -108,22 +152,26 @@ def conv2d(x, filters, bias, stride: int = 1, pad: int = 0):
         raise ShapeError(f"input channels {cin} != filter channels {cin_f}")
     if b.shape != (cout,):
         raise ShapeError(f"bias shape {b.shape} != ({cout},)")
-    cols, (xp_shape, ho, wo) = _im2col(x, kh, stride, pad)
+    cols, (xp_shape, ho, wo) = _im2col(x, kh, stride, pad, workspace)
     wm = w.reshape(cout, cin * kh * kw)   # explicit sizes: cout or cin may be 0
     # numpy hands a one-row product to gemv, which sums in another order
     # than gemm; a zero second row keeps the gemm, so a channel's bytes do
     # not depend on how many channels are computed alongside it
     rows = wm if cout != 1 else np.concatenate([wm, np.zeros_like(wm)])
-    out = np.matmul(rows, cols)[:, :cout]   # [N, Cout, Ho*Wo] via broadcasting
+    out = _buffer(workspace, "out", (n, len(rows), ho * wo))
+    out = np.matmul(rows, cols, out=out)[:, :cout]   # [N, Cout, Ho*Wo] via broadcasting
     out += b[None, :, None]
     out = out.reshape(n, cout, ho, wo)
     cache = (cols, w.shape, wm, xp_shape, kh, stride, pad, (ho, wo))
     return out, cache
 
 
-def conv2d_backward(dout: np.ndarray, cache, need_dx: bool = True):
+def conv2d_backward(dout: np.ndarray, cache, need_dx: bool = True,
+                    workspace: Workspace | None = None):
     """Gradients (dx, dfilters, dbias) for conv2d; dx is None unless
-    ``need_dx`` (a first layer has no use for its input-image gradient)."""
+    ``need_dx`` (a first layer has no use for its input-image gradient).
+    With a ``workspace`` (the forward's), ``dx`` is a view of its buffers
+    and the cached columns are overwritten, so a cache serves one backward."""
     cols, w_shape, wm, xp_shape, k, stride, pad, out_hw = cache
     n, cout, ho, wo = dout.shape
     go = dout.reshape(n, cout, ho * wo)
@@ -135,8 +183,10 @@ def conv2d_backward(dout: np.ndarray, cache, need_dx: bool = True):
     dw = dwm.reshape(w_shape)
     dx = None
     if need_dx:
-        dcols = np.matmul(wm.T, go)      # [N, Cin*k*k, Ho*Wo]
-        dx = _col2im(dcols, xp_shape, k, stride, pad, out_hw)
+        # the filter gradient has read the columns, so theirs is the space
+        dcols = _buffer(workspace, "cols", (n, wm.shape[1], ho * wo))
+        np.matmul(wm.T, go, out=dcols)
+        dx = _col2im(dcols, xp_shape, k, stride, pad, out_hw, workspace)
     return dx, dw, db
 
 
@@ -207,26 +257,37 @@ def maxpool2d(x, k: int):
     return out, (x, k, out)
 
 
-def maxpool2d_backward(dout: np.ndarray, cache) -> np.ndarray:
+def maxpool2d_backward(dout: np.ndarray, cache,
+                       workspace: Workspace | None = None) -> np.ndarray:
     """Each window's gradient goes to its winner: the first slot, in
     row-major order, equal to the pooled value (so a +-0.0 tie goes to the
     first zero), and slot 0 for an all-NaN window; every other slot gets
     +0.0.  The forward cached what this search needs, and a -0.0 gradient
-    lands as +0.0."""
+    lands as +0.0.
+
+    With a ``workspace`` (the conv's), ``dx`` takes the conv output's
+    buffer, which holds the cached input unless a norm sits between them:
+    every window slot of the input is read before ``dx`` is written, and a
+    cache serves one backward."""
     x, k, out = cache
     hk, wk = out.shape[2] * k, out.shape[3] * k
-    dx = np.zeros(x.shape, dtype=dout.dtype)
-    grad = dout + 0.0
-    for s in range(k * k):
+    wins = _buffer(workspace, "pool_win", (k * k, *out.shape), bool)
+    open_ = _buffer(workspace, "pool_open", out.shape, bool)   # windows still to settle
+    for s, win in enumerate(wins):
         ki, kj = divmod(s, k)
-        win = x[:, :, ki:hk:k, kj:wk:k] == out
+        np.equal(x[:, :, ki:hk:k, kj:wk:k], out, out=win)
         if s == 0:
-            win |= np.isnan(out)   # nothing equals an all-NaN window's NaN
-            open_ = ~win           # windows whose winner is still to be found
+            win |= np.isnan(out, out=open_)   # nothing equals an all-NaN window's NaN
+            np.logical_not(win, out=open_)
         else:
             win &= open_
             open_ ^= win
-        dx[:, :, ki:hk:k, kj:wk:k] = np.where(win, grad, 0.0)
+    dx = _buffer(workspace, "out", x.shape, dout.dtype)
+    dx.fill(0.0)
+    grad = dout + 0.0
+    for s, win in enumerate(wins):
+        ki, kj = divmod(s, k)
+        np.copyto(dx[:, :, ki:hk:k, kj:wk:k], grad, where=win)
     return dx
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import ArchSpec, BackboneState, SlotState
-from .config import ConfigError, _typed, arch_dict, parse_arch, parse_config_data
+from .config import ConfigError, RunConfig, _typed, arch_dict, parse_arch, parse_config_data
 from .driver import MODES, EpochLogEntry, RunResult, TaskSnapshot, _frozen, run_id
 from .growth import boundary_violation, ratio_label
 from .store import StoreFormatError, read_container, write_container, write_text_atomic
@@ -96,7 +96,8 @@ def _array(arrays: dict[str, np.ndarray], key: str, path: str | Path,
 
 
 def load_snapshot(path: str | Path, arch: ArchSpec) -> TaskSnapshot:
-    """A saved snapshot, every record's shape checked against ``arch``."""
+    """A saved snapshot, every record's shape checked against ``arch``; a
+    header key or record that ``save_snapshot`` would not write is an error."""
     header, arrays = _read_kind(path, "task_snapshot")
     fields = {key: _field(header, key, path) for key in _SNAPSHOT_TYPES}
     for key, types in _SNAPSHOT_TYPES.items():
@@ -104,6 +105,14 @@ def load_snapshot(path: str | Path, arch: ArchSpec) -> TaskSnapshot:
             raise StoreFormatError(f"{path}: header {key!r} has the wrong type: {fields[key]!r}")
     if fields["has_norm"] != arch.group_norm:
         raise StoreFormatError(f"{path}: has_norm differs from the arch's group_norm")
+    header_keys = {"format_version", "kind", *_SNAPSHOT_TYPES}
+    record_keys = {"head_weight", "head_bias", "probe_images"} | {
+        f"{prefix}/{spec.name}" for prefix, (_, flag, _) in _SNAPSHOT_RECORDS.items()
+        if fields[flag] for spec in arch.layers}
+    for what, found, known in (("header key", header, header_keys),
+                               ("array record", arrays, record_keys)):
+        if unknown := sorted(found.keys() - known):
+            raise StoreFormatError(f"{path}: unknown {what} {unknown[0]!r}")
     n_classes, size = fields["n_classes"], arch.image_size
     records = {
         attr: {spec.name: _frozen(_array(arrays, f"{prefix}/{spec.name}", path, shape(spec)))
@@ -180,7 +189,7 @@ def build_manifest(result: RunResult) -> dict:
         "task_ids": ids,
         "test_accuracies": {str(t): result.test_accuracies[t] for t in ids},
         "val_accuracies": {str(t): result.val_accuracies[t] for t in ids},
-        "targets": {str(t): result.targets[t] for t in sorted(result.targets)},
+        "targets": {str(t): result.targets[t] for t in ids if t in result.targets},
         "avg_accuracy": result.avg_accuracy,
         "ratios": {str(t): result.ratios[t] for t in ids},
         "gate_log": [asdict(e) for e in result.gate_log],
@@ -224,13 +233,72 @@ _MANIFEST_TYPES = {"format_version": int, "seed": int, "n_tasks": int, "mode": s
                    "config_digest": str, "avg_accuracy": (int, float)}
 # per-task key -> the largest value it may hold; each is a number, at least 0
 _PER_TASK_BOUNDS = {"test_accuracies": 1.0, "val_accuracies": 1.0, "ratios": math.inf}
+_GATE_KEYS = {"task_id", "pick_accuracy", "target_accuracy", "expanded"}
+
+
+def _same(a, b) -> bool:
+    """JSON equality that compares types too: 1 is neither true nor 1.0."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def _check_derived(m: dict, config: RunConfig, ids: list[int]) -> None:
+    """ValueError unless the logs and targets are the ones the run derives.
+
+    Task ids run 1, 2, ...  A finished run raised on any failed forgetting
+    pass, so each boundary logs a pass for every task so far.  Scratch runs
+    log no forgetting, gate or targets, and their size after task i is i
+    models.  Targets are fractions in (0, 1], the config's when it sets
+    them, and a grown run's gate entry expands exactly when its pick misses
+    its target.  Targets and pick accuracies are written as floats, so a
+    JSON integer is not one."""
+    if ids != list(range(1, len(ids) + 1)):
+        raise ValueError(f"task_ids {ids} are not 1..{len(ids)}")
+    grows = m["mode"] != "scratch"
+    derived = {"forgetting": [{"after_task": t, "passes": {str(s): True for s in ids if s <= t}}
+                              for t in ids] if grows else []}
+    if not grows:
+        derived.update(targets={}, ratios={str(t): float(t) for t in ids})
+    elif config.target_accuracy is not None:
+        values = config.target_accuracy   # one per task in order, or one for all
+        if len(values) == 1:
+            values = values * len(ids)
+        derived["targets"] = {str(t): v for t, v in zip(ids, values)}
+    if m["mode"] != "grown":
+        derived["gate_log"] = []
+    for key, value in derived.items():
+        if not _same(m[key], value):
+            raise ValueError(f"{key} is not what the run derives: {m[key]!r}")
+    targets = m["targets"]
+    if grows and not (isinstance(targets, dict) and targets.keys() == {str(t) for t in ids} and all(
+            _typed(v, float) and 0.0 < v <= 1.0 for v in targets.values())):
+        raise ValueError(f"targets {targets!r} are not one fraction in (0, 1] per task of {ids}")
+    if m["mode"] == "grown":
+        gates = m["gate_log"]
+        if not isinstance(gates, list) or len(gates) != len(ids) - 1:
+            raise ValueError(f"gate_log does not hold one entry per task after the first: "
+                             f"{gates!r}")
+        for t, entry in zip(ids[1:], gates):
+            if not (isinstance(entry, dict) and entry.keys() == _GATE_KEYS):
+                raise ValueError(f"gate_log entry {entry!r} does not have the keys {_GATE_KEYS}")
+            pick, target = entry["pick_accuracy"], entry["target_accuracy"]
+            if not (_same(entry["task_id"], t) and _same(target, targets[str(t)])
+                    and _typed(pick, float) and 0.0 <= pick <= 1.0
+                    and _same(entry["expanded"], pick < target)):
+                raise ValueError(f"gate_log entry {entry!r} is not task {t}'s gate")
 
 
 def read_manifest(run_dir: str | Path) -> dict:
     """A run directory's manifest: FileNotFoundError when it has none,
     StoreFormatError when its schema or values are not what ``build_manifest``
-    writes (``avg_accuracy`` is ``RunResult.avg_accuracy``, bit for bit, and
-    ``seed``, ``config_digest`` and ``run_id`` are those of ``config``)."""
+    writes (``avg_accuracy`` is ``RunResult.avg_accuracy``, bit for bit,
+    ``seed``, ``config_digest`` and ``run_id`` are those of ``config``, and
+    the logs and targets are held to ``_check_derived``)."""
     path = Path(run_dir) / "manifest.json"
     try:   # ValueError: not JSON or a bad value; KeyError: a key missing; TypeError: a bad type
         m = json.loads(path.read_text())
@@ -259,6 +327,7 @@ def read_manifest(run_dir: str | Path) -> dict:
         for key, value in derived.items():
             if m[key] != value:
                 raise ValueError(f"{key} {m[key]!r} is not the config's {value!r}")
+        _check_derived(m, config, ids)
     except (ValueError, KeyError, TypeError) as e:
         raise StoreFormatError(
             f"malformed manifest {path}: {type(e).__name__}: {e}") from None

@@ -21,23 +21,28 @@ def _name_key(name: str) -> tuple[int, ...]:
 
 
 class SeededRng:
-    """A named, reproducible PCG64 stream."""
+    """A named, reproducible PCG64 stream.  Its spawn key is the path's name
+    keys end to end, so a substream extends its parent's key by one name."""
 
     def __init__(self, seed: int, path: tuple[str, ...] = ()):
         if not 0 <= int(seed) < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {seed}")
-        self.seed = int(seed)
-        self.path = tuple(path)
-        spawn_key: tuple[int, ...] = ()
-        for name in self.path:
-            spawn_key = spawn_key + _name_key(name)
+        path = tuple(path)
+        self._start(int(seed), path, sum((_name_key(name) for name in path), ()))
+
+    def _start(self, seed: int, path: tuple[str, ...], spawn_key: tuple[int, ...]) -> None:
+        self.seed = seed
+        self.path = path
+        self._spawn_key = spawn_key
         self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=spawn_key))
+            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key))
         )
 
     def substream(self, name: str) -> "SeededRng":
         """Fresh independent stream addressed by ``path + (name,)``."""
-        return SeededRng(self.seed, self.path + (name,))
+        child = SeededRng.__new__(SeededRng)
+        child._start(self.seed, self.path + (name,), self._spawn_key + _name_key(name))
+        return child
 
     def random(self, size=None) -> np.ndarray | float:
         return self._gen.random(size)

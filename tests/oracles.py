@@ -219,7 +219,9 @@ def all_channel_filters(layer, mult):
                              np.arange(layer.spec.in_channels))
 
 
-def forward_pass_full(backbone, view, x, want_cache=False):
+def forward_pass_full(backbone, view, x, want_cache=False, workspaces=None):
+    # takes backbone.forward_pass's arguments; ``workspaces`` is not used, so
+    # every array here is freshly allocated
     cache = {"layers": []}
     h = np.asarray(x, dtype=np.float64)
     for layer in backbone.layers:
@@ -242,7 +244,7 @@ def forward_pass_full(backbone, view, x, want_cache=False):
     return (logits, cache) if want_cache else logits
 
 
-def backward_pass_full(backbone, cache, dlogits):
+def backward_pass_full(backbone, cache, dlogits, workspaces=None):
     dflat, d_hw, d_hb = linear_backward(dlogits, cache["head"])
     dh = dflat.reshape(cache["flat_shape"])
     d_eff, d_bias, d_ns, d_nsh = {}, {}, {}, {}

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from growcl.backbone import (
     ArchSpec,
     BackboneState,
+    BackwardResult,
     ConvLayerSpec,
     SlotState,
     TaskView,
@@ -339,3 +342,57 @@ class TestCompactedPasses:
         for name in view.channel_on:
             assert ga.d_eff_weights[name].tobytes() == gb.d_eff_weights[name].tobytes()
             assert ga.d_bias[name].tobytes() == gb.d_bias[name].tobytes()
+
+
+STEP_ARCHES = {
+    "default": lambda: parse_config_data({}).arch,
+    "wide": wide_arch,
+    "group-norm": lambda: parse_config_data({"arch": {"group_norm": True}}).arch,
+}
+
+
+def gradient_arrays(grads: BackwardResult):
+    """(label, array) for every gradient a backward pass returns."""
+    for f in dataclasses.fields(BackwardResult):
+        value = getattr(grads, f.name)
+        if isinstance(value, dict):
+            yield from (((f.name, key), arr) for key, arr in value.items())
+        else:
+            yield f.name, value
+
+
+class TestStepWorkspaces:
+    """Steps whose layers keep their workspaces from step to step give the
+    bytes of steps that allocate every array."""
+
+    @pytest.mark.parametrize("arch_name", list(STEP_ARCHES))
+    def test_three_steps_bitwise_equal(self, arch_name):
+        arch = STEP_ARCHES[arch_name]()
+        kept, fresh = populated_backbone(arch, seed=7), populated_backbone(arch, seed=7)
+        workspaces = [{} for _ in kept.layers]
+        r = np.random.default_rng(8)
+        size = arch.image_size
+        # the on channels change and the last batch is short, so buffers are
+        # grown, reused whole and reused in part; "one" takes the lone-channel path
+        for kinds, n in [(("part", "part"), 32), (("all", "all"), 32), (("part", "one"), 20)]:
+            view = channel_view(kept, r, kinds, arch.group_norm)
+            x = r.normal(size=(n, arch.in_channels, size, size))
+            y = r.integers(0, 3, size=n)
+            results = []
+            for bb, ws in ((kept, workspaces), (fresh, None)):
+                logits, cache = forward_pass(bb, view, x, want_cache=True, workspaces=ws)
+                _, dlogits = cross_entropy(logits, y)
+                grads = backward_pass(bb, cache, dlogits, workspaces=ws)
+                for layer in bb.layers:
+                    layer.weights -= 0.1 * grads.d_eff_weights[layer.spec.name]
+                    layer.bias -= 0.1 * grads.d_bias[layer.spec.name]
+                # a validation pass between steps, in the same workspaces
+                val_logits = forward_pass(bb, view, x[:24], workspaces=ws)
+                results.append([("logits", logits), ("validation", val_logits),
+                                *gradient_arrays(grads)])
+            for (label, got), (_, want) in zip(*results, strict=True):
+                assert got.tobytes() == want.tobytes(), label
+            for a, b in zip(kept.layers, fresh.layers):
+                assert a.weights.tobytes() == b.weights.tobytes()
+                assert a.bias.tobytes() == b.bias.tobytes()
+        assert all(workspaces)   # every layer's ops took their arrays from it

@@ -339,16 +339,27 @@ class TestReportCommand:
         return {"mode": mode, "seed": cfg.seed, "config": cfg.resolved,
                 "config_digest": cfg.digest, "run_id": run_id(mode, cfg)}
 
+    @staticmethod
+    def log_keys(mode, ids):
+        """The logs and targets ``read_manifest`` derives for a run of tasks
+        ``ids`` whose picks all met a 0.5 target."""
+        return {"forgetting": [{"after_task": t, "passes": {str(s): True for s in ids if s <= t}}
+                               for t in ids],
+                "targets": {str(t): 0.5 for t in ids},
+                "gate_log": [{"task_id": t, "pick_accuracy": 0.75, "target_accuracy": 0.5,
+                              "expanded": False} for t in ids[1:]] if mode == "grown" else []}
+
     def write_manifests(self, tmp_path, **changes):
         """Two run directories with the fields ``report`` reads; ``changes``
         edits the second manifest."""
         base = {"format_version": 2, **self.config_keys("grown"),
-                "n_tasks": 2, "task_ids": [1, 2],
+                **self.log_keys("grown", [1, 2]), "n_tasks": 2, "task_ids": [1, 2],
                 "test_accuracies": {"1": 0.875, "2": 0.75}, "avg_accuracy": 0.8125,
                 "val_accuracies": {"1": 0.9, "2": 0.8},
                 "ratios": {"1": 0.3, "2": 0.4}}
         dirs = []
         for name, m in (("a", base), ("b", {**base, **self.config_keys("grow_only"),
+                                            **self.log_keys("grow_only", [1, 2]),
                                             **changes})):
             (tmp_path / name).mkdir()
             (tmp_path / name / "manifest.json").write_text(json.dumps(m))
@@ -367,8 +378,9 @@ class TestReportCommand:
         dirs = []
         for i, (mode, lambda_l0, avg) in enumerate(runs):
             m = {"format_version": 2, **self.config_keys(mode, seed=3, lambda_l0=lambda_l0),
-                 "n_tasks": 1, "task_ids": [1], "test_accuracies": {"1": avg},
-                 "val_accuracies": {"1": avg}, "avg_accuracy": avg, "ratios": {"1": 0.5}}
+                 **self.log_keys(mode, [1]), "n_tasks": 1, "task_ids": [1],
+                 "test_accuracies": {"1": avg}, "val_accuracies": {"1": avg},
+                 "avg_accuracy": avg, "ratios": {"1": 0.5}}
             (tmp_path / str(i)).mkdir()
             (tmp_path / str(i) / "manifest.json").write_text(json.dumps(m))
             dirs.append(str(tmp_path / str(i)))

@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -352,6 +354,32 @@ class TestTargetGatesGrowth:
         grown = [n for _, per_layer in trainer.queries for n in per_layer]
         assert max(grown) <= EXPLORE_PER_EPOCH
         assert sum(grown) > 0
+
+
+class TestStepWorkspaces:
+    def test_buffers_live_across_steps_and_go_at_finalize(self):
+        cfg = tiny_config(n_tasks=1)
+        (task,) = build_tasks(cfg)
+        root = SeededRng(cfg.seed)
+        backbone = BackboneState(cfg.arch)
+        from growcl.driver import _grow_seed_channels
+        _grow_seed_channels(backbone, root.substream("growth"))
+        trainer = TaskTrainer(backbone, task, cfg, True, root)
+        batch = task.train.images[:cfg.batch_size], task.train.labels[:cfg.batch_size]
+        trainer.train_step(*batch, 1.0)
+        first = [dict(ws) for ws in trainer.workspaces]
+        assert all(first)
+        for _ in range(2):   # no target, so no slot grows: every step has one shape
+            trainer.validation_accuracy()
+            trainer.train_step(*batch, 1.0)
+        assert all(ws.keys() == before.keys()
+                   and all(ws[role] is buf for role, buf in before.items())
+                   for ws, before in zip(trainer.workspaces, first, strict=True))
+        buffers = [weakref.ref(buf) for ws in first for buf in ws.values()]
+        del first
+        trainer.finalize()
+        gc.collect()
+        assert trainer.workspaces is None and all(ref() is None for ref in buffers)
 
 
 class TestPickTransferOracle:

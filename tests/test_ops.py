@@ -132,6 +132,25 @@ class TestConv2d:
         assert dw_only.tobytes() == dw.tobytes() and db_only.tobytes() == db.tobytes()
 
 
+class TestWorkspaces:
+    def test_calls_without_a_workspace_share_no_memory(self):
+        r = rng(11)
+        x, w, b = r.normal(size=(2, 3, 6, 6)), r.normal(size=(4, 3, 3, 3)), r.normal(size=4)
+        calls = []
+        for _ in range(2):
+            out, cache = conv2d(x, w, b, pad=1)
+            dx, _, _ = conv2d_backward(np.ones(out.shape), cache)
+            pool_dx = maxpool2d_backward(np.ones((2, 4, 3, 3)), maxpool2d(out, k=2)[1])
+            calls.append((out, cache[0], dx, pool_dx))
+        for first, second in zip(*calls):
+            assert not np.shares_memory(first, second)
+        # one workspace: the second call's output takes the first's buffer
+        ws = {}
+        a, _ = conv2d(x, w, b, pad=1, workspace=ws)
+        c, _ = conv2d(x, w, b, pad=1, workspace=ws)
+        assert np.shares_memory(a, c) and c.tobytes() == calls[0][0].tobytes()
+
+
 class TestLinear:
     def test_identity_weight(self):
         x = rng(4).normal(size=(3, 5))

@@ -232,8 +232,11 @@ class TestManifest:
         (lambda m: json.dumps({**m, "n_tasks": 3}), ""),
         (lambda m: json.dumps({**m, "test_accuracies": {"1": m["test_accuracies"]["1"]}}), ""),
         (lambda m: json.dumps({**m, "task_ids": [1, 2.0]}), "task id has the wrong type"),
+        (lambda m: json.dumps({**m, "task_ids": [1, 3], **{
+            key: {"1": m[key]["1"], "3": m[key]["2"]}
+            for key in ("test_accuracies", "val_accuracies", "ratios")}}), "are not 1..2"),
     ], ids=["not-json", "json-list", "no-task-ids", "n-tasks-not-len-task-ids",
-            "id-without-accuracy", "float-task-id"])
+            "id-without-accuracy", "float-task-id", "ids-not-from-1"])
     def test_malformed_manifest_rejected(self, saved_run, tmp_path, rewrite, detail):
         _, _, run_dir = saved_run
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -259,6 +262,80 @@ class TestManifest:
         assert main(["report", str(tmp_path / "run"), "--out", str(tmp_path / "report")]) == 2
 
 
+# edits of the saved grown run's manifest that only the derived-key rules
+# catch -> the rule's message
+GROWN_EDITS = {
+    "pass-as-1": (lambda m: m["forgetting"][1]["passes"].update({"1": 1}), "forgetting is not"),
+    "failed-pass": (lambda m: m["forgetting"][1]["passes"].update({"2": False}),
+                    "forgetting is not"),
+    "boundary-dropped": (lambda m: m["forgetting"].pop(), "forgetting is not"),
+    "target-as-int-1": (lambda m: m["targets"].update({"1": 1}), "are not one fraction"),
+    "target-of-task-3": (lambda m: m["targets"].update({"3": 0.5}), "are not one fraction"),
+    "expanded-flipped": (lambda m: m["gate_log"][0].update(expanded=not m["gate_log"][0][
+        "expanded"]), "is not task 2's gate"),
+    "gate-task-id-float": (lambda m: m["gate_log"][0].update(task_id=2.0), "is not task 2's gate"),
+    "gate-target-not-targets": (lambda m: m["gate_log"][0].update(target_accuracy=0.5),
+                                "is not task 2's gate"),
+    "gate-entry-extra-key": (lambda m: m["gate_log"][0].update(note=""), "does not have the keys"),
+}
+
+
+@pytest.fixture(scope="module")
+def scratch_run_dir(tmp_path_factory):
+    cfg = tiny_config()
+    result = run_pipeline(cfg, "scratch")
+    return save_run(result, tmp_path_factory.mktemp("runs") / run_id(result.mode, cfg))
+
+
+class TestDerivedManifestKeys:
+    """The forgetting log, targets, gate log and a scratch run's sizes are
+    what the run derives, type for type."""
+
+    @pytest.mark.parametrize("name", list(GROWN_EDITS))
+    def test_grown_edit_rejected(self, saved_run, tmp_path, name):
+        _, _, run_dir = saved_run
+        shutil.copytree(run_dir, tmp_path / "run")
+        path = tmp_path / "run" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit, message = GROWN_EDITS[name]
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreFormatError, match=re.escape(message)):
+            load_run(tmp_path / "run")
+
+    @pytest.mark.parametrize("key, value", [
+        ("ratios", {"1": 0.5, "2": 2.0}), ("ratios", {"1": 1.0, "2": 2}),
+        ("targets", {"1": 0.5, "2": 0.5}), ("gate_log", [{}]),
+        ("forgetting", [{"after_task": 1, "passes": {"1": True}}]),
+    ], ids=["ratio-1-half", "ratio-2-int", "targets", "gate-log", "forgetting"])
+    def test_scratch_edit_rejected(self, scratch_run_dir, tmp_path, key, value):
+        shutil.copytree(scratch_run_dir, tmp_path / "run")
+        path = tmp_path / "run" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["ratios"] == {"1": 1.0, "2": 2.0} and manifest["targets"] == {}
+        load_run(tmp_path / "run")
+        path.write_text(json.dumps({**manifest, key: value}))
+        with pytest.raises(StoreFormatError, match=re.escape(f"{key} is not what the run derives")):
+            load_run(tmp_path / "run")
+
+    def test_targets_are_the_configs(self, saved_run, tmp_path):
+        # the same run, as if its config had set the targets it derived
+        _, _, run_dir = saved_run
+        shutil.copytree(run_dir, tmp_path / "run")
+        path = tmp_path / "run" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        config = {**manifest["config"], "target_accuracy": list(manifest["targets"].values())}
+        cfg = parse_config_data(config)
+        manifest.update(config=cfg.resolved, config_digest=cfg.digest,
+                        run_id=run_id(manifest["mode"], cfg))
+        path.write_text(json.dumps(manifest))
+        read_manifest(tmp_path / "run")
+        manifest["targets"]["1"] = 0.5   # a fraction, but not the config's
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreFormatError, match="targets is not what the run derives"):
+            read_manifest(tmp_path / "run")
+
+
 class TestSnapshotSet:
     @pytest.mark.parametrize("change, found", [
         ("deleted-1", [2]), ("deleted-2", [1]), ("extra-3", [1, 2, 3]), ("duplicate-2", [1, 2, 2]),
@@ -279,17 +356,23 @@ class TestSnapshotSet:
             load_run(tmp_path / "run")
 
 
-# format-2 edit of task 2's snapshot -> (how, the record it names); at format
-# 1 each of these loaded and then broke the cold forgetting check
+# format-2 edit of task 2's snapshot header and records -> (how, the key it
+# names); at format 1 each of the first four loaded and then broke the cold
+# forgetting check, and the last two are what format 1 wrote and format 2 drops
 SNAPSHOT_EDITS = {
-    "no-conv2-records": (lambda a: a.pop("reuse/conv2"), "no array record 'reuse/conv2'"),
+    "no-conv2-records": (lambda h, a: a.pop("reuse/conv2"), "no array record 'reuse/conv2'"),
     "reuse-grid-one-row-too-tall": (
-        lambda a: a.update({"reuse/conv1": np.vstack([a["reuse/conv1"], a["reuse/conv1"][:1]])}),
+        lambda h, a: a.update({"reuse/conv1": np.vstack([a["reuse/conv1"], a["reuse/conv1"][:1]])}),
         "'reuse/conv1' has shape"),
-    "head-one-column-short": (lambda a: a.update(head_weight=a["head_weight"][:, :-1]),
+    "head-one-column-short": (lambda h, a: a.update(head_weight=a["head_weight"][:, :-1]),
                               "'head_weight' has shape"),
     "probe-images-one-row-short": (
-        lambda a: a.update(probe_images=a["probe_images"][:, :, :-1]), "'probe_images' has shape"),
+        lambda h, a: a.update(probe_images=a["probe_images"][:, :, :-1]),
+        "'probe_images' has shape"),
+    "extra-claim-record": (lambda h, a: a.update({"claim/conv1": np.ones_like(a["reuse/conv1"])}),
+                           "unknown array record 'claim/conv1'"),
+    "extra-layers-header-key": (lambda h, a: h.update(layers=["conv1", "conv2"]),
+                                "unknown header key 'layers'"),
 }
 
 
@@ -301,7 +384,7 @@ class TestFormat2:
         path = tmp_path / "run" / "snapshots" / "task_002.snap"
         header, arrays = read_container(path)
         edit, message = SNAPSHOT_EDITS[name]
-        edit(arrays)
+        edit(header, arrays)
         write_container(path, header, arrays)
         with pytest.raises(StoreFormatError, match=re.escape(message)):
             load_run(tmp_path / "run")
@@ -601,7 +684,7 @@ MANIFEST_VALUES = [None, "x", -1, 0, 1.5, True, [], {}, 1e30, "4", float("nan")]
 # top-level keys every mutation under which must be rejected, except a
 # validation accuracy set to 0, which is a real accuracy
 MUST_REJECT = ("format_version", "mode", "avg_accuracy", "test_accuracies", "val_accuracies",
-               "config_digest", "seed", "run_id", "ratios")
+               "config_digest", "seed", "run_id", "ratios", "forgetting", "targets")
 
 
 def _key_paths(obj, path=()):
@@ -615,15 +698,18 @@ def _key_paths(obj, path=()):
 class TestManifestMutations:
     def test_mutations_raise_only_store_errors(self, saved_run, tmp_path):
         """Seeded single edits of manifest.json, one at a time: delete one
-        key or list item, or set it to one of MANIFEST_VALUES.  An edit may
-        load, but nothing other than StoreFormatError is raised, every edit
-        under a MUST_REJECT key is rejected, and a ``config`` edit loads only
-        when the edited config has the manifest's digest."""
+        key or list item, or set it to one of MANIFEST_VALUES; an edit that
+        leaves the JSON as it was (a true pass set to true) is skipped.  An
+        edit may load, but nothing other than StoreFormatError is raised,
+        every edit under a MUST_REJECT key is rejected, and a ``config`` edit
+        loads only when the edited config has the manifest's digest."""
         _, _, run_dir = saved_run
         shutil.copytree(run_dir, tmp_path / "run")
         path = tmp_path / "run" / "manifest.json"
         text = path.read_text()
         paths = list(_key_paths(json.loads(text)))
+        # compared as JSON text, which tells true from 1 as == does not
+        unedited = json.dumps(json.loads(text), sort_keys=True)
         rng = np.random.default_rng(21)
         rejected, loaded = set(), 0
         for _ in range(600):
@@ -636,6 +722,8 @@ class TestManifestMutations:
                 del parent[where[-1]]
             else:
                 parent[where[-1]] = value
+            if json.dumps(manifest, sort_keys=True) == unedited:
+                continue
             path.write_text(json.dumps(manifest))
             try:
                 load_run(tmp_path / "run")

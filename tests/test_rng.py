@@ -31,6 +31,18 @@ def test_nested_paths_are_stable():
     assert np.array_equal(a, b)
 
 
+def test_deep_substream_chain_matches_the_path():
+    # a substream extends its parent's spawn key instead of rebuilding it
+    path = ("task3", "gumbel", "epoch2", "layer/conv1", "draws")
+    chained = SeededRng(11)
+    for name in path:
+        chained = chained.substream(name)
+    direct = SeededRng(11, path)
+    assert chained.path == direct.path
+    assert np.array_equal(chained.random(size=8), direct.random(size=8))
+    assert np.array_equal(chained.integers(0, 2**31, size=8), direct.integers(0, 2**31, size=8))
+
+
 def test_known_pcg64_fixture():
     # frozen from numpy's PCG64 stream; guards against algorithm drift
     got = SeededRng(123).integers(0, 1000, size=4)
