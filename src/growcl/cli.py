@@ -59,7 +59,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (ContractViolation, GrowthCapError, FloatingPointError) as e:
         print(f"invariant failure: {e}", file=sys.stderr)
         return EXIT_INVARIANT
-    save_run(result, run_dir)
+    try:
+        save_run(result, run_dir)
+    except OSError as e:
+        print(f"error: cannot write run directory {run_dir}: {e}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"{run_dir.name}: avg accuracy {result.avg_accuracy:.4f} -> {run_dir}")
     return EXIT_OK
 

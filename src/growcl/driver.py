@@ -33,7 +33,7 @@ run of the same config object trained.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -116,10 +116,14 @@ class TaskSnapshot:
 
 @dataclass
 class GateLogEntry:
+    """A ``grown`` task's gate: it expands when its pick misses its target."""
     task_id: int
     pick_accuracy: float
     target_accuracy: float
-    expanded: bool
+    expanded: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.expanded = self.pick_accuracy < self.target_accuracy
 
 
 @dataclass(frozen=True)
@@ -439,9 +443,7 @@ class TaskTrainer:
             probe_images=probe,
             probe_fingerprint="",
         )
-        fingerprint = probe_fingerprint(self.backbone, snapshot)
-        object.__setattr__(snapshot, "probe_fingerprint", fingerprint)
-        return snapshot
+        return replace(snapshot, probe_fingerprint=probe_fingerprint(self.backbone, snapshot))
 
 
 # ---------------------------------------------------------------------------
@@ -594,13 +596,17 @@ def build_tasks(config: RunConfig) -> TaskSequence:
     return tasks
 
 
+def explicit_targets(config: RunConfig, task_ids: list[int]) -> dict[int, float]:
+    """The config's ``target_accuracy`` per task id, in order; one value is
+    every task's."""
+    values = config.target_accuracy
+    return dict(zip(task_ids, values * len(task_ids) if len(values) == 1 else values))
+
+
 def resolve_targets(tasks: TaskSequence, config: RunConfig) -> dict[int, float]:
     """Explicit targets from config, else scratch accuracy minus the slack."""
-    if config.target_accuracy is not None:
-        values = config.target_accuracy   # run_pipeline checked its length
-        if len(values) == 1:
-            values = values * len(tasks)
-        return {task.task_id: values[i] for i, task in enumerate(tasks)}
+    if config.target_accuracy is not None:   # run_pipeline checked their count
+        return explicit_targets(config, [task.task_id for task in tasks])
     targets = {}
     for task in tasks:
         outcome = train_scratch_model(task, config)
@@ -713,9 +719,9 @@ def run_pipeline(config: RunConfig, mode: str) -> RunResult:
                                    result.epoch_log)
         elif mode == "grown":
             trainer, pick_acc = pick_and_reuse(backbone, task, config, root, result.epoch_log)
-            expanded = pick_acc < target
-            result.gate_log.append(GateLogEntry(t, pick_acc, target, expanded))
-            snapshot = (expand_task(trainer, target, result.epoch_log) if expanded
+            gate = GateLogEntry(t, pick_acc, target)
+            result.gate_log.append(gate)
+            snapshot = (expand_task(trainer, target, result.epoch_log) if gate.expanded
                         else trainer.finalize())
         else:
             trainer = TaskTrainer(backbone, task, config, False, root)

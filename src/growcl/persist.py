@@ -3,14 +3,13 @@
 A run directory is self-describing (manifest + config digest + seed
 reproduce it exactly) and deterministic: rerunning the same config and seed
 yields byte-identical files.  Nothing here writes wall-clock time.  Kernel
-states and size labels are derived, not stored; at load the manifest's seed,
-digest, run id and sizes must equal what its config and the backbone derive,
-and each snapshot's records must fit the backbone's arch.
+states and size labels are derived, not stored; a manifest loads only if
+``build_manifest`` writes it back from its free facts, its sizes must be the
+backbone's, and each snapshot's records must fit the backbone's arch.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict
@@ -19,8 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import ArchSpec, BackboneState, SlotState
-from .config import ConfigError, RunConfig, _typed, arch_dict, parse_arch, parse_config_data
-from .driver import MODES, EpochLogEntry, RunResult, TaskSnapshot, _frozen, run_id
+from .config import ConfigError, _typed, arch_dict, parse_arch, parse_config_data
+from .driver import (
+    MODES, EpochLogEntry, GateLogEntry, RunResult, TaskSnapshot, _frozen, explicit_targets, run_id,
+)
 from .growth import boundary_violation, ratio_label
 from .store import StoreFormatError, read_container, write_container, write_text_atomic
 
@@ -82,6 +83,15 @@ _SNAPSHOT_TYPES = {"task_id": int, "n_classes": int, "probe_fingerprint": str,
                    "has_reuse": bool, "has_norm": bool}
 
 
+def _check_keys(path: str | Path, header: dict, arrays: dict[str, np.ndarray],
+                header_keys: set[str], record_keys: set[str]) -> None:
+    """StoreFormatError for a header key or array record the saver would not write."""
+    for what, found, known in (("header key", header, header_keys),
+                               ("array record", arrays, record_keys)):
+        if unknown := sorted(found.keys() - known):
+            raise StoreFormatError(f"{path}: unknown {what} {unknown[0]!r}")
+
+
 def _array(arrays: dict[str, np.ndarray], key: str, path: str | Path,
            shape: tuple) -> np.ndarray:
     """The ``key`` record, checked against ``shape`` (None matches any extent)."""
@@ -105,14 +115,10 @@ def load_snapshot(path: str | Path, arch: ArchSpec) -> TaskSnapshot:
             raise StoreFormatError(f"{path}: header {key!r} has the wrong type: {fields[key]!r}")
     if fields["has_norm"] != arch.group_norm:
         raise StoreFormatError(f"{path}: has_norm differs from the arch's group_norm")
-    header_keys = {"format_version", "kind", *_SNAPSHOT_TYPES}
-    record_keys = {"head_weight", "head_bias", "probe_images"} | {
-        f"{prefix}/{spec.name}" for prefix, (_, flag, _) in _SNAPSHOT_RECORDS.items()
-        if fields[flag] for spec in arch.layers}
-    for what, found, known in (("header key", header, header_keys),
-                               ("array record", arrays, record_keys)):
-        if unknown := sorted(found.keys() - known):
-            raise StoreFormatError(f"{path}: unknown {what} {unknown[0]!r}")
+    _check_keys(path, header, arrays, {"format_version", "kind", *_SNAPSHOT_TYPES},
+                {"head_weight", "head_bias", "probe_images"} | {
+                    f"{prefix}/{spec.name}" for prefix, (_, flag, _) in _SNAPSHOT_RECORDS.items()
+                    if fields[flag] for spec in arch.layers})
     n_classes, size = fields["n_classes"], arch.image_size
     records = {
         attr: {spec.name: _frozen(_array(arrays, f"{prefix}/{spec.name}", path, shape(spec)))
@@ -150,12 +156,15 @@ def save_backbone(backbone: BackboneState, path: str | Path) -> None:
 
 def load_backbone(path: str | Path, last_task: int | None = None) -> BackboneState:
     """A saved backbone, held to ``growth.boundary_violation``'s rules; with
-    no ``last_task`` owners are unbounded."""
+    no ``last_task`` owners are unbounded.  A header key or record that
+    ``save_backbone`` would not write is an error."""
     header, arrays = _read_kind(path, "backbone")
     try:
         arch = parse_arch(_field(header, "arch", path), "arch")
     except ConfigError as exc:
         raise StoreFormatError(f"{path}: bad arch in header: {exc}") from None
+    _check_keys(path, header, arrays, {"format_version", "kind", "arch"},
+                {f"{spec.name}/{attr}" for spec in arch.layers for attr in _LAYER_ARRAYS})
     backbone = BackboneState(arch)
     for layer in backbone.layers:
         for attr in _LAYER_ARRAYS:
@@ -227,13 +236,24 @@ def curves_csv(epoch_log: list[EpochLogEntry]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# manifest key -> the JSON type its readers need (a bool is not a number);
-# each per-task key maps str(task id) to such a value for every task id
-_MANIFEST_TYPES = {"format_version": int, "seed": int, "n_tasks": int, "mode": str,
-                   "config_digest": str, "avg_accuracy": (int, float)}
-# per-task key -> the largest value it may hold; each is a number, at least 0
-_PER_TASK_BOUNDS = {"test_accuracies": 1.0, "val_accuracies": 1.0, "ratios": math.inf}
-_GATE_KEYS = {"task_id", "pick_accuracy", "target_accuracy", "expanded"}
+# free fact -> (its JSON types, its least and its greatest value); a bool is
+# not a number, and math.ulp(0.0) is the least float above 0
+_FREE_FACTS = {"test_accuracies": ((int, float), 0.0, 1.0),
+               "val_accuracies": ((int, float), 0.0, 1.0),
+               "ratios": ((int, float), 0.0, math.inf),
+               "targets": (float, math.ulp(0.0), 1.0),
+               "pick_accuracy": (float, 0.0, 1.0)}
+
+
+def _fact(key: str, value, where: str):
+    """``value``, a free fact of kind ``key``; TypeError or ValueError unless
+    it has the kind's type and range."""
+    types, lo, hi = _FREE_FACTS[key]
+    if not _typed(value, types):
+        raise TypeError(f"{where} has the wrong type: {value!r}")
+    if not lo <= value <= hi:
+        raise ValueError(f"{where} holds {value}, outside [{lo}, {hi}]")
+    return value
 
 
 def _same(a, b) -> bool:
@@ -247,88 +267,52 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def _check_derived(m: dict, config: RunConfig, ids: list[int]) -> None:
-    """ValueError unless the logs and targets are the ones the run derives.
-
-    Task ids run 1, 2, ...  A finished run raised on any failed forgetting
-    pass, so each boundary logs a pass for every task so far.  Scratch runs
-    log no forgetting, gate or targets, and their size after task i is i
-    models.  Targets are fractions in (0, 1], the config's when it sets
-    them, and a grown run's gate entry expands exactly when its pick misses
-    its target.  Targets and pick accuracies are written as floats, so a
-    JSON integer is not one."""
-    if ids != list(range(1, len(ids) + 1)):
-        raise ValueError(f"task_ids {ids} are not 1..{len(ids)}")
-    grows = m["mode"] != "scratch"
-    derived = {"forgetting": [{"after_task": t, "passes": {str(s): True for s in ids if s <= t}}
-                              for t in ids] if grows else []}
-    if not grows:
-        derived.update(targets={}, ratios={str(t): float(t) for t in ids})
-    elif config.target_accuracy is not None:
-        values = config.target_accuracy   # one per task in order, or one for all
-        if len(values) == 1:
-            values = values * len(ids)
-        derived["targets"] = {str(t): v for t, v in zip(ids, values)}
-    if m["mode"] != "grown":
-        derived["gate_log"] = []
-    for key, value in derived.items():
-        if not _same(m[key], value):
-            raise ValueError(f"{key} is not what the run derives: {m[key]!r}")
-    targets = m["targets"]
-    if grows and not (isinstance(targets, dict) and targets.keys() == {str(t) for t in ids} and all(
-            _typed(v, float) and 0.0 < v <= 1.0 for v in targets.values())):
-        raise ValueError(f"targets {targets!r} are not one fraction in (0, 1] per task of {ids}")
-    if m["mode"] == "grown":
-        gates = m["gate_log"]
-        if not isinstance(gates, list) or len(gates) != len(ids) - 1:
-            raise ValueError(f"gate_log does not hold one entry per task after the first: "
-                             f"{gates!r}")
-        for t, entry in zip(ids[1:], gates):
-            if not (isinstance(entry, dict) and entry.keys() == _GATE_KEYS):
-                raise ValueError(f"gate_log entry {entry!r} does not have the keys {_GATE_KEYS}")
-            pick, target = entry["pick_accuracy"], entry["target_accuracy"]
-            if not (_same(entry["task_id"], t) and _same(target, targets[str(t)])
-                    and _typed(pick, float) and 0.0 <= pick <= 1.0
-                    and _same(entry["expanded"], pick < target)):
-                raise ValueError(f"gate_log entry {entry!r} is not task {t}'s gate")
-
-
 def read_manifest(run_dir: str | Path) -> dict:
     """A run directory's manifest: FileNotFoundError when it has none,
-    StoreFormatError when its schema or values are not what ``build_manifest``
-    writes (``avg_accuracy`` is ``RunResult.avg_accuracy``, bit for bit,
-    ``seed``, ``config_digest`` and ``run_id`` are those of ``config``, and
-    the logs and targets are held to ``_check_derived``)."""
+    StoreFormatError unless ``build_manifest``, given its free facts, writes
+    it back key for key and type for type (``config`` aside: it is parsed and
+    so held to its digest).  The free facts are the mode, the config, per task
+    1..n the accuracies, size ratio and target, and each gate's pick accuracy.
+    A scratch run's size after task i is i, a config's targets are its own,
+    and a finished run logged a passing forgetting check for every task at
+    every boundary (a scratch run logged none)."""
     path = Path(run_dir) / "manifest.json"
-    try:   # ValueError: not JSON or a bad value; KeyError: a key missing; TypeError: a bad type
+    try:   # ValueError: a bad value; LookupError: a key or item missing; TypeError: a bad type
         m = json.loads(path.read_text())
         if not isinstance(m, dict):
             raise TypeError(f"{type(m).__name__}, not an object")
-        ids = m["task_ids"]
-        if not isinstance(ids, list) or not ids or len(ids) != m["n_tasks"]:
-            raise ValueError(f"task_ids {ids!r} are not n_tasks = {m['n_tasks']!r} ids")
-        values = [(key, m[key], types) for key, types in _MANIFEST_TYPES.items()]
-        values += [("task id", t, int) for t in ids]
-        per_task = ((key, m[key][str(t)], (int, float))   # looked up once the ids pass
-                    for key in _PER_TASK_BOUNDS for t in ids)
-        for key, value, types in itertools.chain(values, per_task):
-            if not _typed(value, types):
-                raise TypeError(f"{key} has the wrong type: {value!r}")
-            if key in _PER_TASK_BOUNDS and not 0.0 <= value <= _PER_TASK_BOUNDS[key]:
-                raise ValueError(f"{key} holds {value}, outside [0, {_PER_TASK_BOUNDS[key]}]")
-        for key, allowed in (("format_version", (FORMAT_VERSION,)), ("mode", MODES)):
-            if m[key] not in allowed:
-                raise ValueError(f"{key} {m[key]!r} is not one of {allowed}")
-        if m["avg_accuracy"] != float(np.mean([m["test_accuracies"][str(t)] for t in ids])):
-            raise ValueError(f"avg_accuracy {m['avg_accuracy']!r} is not the mean test accuracy")
-        config = parse_config_data(m["config"])   # a ConfigError is a ValueError
-        derived = {"seed": config.seed, "config_digest": config.digest,
-                   "run_id": run_id(m["mode"], config)}
-        for key, value in derived.items():
-            if m[key] != value:
-                raise ValueError(f"{key} {m[key]!r} is not the config's {value!r}")
-        _check_derived(m, config, ids)
-    except (ValueError, KeyError, TypeError) as e:
+        mode, config = m["mode"], parse_config_data(m["config"])   # a ConfigError is a ValueError
+        if mode not in MODES:
+            raise ValueError(f"mode {mode!r} is not one of {MODES}")
+        ids = list(range(1, len(m["test_accuracies"]) + 1))
+        if not ids:
+            raise ValueError("test_accuracies holds no task")
+
+        def per_task(key: str) -> dict[int, float]:
+            return {t: _fact(key, m[key][str(t)], f"{key}[{t}]") for t in ids}
+
+        grows = mode != "scratch"
+        result = RunResult(
+            mode, config, test_accuracies=per_task("test_accuracies"),
+            val_accuracies=per_task("val_accuracies"),
+            ratios=per_task("ratios") if grows else {t: float(t) for t in ids},
+            forgetting_log=[{"after_task": t, "passes": {str(s): True for s in range(1, t + 1)}}
+                            for t in ids] if grows else [])
+        if grows:
+            result.targets = (per_task("targets") if config.target_accuracy is None
+                              else explicit_targets(config, ids))
+        if mode == "grown":
+            result.gate_log = [
+                GateLogEntry(t, _fact("pick_accuracy", m["gate_log"][t - 2]["pick_accuracy"],
+                                      f"gate_log[{t - 2}].pick_accuracy"), result.targets[t])
+                for t in ids[1:]]
+        built = build_manifest(result)
+        if odd := sorted(m.keys() ^ built.keys()):
+            raise ValueError(f"key {odd[0]!r} is {'missing' if odd[0] in built else 'unknown'}")
+        for key in sorted(built.keys() - {"config"}):
+            if not _same(m[key], built[key]):
+                raise ValueError(f"{key} is not what the run derives: {m[key]!r}")
+    except (ValueError, LookupError, TypeError) as e:
         raise StoreFormatError(
             f"malformed manifest {path}: {type(e).__name__}: {e}") from None
     return m

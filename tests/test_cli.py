@@ -126,6 +126,21 @@ class TestRunCommand:
         assert err.startswith("error: ") and "Traceback" not in err
         assert afile.read_text() == ""
 
+    def test_unwritable_run_directory_after_training_is_usage_error(
+            self, tmp_path, out_root, capsys):
+        # a file named snapshots passes the check before training, but
+        # save_run cannot make the directory
+        from growcl.config import parse_config
+
+        cfg = write_config(tmp_path, target_accuracy=0.5)
+        run_dir = out_root / run_id("grown", parse_config(cfg))
+        run_dir.mkdir(parents=True)
+        (run_dir / "snapshots").write_text("")
+        assert main(["run", "--config", str(cfg), "--mode", "grown"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write run directory {run_dir}: ")
+        assert "Traceback" not in err and not (run_dir / "manifest.json").exists()
+
     @staticmethod
     def idx_config(tmp_path, groups_text="0 1\n2 3\n", size=16, **paths):
         """A config over a 4-class IDX dataset of ``size``-pixel images and a
@@ -408,10 +423,11 @@ class TestReportCommand:
         {"test_accuracies": {"1": 1.5, "2": 0.75}, "avg_accuracy": 1.125},
         {"val_accuracies": {"1": -0.25, "2": 0.8}},
         {"seed": 1}, {"config_digest": "0" * 64}, {"run_id": "grow_only-seed0-00000000"},
-        {"ratios": {"1": 0.3, "2": -0.4}},
+        {"ratios": {"1": 0.3, "2": -0.4}}, {"note": 1},
     ], ids=["format-version-1", "unknown-mode", "avg-not-the-mean", "nan-accuracy",
             "accuracy-above-1", "negative-val-accuracy", "seed-not-the-configs",
-            "digest-not-the-configs", "run-id-not-the-configs", "negative-ratio"])
+            "digest-not-the-configs", "run-id-not-the-configs", "negative-ratio",
+            "unknown-key"])
     def test_nonsense_manifest_usage_error(self, tmp_path, capsys, changes):
         # report would turn these into nan or out-of-range averages and deltas
         dirs = self.write_manifests(tmp_path, **changes)

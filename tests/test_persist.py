@@ -231,12 +231,13 @@ class TestManifest:
         (lambda m: json.dumps({**m, "task_ids": []}), ""),
         (lambda m: json.dumps({**m, "n_tasks": 3}), ""),
         (lambda m: json.dumps({**m, "test_accuracies": {"1": m["test_accuracies"]["1"]}}), ""),
-        (lambda m: json.dumps({**m, "task_ids": [1, 2.0]}), "task id has the wrong type"),
+        (lambda m: json.dumps({**m, "task_ids": [1, 2.0]}), "task_ids is not what the run derives"),
         (lambda m: json.dumps({**m, "task_ids": [1, 3], **{
             key: {"1": m[key]["1"], "3": m[key]["2"]}
-            for key in ("test_accuracies", "val_accuracies", "ratios")}}), "are not 1..2"),
+            for key in ("test_accuracies", "val_accuracies", "ratios")}}), "KeyError: '2'"),
+        (lambda m: json.dumps({**m, "note": 1}), "key 'note' is unknown"),
     ], ids=["not-json", "json-list", "no-task-ids", "n-tasks-not-len-task-ids",
-            "id-without-accuracy", "float-task-id", "ids-not-from-1"])
+            "id-without-accuracy", "float-task-id", "ids-not-from-1", "unknown-key"])
     def test_malformed_manifest_rejected(self, saved_run, tmp_path, rewrite, detail):
         _, _, run_dir = saved_run
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -269,14 +270,17 @@ GROWN_EDITS = {
     "failed-pass": (lambda m: m["forgetting"][1]["passes"].update({"2": False}),
                     "forgetting is not"),
     "boundary-dropped": (lambda m: m["forgetting"].pop(), "forgetting is not"),
-    "target-as-int-1": (lambda m: m["targets"].update({"1": 1}), "are not one fraction"),
-    "target-of-task-3": (lambda m: m["targets"].update({"3": 0.5}), "are not one fraction"),
+    "target-as-int-1": (lambda m: m["targets"].update({"1": 1}), "targets[1] has the wrong type"),
+    "target-of-task-3": (lambda m: m["targets"].update({"3": 0.5}),
+                         "targets is not what the run derives"),
     "expanded-flipped": (lambda m: m["gate_log"][0].update(expanded=not m["gate_log"][0][
-        "expanded"]), "is not task 2's gate"),
-    "gate-task-id-float": (lambda m: m["gate_log"][0].update(task_id=2.0), "is not task 2's gate"),
+        "expanded"]), "gate_log is not what the run derives"),
+    "gate-task-id-float": (lambda m: m["gate_log"][0].update(task_id=2.0),
+                           "gate_log is not what the run derives"),
     "gate-target-not-targets": (lambda m: m["gate_log"][0].update(target_accuracy=0.5),
-                                "is not task 2's gate"),
-    "gate-entry-extra-key": (lambda m: m["gate_log"][0].update(note=""), "does not have the keys"),
+                                "gate_log is not what the run derives"),
+    "gate-entry-extra-key": (lambda m: m["gate_log"][0].update(note=""),
+                             "gate_log is not what the run derives"),
 }
 
 
@@ -356,9 +360,11 @@ class TestSnapshotSet:
             load_run(tmp_path / "run")
 
 
-# format-2 edit of task 2's snapshot header and records -> (how, the key it
-# names); at format 1 each of the first four loaded and then broke the cold
-# forgetting check, and the last two are what format 1 wrote and format 2 drops
+# format-2 edit of task 2's snapshot header and records (of backbone.bin's
+# for a name that starts "backbone-") -> (how, the key it names); at format 1
+# each of the first four loaded and then broke the cold forgetting check, and
+# the extra claim record, layers key and kernel_state record are what format
+# 1 wrote and format 2 drops
 SNAPSHOT_EDITS = {
     "no-conv2-records": (lambda h, a: a.pop("reuse/conv2"), "no array record 'reuse/conv2'"),
     "reuse-grid-one-row-too-tall": (
@@ -373,6 +379,10 @@ SNAPSHOT_EDITS = {
                            "unknown array record 'claim/conv1'"),
     "extra-layers-header-key": (lambda h, a: h.update(layers=["conv1", "conv2"]),
                                 "unknown header key 'layers'"),
+    "backbone-extra-kernel-state-record": (
+        lambda h, a: a.update({"conv1/kernel_state": np.zeros_like(a["conv1/kernel_owner"])}),
+        "unknown array record 'conv1/kernel_state'"),
+    "backbone-extra-note-header-key": (lambda h, a: h.update(note=""), "unknown header key 'note'"),
 }
 
 
@@ -381,7 +391,8 @@ class TestFormat2:
     def test_snapshot_is_loaded_against_the_arch(self, saved_run, tmp_path, name):
         _, _, run_dir = saved_run
         shutil.copytree(run_dir, tmp_path / "run")
-        path = tmp_path / "run" / "snapshots" / "task_002.snap"
+        path = tmp_path / "run" / ("backbone.bin" if name.startswith("backbone-")
+                                   else "snapshots/task_002.snap")
         header, arrays = read_container(path)
         edit, message = SNAPSHOT_EDITS[name]
         edit(header, arrays)
@@ -446,7 +457,7 @@ class TestFormat2:
         if file == "manifest.json":
             manifest = json.loads((run_dir / file).read_text())
             (tmp_path / "run" / file).write_text(json.dumps({**manifest, "format_version": 1}))
-            match = "format_version 1 is not one of"
+            match = "format_version is not what the run derives: 1"
         else:   # a format-1 container starts with GCL1 and has no checksum
             path = next((tmp_path / "run").rglob(file))
             path.write_bytes(b"GCL1" + path.read_bytes()[4:-32])
