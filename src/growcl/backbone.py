@@ -21,12 +21,9 @@ tensor; see ``ops``).  Full width comes back only around group norm and
 before the head.  The channel indices depend on the view alone, so a
 finished task's passes keep their shapes and their bytes.
 
-A training step may pass one ``ops.Workspace`` per layer to ``forward_pass``
-and the same list to ``backward_pass``: each layer's conv and pooling
-gradient then build their large arrays in that layer's buffers, which the
-caller keeps across steps.  The forward cache holds views of them, so it is
-good only until the next pass given the same list; the gradients
-``backward_pass`` returns are fresh arrays.
+Every pass builds its large arrays in its layers' buffers
+(``LayerState.workspace``).  A forward cache views them, so ``backward_pass``
+takes the cache of the backbone's latest pass.
 """
 
 from __future__ import annotations
@@ -128,6 +125,7 @@ class LayerState:
         self.slot_state = np.full(spec.out_channels, SlotState.UNGROWN, dtype=np.int8)
         self.slot_owner = np.zeros(spec.out_channels, dtype=np.int32)
         self.kernel_owner = np.zeros((spec.out_channels, spec.in_channels), dtype=np.int32)
+        self.workspace: Workspace = {}   # pass scratch buffers: never saved or digested
 
     @property
     def kernel_state(self) -> np.ndarray:
@@ -276,23 +274,22 @@ def effective_filters(layer: LayerState, mult: np.ndarray,
 
 
 def forward_pass(backbone: BackboneState, view: TaskView, x: np.ndarray,
-                 want_cache: bool = False, workspaces: list[Workspace] | None = None):
+                 want_cache: bool = False):
     """Run the masked backbone + head; returns logits (and caches).
 
     Each layer computes only its view's on channels from the previous
     layer's on channels.  Full width comes back for group norm, whose
-    statistics count the off channels' zeros, and before the head.
-    ``workspaces``, one per layer, hold the conv's large arrays."""
+    statistics count the off channels' zeros, and before the head."""
     cache = ForwardCache() if want_cache else None
     h = np.asarray(x, dtype=np.float64)
     ii = np.arange(backbone.arch.in_channels)
-    for index, layer in enumerate(backbone.layers):
+    for layer in backbone.layers:
         name = layer.spec.name
         oi = np.flatnonzero(view.channel_on[name])
         eff_w = effective_filters(layer, view.multipliers[name], oi, ii)
         h, conv_cache = conv2d(h, eff_w, layer.bias[oi],
                                stride=layer.spec.stride, pad=layer.spec.pad,
-                               workspace=None if workspaces is None else workspaces[index])
+                               workspace=layer.workspace)
         norm_cache = None
         if view.norm_scale is not None:
             h, norm_cache = group_norm(
@@ -326,14 +323,13 @@ class BackwardResult:
     d_norm_shift: dict[str, np.ndarray]
 
 
-def backward_pass(backbone: BackboneState, cache: ForwardCache, dlogits: np.ndarray,
-                  workspaces: list[Workspace] | None = None) -> BackwardResult:
+def backward_pass(backbone: BackboneState, cache: ForwardCache,
+                  dlogits: np.ndarray) -> BackwardResult:
     """Backpropagate through head and all layers, on the forward's on channels.
 
     Returns gradients w.r.t. the *effective* (masked) filters and the biases
     at full capacity, exact +0.0 outside the on block; the trainer splits
-    the filter gradients into weight and mask-logit gradients.  The layer
-    gradients go through ``workspaces``, the list the forward was given.
+    the filter gradients into weight and mask-logit gradients.
     """
     dflat, d_hw, d_hb = linear_backward(dlogits, cache.head_cache)
     dh = np.take(dflat.reshape(cache.feature_shape), cache.layer_caches[-1].out_index, axis=1)
@@ -345,16 +341,16 @@ def backward_pass(backbone: BackboneState, cache: ForwardCache, dlogits: np.ndar
         layer = backbone.layers[index]
         lc = cache.layer_caches[index]
         name = layer.spec.name
-        workspace = None if workspaces is None else workspaces[index]
         dh = relu_backward(dh, lc.relu)
         if lc.pool is not None:
-            dh = maxpool2d_backward(dh, lc.pool, workspace=workspace)
+            dh = maxpool2d_backward(dh, lc.pool, workspace=layer.workspace)
         if lc.norm is not None:
             full, d_ns[name], d_nsh[name] = group_norm_backward(
                 _scatter(dh, lc.out_index, layer.spec.out_channels), lc.norm)
             dh = np.take(full, lc.out_index, axis=1)
         # the input image needs no gradient
-        dh, dw_eff, db = conv2d_backward(dh, lc.conv, need_dx=index > 0, workspace=workspace)
+        dh, dw_eff, db = conv2d_backward(dh, lc.conv, need_dx=index > 0,
+                                         workspace=layer.workspace)
         d_bias[name] = np.zeros_like(layer.bias)
         d_bias[name][lc.out_index] = db
         d_eff[name] = np.zeros_like(layer.weights)

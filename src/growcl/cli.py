@@ -108,7 +108,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _gradient_suite(plant_fault: bool = False) -> str | None:
-    """Quick finite-difference pass over every differentiable operation."""
+    """Finite-difference checks of three gradients: conv2d's filter
+    gradient, linear plus cross-entropy's weight gradient, and the
+    straight-through logit gradient of the Gumbel-sigmoid mask."""
     import numpy as np
 
     from .masks import gumbel_noise, gumbel_sigmoid, ste_logit_grad

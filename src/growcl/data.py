@@ -89,6 +89,8 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
         raise IdxFormatError(
             f"{images_path}: payload {len(raw) - 16} bytes, expected {n * h * w}"
         )
+    if n == 0:
+        raise IdxFormatError(f"{images_path}: no samples")
     images = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(n, 1, h, w)
 
     raw = labels_path.read_bytes()
@@ -240,8 +242,12 @@ def synth_tasks(rng: SeededRng, n_tasks: int, classes_per_task: int,
 
 def load_group_file(path: str | Path) -> list[list[int]]:
     """Plain-text groups: one task per line, space-separated class ids."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
     groups = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -249,14 +255,14 @@ def load_group_file(path: str | Path) -> list[list[int]]:
             groups.append([int(tok) for tok in line.split()])
         except ValueError as e:
             raise ValueError(f"{path}:{line_no}: {e}") from None
+    if not groups:
+        raise ValueError(f"{path}: no class groups: the task sequence would be empty")
     return groups
 
 
 def split_by_class(dataset: Dataset, groups: list[list[int]],
                    rng: SeededRng) -> TaskSequence:
     """Route samples into tasks by class group; labels remapped to 0..K-1."""
-    if not groups:
-        raise ValueError("no class groups: the task sequence would be empty")
     seen: set[int] = set()
     for group in groups:
         for cls in group:

@@ -64,7 +64,7 @@ from .masks import (
     l0_penalty,
     ste_logit_grad,
 )
-from .ops import Workspace, cross_entropy, sgd_step
+from .ops import cross_entropy, sgd_step
 from .rng import SeededRng
 
 MODES = ("scratch", "grown", "grow_only")
@@ -225,8 +225,6 @@ class TaskTrainer:
         self.gate_lr = config.learning_rate * GATE_LR_SCALE
         self.select_lr = config.learning_rate * SELECT_LR_SCALE
         self.target: float | None = None   # the running phase's; None: no growth
-        # one per layer, reused by every training step and validation pass
-        self.workspaces: list[Workspace] | None = [{} for _ in backbone.layers]
 
     # -- view -------------------------------------------------------------
 
@@ -299,10 +297,9 @@ class TaskTrainer:
                    temperature: float) -> float:
         lr = self.config.learning_rate
         view = self.build_train_view()
-        logits, cache = forward_pass(self.backbone, view, images, want_cache=True,
-                                     workspaces=self.workspaces)
+        logits, cache = forward_pass(self.backbone, view, images, want_cache=True)
         loss, dlogits = cross_entropy(logits, labels)
-        grads = backward_pass(self.backbone, cache, dlogits, workspaces=self.workspaces)
+        grads = backward_pass(self.backbone, cache, dlogits)
         grows = self.target is not None
         learns_masks = self.kernel_masks or grows
 
@@ -367,8 +364,7 @@ class TaskTrainer:
         return start + (end - start) * (epoch / (total - 1))
 
     def validation_accuracy(self) -> float:
-        return _dataset_accuracy(self.backbone, self.build_train_view(), self.task.val,
-                                 self.workspaces)
+        return _dataset_accuracy(self.backbone, self.build_train_view(), self.task.val)
 
     def train_phase(self, phase: str, n_epochs: int, epoch_log: list[EpochLogEntry],
                     target: float | None = None) -> None:
@@ -420,9 +416,7 @@ class TaskTrainer:
 
         No query runs here: the active set is the one the head has adapted
         to (and the last ``query_epoch`` held it to the growth cap), so fixing
-        it cannot ablate features the task depends on.  The task trains no
-        more, so its step workspaces go."""
-        self.workspaces = None
+        it cannot ablate features the task depends on."""
         t = self.task.task_id
         for layer in self.backbone.layers:
             finalize_task(layer, self.claim_masks[layer.spec.name].hard_bits(), t)
@@ -450,18 +444,16 @@ class TaskTrainer:
 # evaluation / forgetting
 # ---------------------------------------------------------------------------
 
-def _batched_logits(backbone: BackboneState, view: TaskView, images: np.ndarray,
-                    workspaces: list[Workspace] | None = None) -> np.ndarray:
+def _batched_logits(backbone: BackboneState, view: TaskView, images: np.ndarray) -> np.ndarray:
     outs = [
-        forward_pass(backbone, view, images[s:s + EVAL_BATCH], workspaces=workspaces)
+        forward_pass(backbone, view, images[s:s + EVAL_BATCH])
         for s in range(0, len(images), EVAL_BATCH)
     ]
     return np.concatenate(outs, axis=0)
 
 
-def _dataset_accuracy(backbone: BackboneState, view: TaskView, dataset,
-                      workspaces: list[Workspace] | None = None) -> float:
-    logits = _batched_logits(backbone, view, dataset.images, workspaces)
+def _dataset_accuracy(backbone: BackboneState, view: TaskView, dataset) -> float:
+    logits = _batched_logits(backbone, view, dataset.images)
     return float((logits.argmax(axis=1) == dataset.labels).mean())
 
 

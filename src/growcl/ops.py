@@ -24,19 +24,19 @@ Inference passes, which never run a backward, so skip the winner search.
 
 Workspaces: ``conv2d``, ``conv2d_backward`` and ``maxpool2d_backward`` take
 an optional ``workspace``, a dict that the caller owns and hands to one
-layer's ops on every call (``backbone`` takes one per layer, and a trainer
-keeps its list until it finalizes its task).  Each large array the op
-builds is then a view of the dict's buffer for its role, grown to the
-largest shape asked for and never shrunk, so a training step reuses the
-pages the step before it faulted in.  The roles: ``image`` (the padded
-input, then the image gradient), ``cols`` (the im2col columns, then their
-gradient, written once the filter gradient has read them), ``out`` (the
-conv output, then the pooling gradient, written once the winners are
-found) and the pooling masks.  A view lives until the next call that takes
-its role, so a conv output and its caches serve one pooling pass and one
-backward, and a ``dx`` must be read before the layer below runs.  Without
-a workspace every call allocates fresh arrays, so its results share no
-memory with any other call's.  The bytes are the same either way.
+layer's ops on every call (each ``backbone`` layer owns one, which every
+pass on the backbone uses).  Each large array the op builds is then a view
+of the dict's buffer for its role, grown to the largest shape asked for and
+never shrunk, so a pass reuses the pages the pass before it faulted in.
+The roles: ``image`` (the padded input, then the image gradient), ``cols``
+(the im2col columns, then their gradient, written once the filter gradient
+has read them), ``out`` (the conv output, then the pooling gradient,
+written once the winners are found) and the pooling masks.  A view lives
+until the next call that takes its role, so a conv output and its caches
+serve one pooling pass and one backward, and a ``dx`` must be read before
+the layer below runs.  Without a workspace every call allocates fresh
+arrays, so its results share no memory with any other call's.  The bytes
+are the same either way.
 """
 
 from __future__ import annotations

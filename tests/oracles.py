@@ -219,8 +219,8 @@ def all_channel_filters(layer, mult):
                              np.arange(layer.spec.in_channels))
 
 
-def forward_pass_full(backbone, view, x, want_cache=False, workspaces=None):
-    # takes backbone.forward_pass's arguments; ``workspaces`` is not used, so
+def forward_pass_full(backbone, view, x, want_cache=False):
+    # takes backbone.forward_pass's arguments; the ops get no workspace, so
     # every array here is freshly allocated
     cache = {"layers": []}
     h = np.asarray(x, dtype=np.float64)
@@ -244,7 +244,7 @@ def forward_pass_full(backbone, view, x, want_cache=False, workspaces=None):
     return (logits, cache) if want_cache else logits
 
 
-def backward_pass_full(backbone, cache, dlogits, workspaces=None):
+def backward_pass_full(backbone, cache, dlogits):
     dflat, d_hw, d_hb = linear_backward(dlogits, cache["head"])
     dh = dflat.reshape(cache["flat_shape"])
     d_eff, d_bias, d_ns, d_nsh = {}, {}, {}, {}

@@ -362,14 +362,20 @@ def gradient_arrays(grads: BackwardResult):
 
 
 class TestStepWorkspaces:
-    """Steps whose layers keep their workspaces from step to step give the
-    bytes of steps that allocate every array."""
+    """Steps whose layers keep their buffers from pass to pass give the bytes
+    of steps whose layers start every pass with no buffer, which allocate
+    every array."""
 
     @pytest.mark.parametrize("arch_name", list(STEP_ARCHES))
     def test_three_steps_bitwise_equal(self, arch_name):
         arch = STEP_ARCHES[arch_name]()
         kept, fresh = populated_backbone(arch, seed=7), populated_backbone(arch, seed=7)
-        workspaces = [{} for _ in kept.layers]
+
+        def start_pass(bb):   # the fresh backbone's layers start each pass empty
+            if bb is fresh:
+                for layer in bb.layers:
+                    layer.workspace.clear()
+
         r = np.random.default_rng(8)
         size = arch.image_size
         # the on channels change and the last batch is short, so buffers are
@@ -379,15 +385,17 @@ class TestStepWorkspaces:
             x = r.normal(size=(n, arch.in_channels, size, size))
             y = r.integers(0, 3, size=n)
             results = []
-            for bb, ws in ((kept, workspaces), (fresh, None)):
-                logits, cache = forward_pass(bb, view, x, want_cache=True, workspaces=ws)
+            for bb in (kept, fresh):
+                start_pass(bb)
+                logits, cache = forward_pass(bb, view, x, want_cache=True)
                 _, dlogits = cross_entropy(logits, y)
-                grads = backward_pass(bb, cache, dlogits, workspaces=ws)
+                grads = backward_pass(bb, cache, dlogits)
                 for layer in bb.layers:
                     layer.weights -= 0.1 * grads.d_eff_weights[layer.spec.name]
                     layer.bias -= 0.1 * grads.d_bias[layer.spec.name]
-                # a validation pass between steps, in the same workspaces
-                val_logits = forward_pass(bb, view, x[:24], workspaces=ws)
+                # a validation pass between steps, in the same buffers
+                start_pass(bb)
+                val_logits = forward_pass(bb, view, x[:24])
                 results.append([("logits", logits), ("validation", val_logits),
                                 *gradient_arrays(grads)])
             for (label, got), (_, want) in zip(*results, strict=True):
@@ -395,4 +403,4 @@ class TestStepWorkspaces:
             for a, b in zip(kept.layers, fresh.layers):
                 assert a.weights.tobytes() == b.weights.tobytes()
                 assert a.bias.tobytes() == b.bias.tobytes()
-        assert all(workspaces)   # every layer's ops took their arrays from it
+        assert all(layer.workspace for layer in kept.layers)   # every layer's ops used it

@@ -175,19 +175,29 @@ class TestRunCommand:
         assert manifest["n_tasks"] == 2
         assert all(all(e["passes"].values()) for e in manifest["forgetting"])
 
-    @pytest.mark.parametrize("groups_text, paths", [
-        ("# no groups, only comments\n\n", {}),
-        ("0 1\n2 3\n", {"images": "dir"}),
-        ("0 1\n2 3\n", {"groups": "dir"}),
-    ], ids=["empty-groups", "images-is-directory", "groups-is-directory"])
+    @pytest.mark.parametrize("groups_text, paths, named", [
+        ("# no groups, only comments\n\n", {}, "groups.txt"),
+        ("0 1\n2 3\n", {"images": "dir"}, "dir"),
+        ("0 1\n2 3\n", {"groups": "dir"}, "dir"),
+        ("0 1\n2 3\n", {"images": "empty_im.idx", "labels": "empty_lb.idx"}, "empty_im.idx"),
+        ("0 1\n2 3\n", {"groups": "latin1.txt"}, "latin1.txt"),
+    ], ids=["empty-groups", "images-is-directory", "groups-is-directory", "zero-samples",
+            "groups-not-utf8"])
     def test_unusable_idx_tasks_are_usage_error_before_run_directory(
-            self, tmp_path, out_root, capsys, groups_text, paths):
+            self, tmp_path, out_root, capsys, groups_text, paths, named):
+        import struct
+        from growcl.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
+
         (tmp_path / "dir").mkdir()
+        (tmp_path / "empty_im.idx").write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 0, 16, 16))
+        (tmp_path / "empty_lb.idx").write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, 0))
+        (tmp_path / "latin1.txt").write_bytes("0 1\n2 3 # \u00e9\n".encode("latin-1"))
         cfg = self.idx_config(tmp_path, groups_text,
                               **{key: tmp_path / p for key, p in paths.items()})
         assert main(["run", "--config", str(cfg), "--mode", "grown"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert str(tmp_path / named) in err   # the file at fault is named
         assert not any(out_root.iterdir())
 
     @pytest.mark.parametrize("mode", ["scratch", "grown", "grow_only"])

@@ -80,6 +80,13 @@ class TestIdx:
         with pytest.raises(IdxFormatError, match="images but"):
             load_idx(tmp_path / "i", tmp_path / "l")
 
+    def test_zero_samples_rejected(self, tmp_path):
+        (tmp_path / "i").write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 0, 4, 4))
+        (tmp_path / "l").write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, 0))
+        with pytest.raises(IdxFormatError) as e:
+            load_idx(tmp_path / "i", tmp_path / "l")
+        assert str(e.value) == f"{tmp_path / 'i'}: no samples"
+
 
 class TestSynthTasks:
     def test_same_seed_bitwise_identical(self):

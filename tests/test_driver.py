@@ -1,7 +1,5 @@
 import copy
 import dataclasses
-import gc
-import weakref
 
 import numpy as np
 import pytest
@@ -357,7 +355,9 @@ class TestTargetGatesGrowth:
 
 
 class TestStepWorkspaces:
-    def test_buffers_live_across_steps_and_go_at_finalize(self):
+    def test_buffers_live_across_steps_finalize_and_forgetting_check(self):
+        # every later pass of a 1-task run is no larger than its first step,
+        # so each layer keeps the buffers that step made
         cfg = tiny_config(n_tasks=1)
         (task,) = build_tasks(cfg)
         root = SeededRng(cfg.seed)
@@ -367,19 +367,16 @@ class TestStepWorkspaces:
         trainer = TaskTrainer(backbone, task, cfg, True, root)
         batch = task.train.images[:cfg.batch_size], task.train.labels[:cfg.batch_size]
         trainer.train_step(*batch, 1.0)
-        first = [dict(ws) for ws in trainer.workspaces]
+        first = [dict(layer.workspace) for layer in backbone.layers]
         assert all(first)
         for _ in range(2):   # no target, so no slot grows: every step has one shape
             trainer.validation_accuracy()
             trainer.train_step(*batch, 1.0)
-        assert all(ws.keys() == before.keys()
-                   and all(ws[role] is buf for role, buf in before.items())
-                   for ws, before in zip(trainer.workspaces, first, strict=True))
-        buffers = [weakref.ref(buf) for ws in first for buf in ws.values()]
-        del first
-        trainer.finalize()
-        gc.collect()
-        assert trainer.workspaces is None and all(ref() is None for ref in buffers)
+        snapshot = trainer.finalize()
+        assert forgetting_check({1: snapshot}, backbone) == {1: True}
+        assert all(layer.workspace.keys() == before.keys()
+                   and all(layer.workspace[role] is buf for role, buf in before.items())
+                   for layer, before in zip(backbone.layers, first, strict=True))
 
 
 class TestPickTransferOracle:
