@@ -21,9 +21,18 @@ tensor; see ``ops``).  Full width comes back only around group norm and
 before the head.  The channel indices depend on the view alone, so a
 finished task's passes keep their shapes and their bytes.
 
+A pass may run part of the layers.  Stopped after layer k - 1, it returns
+that layer's output on its on channels; started at layer k from such an
+output, it runs the layers from k and the head.  Both are the full pass's
+loop, and an image's bytes do not depend on its batch, so the parts give
+the full pass's bytes.  A backward stops at the forward's first layer: that
+layer computes no input gradient, and every layer below gets +0.0
+gradients.
+
 Every pass builds its large arrays in its layers' buffers
 (``LayerState.workspace``).  A forward cache views them, so ``backward_pass``
-takes the cache of the backbone's latest pass.
+takes the cache of the backbone's latest pass.  A stopped pass's output is
+relu's fresh array, so it outlives the pass.
 """
 
 from __future__ import annotations
@@ -246,7 +255,8 @@ class LayerCache(NamedTuple):
 
 @dataclass
 class ForwardCache:
-    layer_caches: list[LayerCache] = field(default_factory=list)
+    start: int = 0              # the first layer the pass ran
+    layer_caches: list[LayerCache] = field(default_factory=list)   # from ``start`` on
     feature_shape: tuple = ()   # full-width [N, C, H, W] fed to the head
     head_cache: object = None
 
@@ -274,16 +284,23 @@ def effective_filters(layer: LayerState, mult: np.ndarray,
 
 
 def forward_pass(backbone: BackboneState, view: TaskView, x: np.ndarray,
-                 want_cache: bool = False):
+                 want_cache: bool = False, start: int = 0, stop: int | None = None):
     """Run the masked backbone + head; returns logits (and caches).
 
     Each layer computes only its view's on channels from the previous
     layer's on channels.  Full width comes back for group norm, whose
-    statistics count the off channels' zeros, and before the head."""
-    cache = ForwardCache() if want_cache else None
+    statistics count the off channels' zeros, and before the head.
+
+    From ``start`` > 0 the pass runs from layer ``start``, and ``x`` is
+    layer ``start`` - 1's output on its on channels.  Given ``stop``, it
+    runs up to layer ``stop`` - 1 and returns that output, a fresh array,
+    instead of logits."""
+    layers = backbone.layers
+    cache = ForwardCache(start) if want_cache else None
     h = np.asarray(x, dtype=np.float64)
-    ii = np.arange(backbone.arch.in_channels)
-    for layer in backbone.layers:
+    ii = (np.arange(backbone.arch.in_channels) if start == 0
+          else np.flatnonzero(view.channel_on[layers[start - 1].spec.name]))
+    for layer in layers[start:stop]:
         name = layer.spec.name
         oi = np.flatnonzero(view.channel_on[name])
         eff_w = effective_filters(layer, view.multipliers[name], oi, ii)
@@ -304,7 +321,9 @@ def forward_pass(backbone: BackboneState, view: TaskView, x: np.ndarray,
             cache.layer_caches.append(
                 LayerCache(conv_cache, norm_cache, pool_cache, relu_cache, oi, ii))
         ii = oi
-    h = _scatter(h, ii, backbone.layers[-1].spec.out_channels)
+    if stop is not None:
+        return h
+    h = _scatter(h, ii, layers[-1].spec.out_channels)
     logits, head_cache = linear(h.reshape(h.shape[0], -1), view.head_weight, view.head_bias)
     if want_cache:
         cache.feature_shape = h.shape
@@ -325,22 +344,33 @@ class BackwardResult:
 
 def backward_pass(backbone: BackboneState, cache: ForwardCache,
                   dlogits: np.ndarray) -> BackwardResult:
-    """Backpropagate through head and all layers, on the forward's on channels.
+    """Backpropagate through the head and the layers the forward ran, on its
+    on channels.
 
     Returns gradients w.r.t. the *effective* (masked) filters and the biases
     at full capacity, exact +0.0 outside the on block; the trainer splits
-    the filter gradients into weight and mask-logit gradients.
+    the filter gradients into weight and mask-logit gradients.  The layers
+    below the forward's ``start`` get all +0.0 gradients, and the lowest
+    layer it ran computes no input gradient.
     """
     dflat, d_hw, d_hb = linear_backward(dlogits, cache.head_cache)
-    dh = np.take(dflat.reshape(cache.feature_shape), cache.layer_caches[-1].out_index, axis=1)
     d_eff: dict[str, np.ndarray] = {}
     d_bias: dict[str, np.ndarray] = {}
     d_ns: dict[str, np.ndarray] = {}
     d_nsh: dict[str, np.ndarray] = {}
+    dh = None
     for index in reversed(range(len(backbone.layers))):
         layer = backbone.layers[index]
-        lc = cache.layer_caches[index]
         name = layer.spec.name
+        d_bias[name] = np.zeros_like(layer.bias)
+        d_eff[name] = np.zeros_like(layer.weights)
+        if index < cache.start:
+            if backbone.arch.group_norm:
+                d_ns[name], d_nsh[name] = np.zeros_like(layer.bias), np.zeros_like(layer.bias)
+            continue
+        lc = cache.layer_caches[index - cache.start]
+        if dh is None:
+            dh = np.take(dflat.reshape(cache.feature_shape), lc.out_index, axis=1)
         dh = relu_backward(dh, lc.relu)
         if lc.pool is not None:
             dh = maxpool2d_backward(dh, lc.pool, workspace=layer.workspace)
@@ -348,11 +378,9 @@ def backward_pass(backbone: BackboneState, cache: ForwardCache,
             full, d_ns[name], d_nsh[name] = group_norm_backward(
                 _scatter(dh, lc.out_index, layer.spec.out_channels), lc.norm)
             dh = np.take(full, lc.out_index, axis=1)
-        # the input image needs no gradient
-        dh, dw_eff, db = conv2d_backward(dh, lc.conv, need_dx=index > 0,
+        # neither the input image nor a given input needs a gradient
+        dh, dw_eff, db = conv2d_backward(dh, lc.conv, need_dx=index > cache.start,
                                          workspace=layer.workspace)
-        d_bias[name] = np.zeros_like(layer.bias)
         d_bias[name][lc.out_index] = db
-        d_eff[name] = np.zeros_like(layer.weights)
         d_eff[name][np.ix_(lc.out_index, lc.in_index)] = dw_eff
     return BackwardResult(d_eff, d_bias, d_hw, d_hb, d_ns, d_nsh)

@@ -28,6 +28,19 @@ slots all train, with the keep-all reuse and claim masks of ``grow_only``
 and no target, so it never grows.  Scratch outcomes are memoized on the parsed
 config: ``grown`` and ``grow_only`` targets reuse the models a ``scratch``
 run of the same config object trained.
+
+A step runs only the layers it can change.  ``TaskTrainer.frozen_depth``
+is the lowest layer with a growing slot or a RELEASED kernel; it is 0 when
+the trainer learns kernel masks or the arch has norm layers, so only
+``grow_only`` steps after task 1 start higher.  Such a step feeds the layers
+from there the trainer's cached outputs of the layers below
+(``trunk_outputs``).  Its bytes are the full step's: an image's outputs do
+not depend on its batch; the layers below hold no trainable entry, so
+``sgd_step`` discards any gradient they get, and they get +0.0; and every
+Gumbel draw still runs, while a layer's gate gradient, which reads only its
+growing rows, is a signed zero either way, and adding the sparsity
+gradient (never -0.0) erases its sign.  Validation, test, probe and
+forgetting passes run in full.
 """
 
 from __future__ import annotations
@@ -225,6 +238,7 @@ class TaskTrainer:
         self.gate_lr = config.learning_rate * GATE_LR_SCALE
         self.select_lr = config.learning_rate * SELECT_LR_SCALE
         self.target: float | None = None   # the running phase's; None: no growth
+        self.trunk: tuple[tuple, np.ndarray] | None = None   # (key, outputs): see trunk_outputs
 
     # -- view -------------------------------------------------------------
 
@@ -293,12 +307,49 @@ class TaskTrainer:
         sgd_step(self.params[label], grad, lr, self.config.momentum,
                  self.velocity[label], keep)
 
-    def train_step(self, images: np.ndarray, labels: np.ndarray,
-                   temperature: float) -> float:
+    def frozen_depth(self) -> int:
+        """The lowest layer that holds trainable state: a growing slot or a
+        RELEASED kernel (the layer count when none does).  Nothing below it
+        moves in a step.  0 when the trainer learns kernel masks, whose
+        gradients need every layer's, or the arch has norm layers, which
+        every task trains."""
+        if self.kernel_masks or self.norm_scale is not None:
+            return 0
+        for index, layer in enumerate(self.backbone.layers):
+            if (np.any(layer.slot_state == SlotState.GROWN_TRAINING)
+                    or np.any(layer.kernel_state == KernelState.RELEASED)):
+                return index
+        return len(self.backbone.layers)
+
+    def trunk_outputs(self, view: TaskView, start: int) -> np.ndarray:
+        """Layer ``start`` - 1's output on its on channels, for every training
+        image.  Built in ``batch_size`` chunks and kept while the on channels
+        and multipliers of the layers below ``start`` stay as they are; below
+        ``frozen_depth`` nothing else that reaches them can change."""
+        below = [layer.spec.name for layer in self.backbone.layers[:start]]
+        key = (start, *(view.channel_on[name].tobytes() + view.multipliers[name].tobytes()
+                        for name in below))
+        if self.trunk is None or self.trunk[0] != key:
+            self.trunk = None   # freed first, so the allocator may reuse its pages
+            images, bs = self.task.train.images, self.config.batch_size
+            size = self.backbone.arch.spatial_after(start - 1)
+            outputs = np.empty((len(images), int(view.channel_on[below[-1]].sum()), size, size))
+            for s in range(0, len(images), bs):
+                outputs[s:s + bs] = forward_pass(self.backbone, view, images[s:s + bs],
+                                                 stop=start)
+            self.trunk = (key, outputs)
+        return self.trunk[1]
+
+    def train_step(self, idx: np.ndarray, temperature: float) -> float:
+        """One step on the training rows ``idx``, run from ``frozen_depth``."""
         lr = self.config.learning_rate
+        train = self.task.train
         view = self.build_train_view()
-        logits, cache = forward_pass(self.backbone, view, images, want_cache=True)
-        loss, dlogits = cross_entropy(logits, labels)
+        start = self.frozen_depth()
+        inputs = train.images if start == 0 else self.trunk_outputs(view, start)
+        logits, cache = forward_pass(self.backbone, view, np.take(inputs, idx, axis=0),
+                                     want_cache=True, start=start)
+        loss, dlogits = cross_entropy(logits, train.labels[idx])
         grads = backward_pass(self.backbone, cache, dlogits)
         grows = self.target is not None
         learns_masks = self.kernel_masks or grows
@@ -373,8 +424,7 @@ class TaskTrainer:
         new channels while validation accuracy is below the target.  Without
         one, no slot changes state and no gate logit moves."""
         self.target = target
-        train = self.task.train
-        n = len(train)
+        n = len(self.task.train)
         bs = self.config.batch_size
         val_acc = None
         for epoch in range(n_epochs):
@@ -386,8 +436,7 @@ class TaskTrainer:
             order = self.batches.permutation(n)
             losses = []
             for start in range(0, n, bs):
-                idx = order[start:start + bs]
-                losses.append(self.train_step(train.images[idx], train.labels[idx], temp))
+                losses.append(self.train_step(order[start:start + bs], temp))
             loss = float(np.mean(losses))
             self._check_finite(loss, f"task {self.task.task_id}, {phase} epoch {epoch}")
             val_acc = self.validation_accuracy()
@@ -418,6 +467,7 @@ class TaskTrainer:
         to (and the last ``query_epoch`` held it to the growth cap), so fixing
         it cannot ablate features the task depends on."""
         t = self.task.task_id
+        self.trunk = None
         for layer in self.backbone.layers:
             finalize_task(layer, self.claim_masks[layer.spec.name].hard_bits(), t)
         reuse_bits = None

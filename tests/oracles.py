@@ -219,12 +219,19 @@ def all_channel_filters(layer, mult):
                              np.arange(layer.spec.in_channels))
 
 
-def forward_pass_full(backbone, view, x, want_cache=False):
+def forward_pass_full(backbone, view, x, want_cache=False, start=0, stop=None):
     # takes backbone.forward_pass's arguments; the ops get no workspace, so
-    # every array here is freshly allocated
-    cache = {"layers": []}
+    # every array here is freshly allocated.  A given input and a stopped
+    # pass's output are on their layer's on channels, as there; in between,
+    # every channel is computed.
+    layers = backbone.layers
+    cache = {"start": start, "layers": []}
     h = np.asarray(x, dtype=np.float64)
-    for layer in backbone.layers:
+    if start > 0:
+        on = layers[start - 1].spec.name
+        h = np.zeros((h.shape[0], layers[start - 1].spec.out_channels) + h.shape[2:])
+        h[:, view.channel_on[on]] = x
+    for layer in layers[start:stop]:
         name = layer.spec.name
         on = view.channel_on[name]
         eff_w = all_channel_filters(layer, view.multipliers[name])
@@ -239,6 +246,8 @@ def forward_pass_full(backbone, view, x, want_cache=False):
         if layer.spec.pool:
             h, pool_cache = maxpool2d_argmax(h, k=layer.spec.pool)
         cache["layers"].append((conv_cache, norm_cache, relu_cache, pool_cache, on))
+    if stop is not None:
+        return h[:, view.channel_on[layers[stop - 1].spec.name]]
     logits, cache["head"] = linear(h.reshape(h.shape[0], -1), view.head_weight, view.head_bias)
     cache["flat_shape"] = h.shape
     return (logits, cache) if want_cache else logits
@@ -248,7 +257,13 @@ def backward_pass_full(backbone, cache, dlogits):
     dflat, d_hw, d_hb = linear_backward(dlogits, cache["head"])
     dh = dflat.reshape(cache["flat_shape"])
     d_eff, d_bias, d_ns, d_nsh = {}, {}, {}, {}
-    for layer, caches in zip(reversed(backbone.layers), reversed(cache["layers"])):
+    for layer in backbone.layers[:cache["start"]]:   # not run: +0.0 gradients
+        name = layer.spec.name
+        d_eff[name], d_bias[name] = np.zeros_like(layer.weights), np.zeros_like(layer.bias)
+        if backbone.arch.group_norm:
+            d_ns[name], d_nsh[name] = np.zeros_like(layer.bias), np.zeros_like(layer.bias)
+    ran = backbone.layers[cache["start"]:]
+    for layer, caches in zip(reversed(ran), reversed(cache["layers"])):
         conv_cache, norm_cache, relu_cache, pool_cache, on = caches
         name = layer.spec.name
         if pool_cache is not None:

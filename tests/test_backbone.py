@@ -344,6 +344,47 @@ class TestCompactedPasses:
             assert ga.d_bias[name].tobytes() == gb.d_bias[name].tobytes()
 
 
+class TestPartialPasses:
+    """A pass stopped after layer k - 1 and one started at layer k from its
+    output give the full pass's logits and, from layer k up, its gradients
+    byte for byte; below k every gradient is +0.0.  Stopped outputs do not
+    depend on the batch.  The full-width oracle takes the same arguments."""
+
+    @pytest.mark.parametrize("kinds", [("part", "part"), ("one", "all"), ("none", "part")])
+    @pytest.mark.parametrize("norm", [False, True])
+    @pytest.mark.parametrize("arch_name", ["tiny", "default"])
+    def test_started_pass_matches_full_pass(self, arch_name, norm, kinds):
+        arch = (tiny_arch(norm) if arch_name == "tiny"
+                else parse_config_data({"arch": {"group_norm": norm}}).arch)
+        bb = populated_backbone(arch, seed=4)
+        r = np.random.default_rng(104)
+        view = channel_view(bb, r, kinds, norm)
+        x = r.normal(size=(8, arch.in_channels, arch.image_size, arch.image_size))
+        logits, cache = forward_pass(bb, view, x, want_cache=True)
+        _, dlogits = cross_entropy(logits, r.integers(0, 3, size=8))
+        full = dict(gradient_arrays(backward_pass(bb, cache, dlogits)))
+        for start in range(1, len(bb.layers) + 1):
+            below = {layer.spec.name for layer in bb.layers[:start]}
+            h = forward_pass(bb, view, x, stop=start)
+            chunks = [forward_pass(bb, view, x[s:s + 3], stop=start) for s in range(0, 8, 3)]
+            assert np.concatenate(chunks).tobytes() == h.tobytes()
+            assert forward_pass_full(bb, view, x, stop=start).tobytes() == h.tobytes()
+            part_logits, part_cache = forward_pass(bb, view, h, want_cache=True, start=start)
+            ref_logits, ref_cache = forward_pass_full(bb, view, h, want_cache=True, start=start)
+            assert part_logits.tobytes() == logits.tobytes() == ref_logits.tobytes()
+            grads = backward_pass(bb, part_cache, dlogits)
+            got = dict(gradient_arrays(grads))
+            assert got.keys() == full.keys()
+            for label, arr in got.items():
+                if isinstance(label, tuple) and label[1] in below:
+                    assert np.all(arr == 0.0) and not np.any(np.signbit(arr)), label
+                else:
+                    assert arr.tobytes() == full[label].tobytes(), label
+            ref = backward_pass_full(bb, ref_cache, dlogits)
+            for label, got_arr, want in gradient_pairs(bb, view, grads, ref):
+                assert got_arr.tobytes() == want.tobytes(), label
+
+
 STEP_ARCHES = {
     "default": lambda: parse_config_data({}).arch,
     "wide": wide_arch,

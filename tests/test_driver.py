@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from growcl.backbone import BackboneState, KernelState, SlotState
+from growcl.backbone import BackboneState, KernelState, SlotState, forward_pass
 from growcl.config import ConfigError, parse_config_data
 from growcl.driver import (
     CLAIM_INIT,
@@ -18,8 +18,9 @@ from growcl.driver import (
     probe_fingerprint,
     run_pipeline,
     train_scratch_model,
+    train_task1,
 )
-from growcl.growth import ContractViolation, finalize_task
+from growcl.growth import ContractViolation, finalize_task, query_and_transition
 from growcl.ops import cross_entropy, linear, linear_backward, sgd_step
 from growcl.persist import load_run, save_run
 from growcl.rng import SeededRng
@@ -365,18 +366,178 @@ class TestStepWorkspaces:
         from growcl.driver import _grow_seed_channels
         _grow_seed_channels(backbone, root.substream("growth"))
         trainer = TaskTrainer(backbone, task, cfg, True, root)
-        batch = task.train.images[:cfg.batch_size], task.train.labels[:cfg.batch_size]
-        trainer.train_step(*batch, 1.0)
+        batch = np.arange(cfg.batch_size)
+        trainer.train_step(batch, 1.0)
         first = [dict(layer.workspace) for layer in backbone.layers]
         assert all(first)
         for _ in range(2):   # no target, so no slot grows: every step has one shape
             trainer.validation_accuracy()
-            trainer.train_step(*batch, 1.0)
+            trainer.train_step(batch, 1.0)
         snapshot = trainer.finalize()
         assert forgetting_check({1: snapshot}, backbone) == {1: True}
         assert all(layer.workspace.keys() == before.keys()
                    and all(layer.workspace[role] is buf for role, buf in before.items())
                    for layer, before in zip(backbone.layers, first, strict=True))
+
+
+@pytest.fixture(scope="module")
+def grow_only_after_task1():
+    """A grow_only backbone after task 1, with UNGROWN slots left in both
+    layers, and the task sequence; 64 training images in steps of 24, and
+    no growth cap that could undo a slot the tests grow."""
+    from growcl.driver import _grow_seed_channels
+    cfg = tiny_config(batch_size=24, growth_cap=1.0)
+    tasks = build_tasks(cfg)
+    root = SeededRng(cfg.seed)
+    backbone = BackboneState(cfg.arch)
+    _grow_seed_channels(backbone, root.substream("growth"))
+    train_task1(backbone, tasks[0], 0.9, cfg, False, root, [])
+    assert all(np.any(l.slot_state == SlotState.UNGROWN) for l in backbone.layers)
+    return cfg, tasks, backbone
+
+
+def set_slot(trainer, layer_index, state):
+    """Grow the first UNGROWN slot of a layer (its gate logit at +1, as
+    ``query_epoch`` starts one), or detach every growing slot of it."""
+    layer = trainer.backbone.layers[layer_index]
+    bits = np.where(layer.slot_state == SlotState.FIXED, np.nan, 0.0)
+    if state == SlotState.GROWN_TRAINING:
+        j = np.flatnonzero(layer.slot_state == SlotState.UNGROWN)[0]
+        bits[j] = 1.0
+        trainer.grow_masks[layer.spec.name].logits[j] = 1.0
+    else:
+        bits[layer.slot_state == SlotState.GROWN_TRAINING] = 0.0
+    query_and_transition(layer, bits, trainer.growth)
+
+
+class TestFrozenTrunkCache:
+    """A grow_only step runs from the lowest layer that holds trainable state,
+    on cached outputs of the layers below it.  Its parameters, velocities and
+    losses are those of the same steps run in full, byte for byte."""
+
+    def run_both(self, fixture, monkeypatch, script, epochs):
+        """Train task 2 for ``epochs`` growing epochs twice: with the cache,
+        and with ``frozen_depth`` patched to 0, which bypasses it.  Before
+        epoch e's query, ``script[e]`` (layer index, state) pairs are set.
+        Returns the cached trainer's depth per step."""
+        cfg, tasks, backbone = fixture
+        depths, runs = [], []
+        for cached in (True, False):
+            trainer = TaskTrainer(copy.deepcopy(backbone), tasks[1], cfg, False,
+                                  SeededRng(cfg.seed))
+            if not cached:
+                monkeypatch.setattr(trainer, "frozen_depth", lambda: 0)
+            losses, queried = [], []
+            step, query = trainer.train_step, trainer.query_epoch
+
+            def scripted_query(temperature, need_growth, trainer=trainer, query=query,
+                               queried=queried):
+                for layer_index, state in script.get(len(queried), []):
+                    set_slot(trainer, layer_index, state)
+                queried.append(temperature)
+                query(temperature, need_growth=False)   # every draw; no slot tried
+
+            def recorded_step(idx, temperature, trainer=trainer, step=step, cached=cached):
+                if cached:
+                    depths.append(trainer.frozen_depth())
+                losses.append(step(idx, temperature))
+                return losses[-1]
+
+            monkeypatch.setattr(trainer, "query_epoch", scripted_query)
+            monkeypatch.setattr(trainer, "train_step", recorded_step)
+            log = []
+            trainer.train_phase("grow", epochs, log, target=1.0)
+            assert (trainer.trunk is not None) == cached
+            runs.append((trainer, losses, log))
+        (a, losses_a, log_a), (b, losses_b, log_b) = runs
+        assert np.array(losses_a).tobytes() == np.array(losses_b).tobytes()
+        assert log_a == log_b
+        for label in a.params:
+            assert a.params[label].tobytes() == b.params[label].tobytes(), label
+            assert a.velocity[label].tobytes() == b.velocity[label].tobytes(), label
+        for la, lb in zip(a.backbone.layers, b.backbone.layers):
+            assert la.slot_state.tobytes() == lb.slot_state.tobytes()
+        return depths
+
+    def test_steps_with_no_trainable_layer(self, grow_only_after_task1, monkeypatch):
+        depths = self.run_both(grow_only_after_task1, monkeypatch, {}, 2)
+        assert depths == [2] * 6
+
+    def test_steps_with_only_the_top_layer_trainable(self, grow_only_after_task1, monkeypatch):
+        script = {0: [(1, SlotState.GROWN_TRAINING)]}
+        depths = self.run_both(grow_only_after_task1, monkeypatch, script, 2)
+        assert depths == [1] * 6
+
+    def test_epochs_where_a_slot_grows_and_then_detaches(self, grow_only_after_task1,
+                                                         monkeypatch):
+        script = {1: [(1, SlotState.GROWN_TRAINING)], 2: [(0, SlotState.GROWN_TRAINING)],
+                  3: [(0, SlotState.DETACHED)], 4: [(1, SlotState.DETACHED)]}
+        depths = self.run_both(grow_only_after_task1, monkeypatch, script, 5)
+        assert depths == [2] * 3 + [1] * 3 + [0] * 3 + [1] * 3 + [2] * 3
+
+    def test_depth_is_the_lowest_layer_with_trainable_state(self, grow_only_after_task1):
+        cfg, tasks, backbone = grow_only_after_task1
+        bb = copy.deepcopy(backbone)
+        trainer = TaskTrainer(bb, tasks[1], cfg, False, SeededRng(cfg.seed))
+        assert trainer.frozen_depth() == 2
+        fixed = np.flatnonzero(bb.layers[1].slot_state == SlotState.FIXED)[0]
+        bb.layers[1].kernel_owner[fixed, 0] = 0   # a RELEASED kernel
+        assert trainer.frozen_depth() == 1
+        set_slot(trainer, 0, SlotState.GROWN_TRAINING)
+        assert trainer.frozen_depth() == 0
+        set_slot(trainer, 0, SlotState.DETACHED)
+        assert trainer.frozen_depth() == 1
+        # kernel masks learn from every layer's gradient
+        assert TaskTrainer(bb, tasks[1], cfg, True, SeededRng(cfg.seed)).frozen_depth() == 0
+
+    def test_trunk_follows_the_view_below_it(self, grow_only_after_task1):
+        cfg, tasks, backbone = grow_only_after_task1
+        trainer = TaskTrainer(copy.deepcopy(backbone), tasks[1], cfg, False, SeededRng(cfg.seed))
+        images = tasks[1].train.images
+        view = trainer.build_train_view()
+        first = trainer.trunk_outputs(view, 2)
+        assert first.tobytes() == forward_pass(trainer.backbone, view, images, stop=2).tobytes()
+        assert trainer.trunk_outputs(view, 2) is first
+        # a multiplier, then an on channel, below the start: each is a new trunk
+        view.multipliers["conv2"] = view.multipliers["conv2"].copy()
+        view.multipliers["conv2"][np.flatnonzero(view.channel_on["conv2"])[0], 0] = 0.0
+        view.channel_on["conv1"] = view.channel_on["conv1"].copy()
+        for change in ("multiplier", "channel"):
+            if change == "channel":
+                view.channel_on["conv1"][np.flatnonzero(view.channel_on["conv1"])[0]] = False
+                view.multipliers["conv1"] = view.multipliers["conv1"] * view.channel_on["conv1"][:, None]
+            got = trainer.trunk_outputs(view, 2)
+            assert got.tobytes() == forward_pass(trainer.backbone, view, images, stop=2).tobytes()
+            assert got.tobytes() != first.tobytes(), change
+            first = got
+
+    @pytest.mark.parametrize("mode,group_norm", [("grown", False), ("grow_only", True),
+                                                 ("grow_only", False)])
+    def test_only_grow_only_without_norm_builds_one_and_finalize_drops_it(
+            self, mode, group_norm, monkeypatch):
+        import growcl.driver as driver
+
+        built, finalized = [], []
+
+        class Recording(driver.TaskTrainer):
+            def trunk_outputs(self, view, start):
+                built.append(self.task.task_id)
+                return super().trunk_outputs(view, start)
+
+            def finalize(self):
+                snapshot = super().finalize()
+                finalized.append(self.trunk)
+                return snapshot
+
+        monkeypatch.setattr(driver, "TaskTrainer", Recording)
+        cfg = tiny_config(n_tasks=3)
+        cfg = tiny_config(n_tasks=3, arch={**cfg.resolved["arch"], "group_norm": group_norm})
+        run_pipeline(cfg, mode)
+        assert finalized == [None] * 3
+        if mode == "grown" or group_norm:
+            assert built == []
+        else:
+            assert built and 1 not in built
 
 
 class TestPickTransferOracle:

@@ -350,6 +350,30 @@ class TestStandaloneMaxpool:
         dout = r.choice([-0.0, 0.0, 1.0, -2.0, np.nan], size=(2, 3, 4, 5))
         self.check(x, k, dout)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_backward_in_the_buffer_of_its_conv_output(self, k):
+        # as in the backbone, dx takes the workspace buffer that holds x, the
+        # conv output; with one output channel the two are laid out apart.
+        # One workspace serves every case, so its buffers keep stale bytes.
+        r = rng(50 + k)
+        ws = {}
+        for _ in range(80):
+            n, cin, cout = int(r.integers(1, 4)), int(r.integers(1, 3)), int(r.choice([1, 1, 2, 3]))
+            h, w = int(r.integers(k, 3 * k + 2)), int(r.integers(k, 3 * k + 2))
+            x = special_array(r, (n, cin, h, w), frac=0.5)
+            filters = r.choice([1.0, -1.0, 0.0], size=(cout, cin, 1, 1))
+            bias = r.choice([0.0, -0.0, 1.0], size=cout)
+            dout = special_array(r, (n, cout, h // k, w // k))
+            with np.errstate(invalid="ignore"):   # inf times 0.0
+                want_pooled, want_cache = maxpool2d(conv2d(x, filters, bias)[0], k)
+                out, _ = conv2d(x, filters, bias, workspace=ws)
+            want = maxpool2d_backward(dout, want_cache)
+            pooled, cache = maxpool2d(out, k)
+            got = maxpool2d_backward(dout, cache, workspace=ws)
+            assert np.shares_memory(got, out)
+            assert pooled.tobytes() == want_pooled.tobytes()
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_all_nan_window_routes_to_slot_zero(self):
         out, cache = maxpool2d(np.full((1, 1, 3, 3), np.nan), 3)
         assert np.isnan(out[0, 0, 0, 0])
