@@ -37,7 +37,6 @@ relu's fresh array, so it outlives the pass.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple
@@ -169,22 +168,21 @@ class BackboneState:
     def growth_ratio(self, include_training: bool = True) -> float:
         return self.active_params(include_training) / self.arch.full_params
 
-    def protected_digests(self) -> dict[tuple, str]:
-        """Digest per immutable item: every USED kernel and FIXED bias.
+    def protected_digests(self) -> dict[tuple, bytes]:
+        """The bytes of each immutable item, every USED kernel and FIXED bias,
+        keyed by its position and owner.
 
         Earlier entries must survive verbatim in any later call; the driver
         asserts this at every task boundary.
         """
-        out: dict[tuple, str] = {}
+        out: dict[tuple, bytes] = {}
         for layer in self.layers:
             name = layer.spec.name
-            used = np.argwhere(layer.kernel_state == KernelState.USED)
-            for j, i in used:
-                h = hashlib.sha256(layer.weights[j, i].tobytes()).hexdigest()[:16]
-                out[(name, int(j), int(i), int(layer.kernel_owner[j, i]))] = h
+            for j, i in np.argwhere(layer.kernel_state == KernelState.USED):
+                key = (name, int(j), int(i), int(layer.kernel_owner[j, i]))
+                out[key] = layer.weights[j, i].tobytes()
             for j in np.flatnonzero(layer.slot_state == SlotState.FIXED):
-                h = hashlib.sha256(layer.bias[int(j)].tobytes()).hexdigest()[:16]
-                out[(name, int(j), "bias", int(layer.slot_owner[j]))] = h
+                out[(name, int(j), "bias", int(layer.slot_owner[j]))] = layer.bias[j].tobytes()
         return out
 
 

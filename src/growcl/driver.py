@@ -29,18 +29,16 @@ and no target, so it never grows.  Scratch outcomes are memoized on the parsed
 config: ``grown`` and ``grow_only`` targets reuse the models a ``scratch``
 run of the same config object trained.
 
-A step runs only the layers it can change.  ``TaskTrainer.frozen_depth``
-is the lowest layer with a growing slot or a RELEASED kernel; it is 0 when
-the trainer learns kernel masks or the arch has norm layers, so only
-``grow_only`` steps after task 1 start higher.  Such a step feeds the layers
-from there the trainer's cached outputs of the layers below
-(``trunk_outputs``).  Its bytes are the full step's: an image's outputs do
-not depend on its batch; the layers below hold no trainable entry, so
-``sgd_step`` discards any gradient they get, and they get +0.0; and every
-Gumbel draw still runs, while a layer's gate gradient, which reads only its
-growing rows, is a signed zero either way, and adding the sparsity
-gradient (never -0.0) erases its sign.  Validation, test, probe and
-forgetting passes run in full.
+A step runs only the layers it can change.  ``trainable_kernels`` are the
+kernels a task in training may change: its growing rows and the RELEASED
+ones.  ``train_step`` moves only those, and ``TaskTrainer.frozen_depth`` is
+the lowest layer with one, or 0 when the trainer learns kernel masks or the
+arch has norm layers; so only ``grow_only`` steps after task 1 start higher.
+Such a step feeds the layers from there the trainer's cached outputs of the
+layers below (``trunk_outputs``).  Its bytes are the full step's: an image's
+outputs do not depend on its batch, a gate gradient is +0.0 off growing
+rows, and ``sgd_step``'s ``keep`` discards every other gradient the layers
+below get.  Validation, test, probe and forgetting passes run in full.
 """
 
 from __future__ import annotations
@@ -53,6 +51,7 @@ import numpy as np
 from .backbone import (
     BackboneState,
     KernelState,
+    LayerState,
     SlotState,
     TaskView,
     backward_pass,
@@ -162,6 +161,13 @@ def build_eval_view(backbone: BackboneState, snapshot: TaskSnapshot) -> TaskView
 # ---------------------------------------------------------------------------
 # trainer
 # ---------------------------------------------------------------------------
+
+def trainable_kernels(layer: LayerState) -> np.ndarray:
+    """bool [out, in]: the kernels a task in training may change, those of
+    its growing rows and the RELEASED ones."""
+    rows = layer.slot_state == SlotState.GROWN_TRAINING
+    return rows[:, None] | (layer.kernel_state == KernelState.RELEASED)
+
 
 class TaskTrainer:
     """Owns one task's trainable state across its phases (grow, or pick then
@@ -308,24 +314,21 @@ class TaskTrainer:
                  self.velocity[label], keep)
 
     def frozen_depth(self) -> int:
-        """The lowest layer that holds trainable state: a growing slot or a
-        RELEASED kernel (the layer count when none does).  Nothing below it
-        moves in a step.  0 when the trainer learns kernel masks, whose
-        gradients need every layer's, or the arch has norm layers, which
-        every task trains."""
+        """The lowest layer with a ``trainable_kernels`` entry (the layer
+        count when none has one).  Nothing below it moves in a step.  0 when
+        the trainer learns kernel masks, whose gradients need every layer's,
+        or the arch has norm layers, which every task trains."""
         if self.kernel_masks or self.norm_scale is not None:
             return 0
-        for index, layer in enumerate(self.backbone.layers):
-            if (np.any(layer.slot_state == SlotState.GROWN_TRAINING)
-                    or np.any(layer.kernel_state == KernelState.RELEASED)):
-                return index
-        return len(self.backbone.layers)
+        layers = self.backbone.layers
+        return next((index for index, layer in enumerate(layers)
+                     if trainable_kernels(layer).any()), len(layers))
 
     def trunk_outputs(self, view: TaskView, start: int) -> np.ndarray:
         """Layer ``start`` - 1's output on its on channels, for every training
         image.  Built in ``batch_size`` chunks and kept while the on channels
         and multipliers of the layers below ``start`` stay as they are; below
-        ``frozen_depth`` nothing else that reaches them can change."""
+        ``frozen_depth`` no weight or bias moves (``trainable_kernels``)."""
         below = [layer.spec.name for layer in self.backbone.layers[:start]]
         key = (start, *(view.channel_on[name].tobytes() + view.multipliers[name].tobytes()
                         for name in below))
@@ -360,18 +363,12 @@ class TaskTrainer:
             mult = view.multipliers[name]
             d_eff = grads.d_eff_weights[name]
             rows = layer.slot_state == SlotState.GROWN_TRAINING   # this task's growth
-            state = layer.kernel_state
-            used = state == KernelState.USED
-            row_grid = np.broadcast_to(rows[:, None], used.shape)
             if learns_masks:   # sensitivity to each kernel's bit, before weights move
                 d_mult = (d_eff * layer.weights).sum(axis=(2, 3))
 
-            # weights: only this task's growing rows and released kernels move
-            trainable = np.broadcast_to(
-                (row_grid | (state == KernelState.RELEASED))[:, :, None, None],
-                layer.weights.shape,
-            )
-            self._update(f"{name} weights", d_eff * mult[:, :, None, None], lr, trainable)
+            keep = np.broadcast_to(trainable_kernels(layer)[:, :, None, None],
+                                   layer.weights.shape)
+            self._update(f"{name} weights", d_eff * mult[:, :, None, None], lr, keep)
             self._update(f"{name} bias", grads.d_bias[name], lr, rows)
 
             # per-task normalization affine
@@ -380,6 +377,8 @@ class TaskTrainer:
                 self._update(f"{name} norm shift", grads.d_norm_shift[name], lr)
 
             if self.kernel_masks:
+                used = layer.kernel_state == KernelState.USED
+                row_grid = np.broadcast_to(rows[:, None], used.shape)
                 # reuse-mask logits (frozen used kernels of earlier tasks)
                 d_logits = self._relaxed_grad(self.reuse_masks[name],
                                               np.where(used, d_mult, 0.0), temperature)
@@ -393,7 +392,7 @@ class TaskTrainer:
             # channel-gate logits: data sensitivity plus the sparsity surrogate
             if grows:
                 grow = self.grow_masks[name]
-                d_gate = (d_mult * np.where(rows[:, None], mult, 0.0)).sum(axis=1)
+                d_gate = np.where(rows, (d_mult * mult).sum(axis=1), 0.0)
                 queryable = (layer.slot_state != SlotState.FIXED) & \
                             (layer.slot_state != SlotState.PRUNED)
                 gate_bits = np.where(queryable, grow.hard_bits(), 0.0)

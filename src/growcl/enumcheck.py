@@ -46,10 +46,6 @@ class MicroInstance:
     labels: np.ndarray                # [P] in [0, out_channels)
     lam: float                        # channel-gate sparsity coefficient
 
-    @property
-    def n_weights(self) -> int:
-        return self.out_channels * self.in_channels
-
 
 # mathematically tied configurations can differ by ~1 ulp through different
 # float paths; a gap must clear this floor before it counts as strict

@@ -350,7 +350,7 @@ def _loss_table(instance: MicroInstance,
     """
     co, ci = instance.out_channels, instance.in_channels
     w_configs = np.array(
-        list(itertools.product(instance.weight_grid, repeat=instance.n_weights))
+        list(itertools.product(instance.weight_grid, repeat=co * ci))
     ).reshape(-1, co, ci)
     gate_configs = np.array(
         list(itertools.product((0.0, 1.0), repeat=co))
@@ -376,12 +376,13 @@ def enumerate_min_loss(instance: MicroInstance, attentive_free: bool) -> EnumRes
     With ``attentive_free`` the kernel mask ranges over all {0,1} grids;
     otherwise it is pinned to all-ones, which leaves every weight in play.
     """
+    co, ci = instance.out_channels, instance.in_channels
     if attentive_free:
         kernel_configs = np.array(
-            list(itertools.product((0.0, 1.0), repeat=instance.n_weights))
-        ).reshape(-1, instance.out_channels, instance.in_channels)
+            list(itertools.product((0.0, 1.0), repeat=co * ci))
+        ).reshape(-1, co, ci)
     else:
-        kernel_configs = np.ones((1, instance.out_channels, instance.in_channels))
+        kernel_configs = np.ones((1, co, ci))
     losses, w_configs, gate_configs = _loss_table(instance, kernel_configs)
     flat = int(np.argmin(losses))           # first minimum = lexicographic tie-break
     iw, ig, ik = np.unravel_index(flat, losses.shape)

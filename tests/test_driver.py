@@ -77,6 +77,27 @@ class TestRunGrown:
                            match=r"^backbone after task 2: conv2/bias\[\d+\] = 0\.5: a row that"):
             run_pipeline(tiny_config(n_tasks=3), "grown")
 
+    @pytest.mark.parametrize("array,position", [("weights", r"\d+"), ("bias", "'bias'")],
+                             ids=["kernel", "bias"])
+    def test_a_changed_protected_entry_is_named_at_the_boundary(self, array, position,
+                                                               monkeypatch):
+        # task 2's finalize moves a kernel or bias task 1 fixed by one ulp; the
+        # boundary names it before the forgetting check can fail
+        import growcl.driver as driver
+
+        def leaky_finalize(layer, claim_bits, task_id):
+            actions = finalize_task(layer, claim_bits, task_id)
+            if task_id == 2 and layer.spec.name == "conv1":
+                j = int(np.flatnonzero(layer.slot_owner == 1)[0])
+                values = getattr(layer, array)
+                values[j] = np.nextafter(values[j], np.inf)
+            return actions
+
+        monkeypatch.setattr(driver, "finalize_task", leaky_finalize)
+        with pytest.raises(ContractViolation, match=rf"^protected weight changed after task 2: "
+                                                    rf"\('conv1', \d+, {position}, 1\)$"):
+            run_pipeline(tiny_config(target_accuracy=0.5), "grow_only")
+
     def test_ratio_monotone_and_capped(self, grown_run):
         cfg, res = grown_run
         ratios = [res.ratios[t] for t in res.task_ids]
@@ -380,20 +401,26 @@ class TestStepWorkspaces:
                    for layer, before in zip(backbone.layers, first, strict=True))
 
 
-@pytest.fixture(scope="module")
-def grow_only_after_task1():
-    """A grow_only backbone after task 1, with UNGROWN slots left in both
-    layers, and the task sequence; 64 training images in steps of 24, and
-    no growth cap that could undo a slot the tests grow."""
+def after_task1(layers=None, target=0.9):
+    """A grow_only backbone after task 1 (trained to ``target``), with
+    UNGROWN slots left in every layer, and the task sequence; 64 training
+    images in steps of 24, and no growth cap that could undo a slot the
+    tests grow.  ``layers`` replaces the arch's layers."""
     from growcl.driver import _grow_seed_channels
-    cfg = tiny_config(batch_size=24, growth_cap=1.0)
+    arch = {} if layers is None else {"arch": {"image_size": 16, "layers": layers}}
+    cfg = tiny_config(batch_size=24, growth_cap=1.0, **arch)
     tasks = build_tasks(cfg)
     root = SeededRng(cfg.seed)
     backbone = BackboneState(cfg.arch)
     _grow_seed_channels(backbone, root.substream("growth"))
-    train_task1(backbone, tasks[0], 0.9, cfg, False, root, [])
+    train_task1(backbone, tasks[0], target, cfg, False, root, [])
     assert all(np.any(l.slot_state == SlotState.UNGROWN) for l in backbone.layers)
     return cfg, tasks, backbone
+
+
+@pytest.fixture(scope="module")
+def grow_only_after_task1():
+    return after_task1()
 
 
 def set_slot(trainer, layer_index, state):
@@ -419,7 +446,9 @@ class TestFrozenTrunkCache:
         """Train task 2 for ``epochs`` growing epochs twice: with the cache,
         and with ``frozen_depth`` patched to 0, which bypasses it.  Before
         epoch e's query, ``script[e]`` (layer index, state) pairs are set.
-        Returns the cached trainer's depth per step."""
+        Both runs give every gate logit off the growing rows an exact +0.0
+        data gradient.  Returns the cached trainer's depth per step, and the
+        cached trainer."""
         cfg, tasks, backbone = fixture
         depths, runs = [], []
         for cached in (True, False):
@@ -428,7 +457,14 @@ class TestFrozenTrunkCache:
             if not cached:
                 monkeypatch.setattr(trainer, "frozen_depth", lambda: 0)
             losses, queried = [], []
-            step, query = trainer.train_step, trainer.query_epoch
+            step, query, relaxed = trainer.train_step, trainer.query_epoch, trainer._relaxed_grad
+
+            def checked_relaxed(mask, d_bits, temperature, trainer=trainer, relaxed=relaxed):
+                for layer in trainer.backbone.layers:
+                    if mask is trainer.grow_masks[layer.spec.name]:
+                        off = layer.slot_state != SlotState.GROWN_TRAINING
+                        assert not d_bits[off].view(np.int64).any(), layer.spec.name
+                return relaxed(mask, d_bits, temperature)
 
             def scripted_query(temperature, need_growth, trainer=trainer, query=query,
                                queried=queried):
@@ -445,6 +481,7 @@ class TestFrozenTrunkCache:
 
             monkeypatch.setattr(trainer, "query_epoch", scripted_query)
             monkeypatch.setattr(trainer, "train_step", recorded_step)
+            monkeypatch.setattr(trainer, "_relaxed_grad", checked_relaxed)
             log = []
             trainer.train_phase("grow", epochs, log, target=1.0)
             assert (trainer.trunk is not None) == cached
@@ -457,23 +494,71 @@ class TestFrozenTrunkCache:
             assert a.velocity[label].tobytes() == b.velocity[label].tobytes(), label
         for la, lb in zip(a.backbone.layers, b.backbone.layers):
             assert la.slot_state.tobytes() == lb.slot_state.tobytes()
-        return depths
+        return depths, a
 
     def test_steps_with_no_trainable_layer(self, grow_only_after_task1, monkeypatch):
-        depths = self.run_both(grow_only_after_task1, monkeypatch, {}, 2)
+        depths, _ = self.run_both(grow_only_after_task1, monkeypatch, {}, 2)
         assert depths == [2] * 6
 
     def test_steps_with_only_the_top_layer_trainable(self, grow_only_after_task1, monkeypatch):
         script = {0: [(1, SlotState.GROWN_TRAINING)]}
-        depths = self.run_both(grow_only_after_task1, monkeypatch, script, 2)
+        depths, _ = self.run_both(grow_only_after_task1, monkeypatch, script, 2)
         assert depths == [1] * 6
 
     def test_epochs_where_a_slot_grows_and_then_detaches(self, grow_only_after_task1,
                                                          monkeypatch):
         script = {1: [(1, SlotState.GROWN_TRAINING)], 2: [(0, SlotState.GROWN_TRAINING)],
                   3: [(0, SlotState.DETACHED)], 4: [(1, SlotState.DETACHED)]}
-        depths = self.run_both(grow_only_after_task1, monkeypatch, script, 5)
+        depths, _ = self.run_both(grow_only_after_task1, monkeypatch, script, 5)
         assert depths == [2] * 3 + [1] * 3 + [0] * 3 + [1] * 3 + [2] * 3
+
+    def test_three_layers(self, monkeypatch):
+        fixture = after_task1([{"capacity": 6, "seed_channels": 2},
+                               {"capacity": 6, "seed_channels": 2},
+                               {"capacity": 8, "seed_channels": 2}])
+        script = {1: [(2, SlotState.GROWN_TRAINING)], 2: [(1, SlotState.GROWN_TRAINING)]}
+        depths, _ = self.run_both(fixture, monkeypatch, script, 3)
+        assert depths == [3] * 3 + [2] * 3 + [1] * 3
+
+    def test_strided_layers_without_pooling(self, monkeypatch):
+        strided = {"seed_channels": 2, "kernel": 4, "stride": 2, "pool": 0}
+        fixture = after_task1([{"capacity": 6, **strided}, {"capacity": 8, **strided}])
+        script = {1: [(1, SlotState.GROWN_TRAINING)]}
+        depths, _ = self.run_both(fixture, monkeypatch, script, 2)
+        assert depths == [2] * 3 + [1] * 3
+
+    def test_one_by_one_kernels_with_a_lone_channel_trunk(self, monkeypatch):
+        # conv1's one on channel is the trunk: its lone-channel products are
+        # taken in other batches than the full steps take them
+        fixture = after_task1([{"capacity": 6, "seed_channels": 1, "kernel": 1, "pad": 0},
+                               {"capacity": 8, "seed_channels": 2, "kernel": 1, "pad": 0}],
+                              target=0.0)
+        assert [int((l.slot_state == SlotState.FIXED).sum()) for l in fixture[2].layers] == [1, 2]
+        script = {1: [(1, SlotState.GROWN_TRAINING)]}
+        depths, _ = self.run_both(fixture, monkeypatch, script, 2)
+        assert depths == [2] * 3 + [1] * 3
+
+    def test_a_released_kernel_trains_from_its_layer(self, grow_only_after_task1, monkeypatch):
+        cfg, tasks, backbone = grow_only_after_task1
+        bb = copy.deepcopy(backbone)
+        layer = bb.layers[1]
+        row = np.flatnonzero(layer.slot_state == SlotState.FIXED)[0]
+        layer.kernel_owner[row, 0] = 0   # a RELEASED kernel
+        depths, trained = self.run_both((cfg, tasks, bb), monkeypatch, {}, 2)
+        moved = trained.backbone.layers[1].weights[row] != layer.weights[row]
+        assert moved[0].all() and not moved[1:].any()
+        assert depths == [1] * 6
+
+    def test_a_frozen_layer_with_negative_weights(self, grow_only_after_task1, monkeypatch):
+        # a cached step multiplies the frozen layer's +0.0 filter gradients
+        # by its weights: every product is -0.0 here
+        cfg, tasks, backbone = grow_only_after_task1
+        bb = copy.deepcopy(backbone)
+        fixed = bb.layers[0].slot_state == SlotState.FIXED
+        bb.layers[0].weights[fixed] = -np.abs(bb.layers[0].weights[fixed]) - 0.01
+        script = {0: [(1, SlotState.GROWN_TRAINING)]}
+        depths, _ = self.run_both((cfg, tasks, bb), monkeypatch, script, 2)
+        assert depths == [1] * 6
 
     def test_depth_is_the_lowest_layer_with_trainable_state(self, grow_only_after_task1):
         cfg, tasks, backbone = grow_only_after_task1

@@ -171,5 +171,6 @@ class TestSweep:
             assert 5 <= len(inst.inputs) == len(inst.labels) <= 8
             assert set(inst.labels) <= {0, 1}
             # weights x channel gates x kernel masks
-            size = len(inst.weight_grid) ** inst.n_weights * 2**2 * 2**inst.n_weights
+            n_weights = inst.out_channels * inst.in_channels
+            size = len(inst.weight_grid) ** n_weights * 2**2 * 2**n_weights
             assert size <= 10**7
