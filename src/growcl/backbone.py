@@ -29,10 +29,8 @@ the full pass's bytes.  A backward stops at the forward's first layer: that
 layer computes no input gradient, and every layer below gets +0.0
 gradients.
 
-Every pass builds its large arrays in its layers' buffers
-(``LayerState.workspace``).  A forward cache views them, so ``backward_pass``
-takes the cache of the backbone's latest pass.  A stopped pass's output is
-relu's fresh array, so it outlives the pass.
+Every array a pass returns or caches is its own (see ``ops``), so a forward
+cache may be back-propagated after later passes on the same backbone.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .ops import (
-    Workspace,
     conv2d,
     conv2d_backward,
     conv_out_size,
@@ -133,7 +130,6 @@ class LayerState:
         self.slot_state = np.full(spec.out_channels, SlotState.UNGROWN, dtype=np.int8)
         self.slot_owner = np.zeros(spec.out_channels, dtype=np.int32)
         self.kernel_owner = np.zeros((spec.out_channels, spec.in_channels), dtype=np.int32)
-        self.workspace: Workspace = {}   # pass scratch buffers: never saved or digested
 
     @property
     def kernel_state(self) -> np.ndarray:
@@ -276,9 +272,8 @@ def effective_filters(layer: LayerState, mult: np.ndarray,
     channels, with masked positions forced to exact +0.0."""
     block = np.ix_(rows, cols)
     m = mult[block]
-    eff = layer.weights[block] * m[:, :, None, None]
-    eff[np.broadcast_to((m == 0.0)[:, :, None, None], eff.shape)] = 0.0
-    return eff
+    # multipliers are 0.0 or 1.0 and w * 1.0 is w, so a select gives the product
+    return np.where(m[:, :, None, None] != 0.0, layer.weights[block], 0.0)
 
 
 def forward_pass(backbone: BackboneState, view: TaskView, x: np.ndarray,
@@ -303,8 +298,7 @@ def forward_pass(backbone: BackboneState, view: TaskView, x: np.ndarray,
         oi = np.flatnonzero(view.channel_on[name])
         eff_w = effective_filters(layer, view.multipliers[name], oi, ii)
         h, conv_cache = conv2d(h, eff_w, layer.bias[oi],
-                               stride=layer.spec.stride, pad=layer.spec.pad,
-                               workspace=layer.workspace)
+                               stride=layer.spec.stride, pad=layer.spec.pad)
         norm_cache = None
         if view.norm_scale is not None:
             h, norm_cache = group_norm(
@@ -371,14 +365,13 @@ def backward_pass(backbone: BackboneState, cache: ForwardCache,
             dh = np.take(dflat.reshape(cache.feature_shape), lc.out_index, axis=1)
         dh = relu_backward(dh, lc.relu)
         if lc.pool is not None:
-            dh = maxpool2d_backward(dh, lc.pool, workspace=layer.workspace)
+            dh = maxpool2d_backward(dh, lc.pool)
         if lc.norm is not None:
             full, d_ns[name], d_nsh[name] = group_norm_backward(
                 _scatter(dh, lc.out_index, layer.spec.out_channels), lc.norm)
             dh = np.take(full, lc.out_index, axis=1)
         # neither the input image nor a given input needs a gradient
-        dh, dw_eff, db = conv2d_backward(dh, lc.conv, need_dx=index > cache.start,
-                                         workspace=layer.workspace)
+        dh, dw_eff, db = conv2d_backward(dh, lc.conv, need_dx=index > cache.start)
         d_bias[name][lc.out_index] = db
         d_eff[name][np.ix_(lc.out_index, lc.in_index)] = dw_eff
     return BackwardResult(d_eff, d_bias, d_hw, d_hb, d_ns, d_nsh)

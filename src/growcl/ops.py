@@ -23,29 +23,30 @@ caches its input and output; the backward finds each window's winning slot
 and writes each slot of the input gradient once, without a branch.
 Inference passes, which never run a backward, so skip the winner search.
 
-Workspaces: ``conv2d``, ``conv2d_backward`` and ``maxpool2d_backward`` take
-an optional ``workspace``, a dict that the caller owns and hands to one
-layer's ops on every call (each ``backbone`` layer owns one, which every
-pass on the backbone uses).  Each large array the op builds is then a view
-of the dict's buffer for its role, grown to the largest shape asked for and
-never shrunk, so a pass reuses the pages the pass before it faulted in.
-The roles: ``image`` (the padded input, then the image gradient), ``cols``
-(the im2col columns, then their gradient, written once the filter gradient
-has read them), ``out`` (the conv output, then the pooling gradient,
-written once the winners are found) and the pooling masks.  A view lives
-until the next call that takes its role, so a conv output and its caches
-serve one pooling pass and one backward, and a ``dx`` must be read before
-the layer below runs.  Without a workspace every call allocates fresh
-arrays, so its results share no memory with any other call's.  The bytes
-are the same either way.
+Every call allocates fresh arrays, so its results share no memory with any
+other call's and a cache serves any number of backwards.  So that a training
+step does not page-fault back in the memory the step before it freed,
+importing this module sets glibc's trim and mmap thresholds once, where the
+C library has ``mallopt``; no result depends on it.
 """
 
 from __future__ import annotations
 
-import math
+import ctypes
 from typing import Callable
 
 import numpy as np
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc's mallopt parameters
+_TRIM_BYTES, _MMAP_BYTES = 1 << 30, 32 << 20    # 32 MiB: glibc's dynamic ceiling
+
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt.argtypes, _mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    _mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+    _mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)   # the trim one alone pins this at 128 KiB
+except (AttributeError, OSError, TypeError):
+    pass   # only the speed differs
 
 
 class ShapeError(ValueError):
@@ -54,25 +55,6 @@ class ShapeError(ValueError):
 
 def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
-
-
-Workspace = dict[str, np.ndarray]   # role -> grow-only flat buffer
-
-
-def _buffer(workspace: Workspace | None, role: str, shape: tuple,
-            dtype=np.float64) -> np.ndarray:
-    """An uninitialized C-contiguous array of ``shape``: a fresh one without
-    a workspace, else a view of the workspace's ``role`` buffer, which is
-    replaced by a larger one when it is too small."""
-    if workspace is None:
-        return np.empty(shape, dtype)
-    size = math.prod(shape)
-    buf = workspace.pop(role, None)
-    if buf is None or buf.size < size or buf.dtype != dtype:
-        buf = None   # freed first, so the allocator may reuse its pages
-        buf = np.empty(size, dtype)
-    workspace[role] = buf
-    return buf[:size].reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -90,17 +72,13 @@ def conv_out_size(extent: int, k: int, stride: int, pad: int) -> int:
     return span // stride + 1
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int,
-            workspace: Workspace | None) -> tuple[np.ndarray, tuple]:
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> tuple[np.ndarray, tuple]:
     """[N,C,H,W] -> [N, C*k*k, Ho*Wo] patch matrix (copy, C-contiguous)."""
     n, c, h, w = x.shape
     ho = conv_out_size(h, k, stride, pad)
     wo = conv_out_size(w, k, stride, pad)
     if pad > 0:
-        # a reused buffer's border holds whatever its last shape put there
-        xp = _buffer(workspace, "image", (n, c, h + 2 * pad, w + 2 * pad))
-        xp[:, :, :pad] = xp[:, :, pad + h:] = 0.0
-        xp[:, :, :, :pad] = xp[:, :, :, pad + w:] = 0.0
+        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
         xp[:, :, pad:pad + h, pad:pad + w] = x
         x = xp
     sn, sc, sh, sw = x.strides
@@ -110,19 +88,17 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int,
         strides=(sn, sc, sh, sw, stride * sh, stride * sw),
         writeable=False,
     )
-    cols = _buffer(workspace, "cols", patches.shape)
-    np.copyto(cols, patches)
-    return cols.reshape(n, c * k * k, ho * wo), (x.shape, ho, wo)
+    cols = np.ascontiguousarray(patches).reshape(n, c * k * k, ho * wo)
+    return cols, (x.shape, ho, wo)
 
 
 def _col2im(cols: np.ndarray, x_padded_shape: tuple, k: int, stride: int, pad: int,
-            out_hw: tuple[int, int], workspace: Workspace | None) -> np.ndarray:
+            out_hw: tuple[int, int]) -> np.ndarray:
     """Scatter-add [N, C*k*k, Ho*Wo] columns back to the unpadded image."""
     n, c, hp, wp = x_padded_shape
     ho, wo = out_hw
     grid = cols.reshape(n, c, k, k, ho, wo)
-    x = _buffer(workspace, "image", (n, c, hp, wp))
-    x.fill(0.0)
+    x = np.zeros((n, c, hp, wp))
     for ki in range(k):
         h_end = ki + stride * ho
         for kj in range(k):
@@ -133,12 +109,11 @@ def _col2im(cols: np.ndarray, x_padded_shape: tuple, k: int, stride: int, pad: i
     return x
 
 
-def conv2d(x, filters, bias, stride: int = 1, pad: int = 0,
-           workspace: Workspace | None = None):
+def conv2d(x, filters, bias, stride: int = 1, pad: int = 0):
     """Cross-correlate [N,Cin,H,W] with [Cout,Cin,k,k] filters plus bias.
 
-    Returns ``(out [N,Cout,Ho,Wo], cache)``; with a ``workspace``, ``out``
-    and the cache's columns are views of its buffers.
+    Returns ``(out [N,Cout,Ho,Wo], cache)``, both fresh arrays; the cache
+    holds the im2col columns.
     """
     x, w, b = _as_array(x), _as_array(filters), _as_array(bias)
     if x.ndim != 4 or w.ndim != 4:
@@ -153,26 +128,23 @@ def conv2d(x, filters, bias, stride: int = 1, pad: int = 0,
         raise ShapeError(f"input channels {cin} != filter channels {cin_f}")
     if b.shape != (cout,):
         raise ShapeError(f"bias shape {b.shape} != ({cout},)")
-    cols, (xp_shape, ho, wo) = _im2col(x, kh, stride, pad, workspace)
+    cols, (xp_shape, ho, wo) = _im2col(x, kh, stride, pad)
     wm = w.reshape(cout, cin * kh * kw)   # explicit sizes: cout or cin may be 0
     # numpy hands a one-row product to gemv, which sums in another order
     # than gemm; a zero second row keeps the gemm, so a channel's bytes do
     # not depend on how many channels are computed alongside it
     rows = wm if cout != 1 else np.concatenate([wm, np.zeros_like(wm)])
-    out = _buffer(workspace, "out", (n, len(rows), ho * wo))
-    out = np.matmul(rows, cols, out=out)[:, :cout]   # [N, Cout, Ho*Wo] via broadcasting
+    out = np.matmul(rows, cols)[:, :cout]   # [N, Cout, Ho*Wo] via broadcasting
     out += b[None, :, None]
     out = out.reshape(n, cout, ho, wo)
     cache = (cols, w.shape, wm, xp_shape, kh, stride, pad, (ho, wo))
     return out, cache
 
 
-def conv2d_backward(dout: np.ndarray, cache, need_dx: bool = True,
-                    workspace: Workspace | None = None):
+def conv2d_backward(dout: np.ndarray, cache, need_dx: bool = True):
     """Gradients (dx, dfilters, dbias) for conv2d; dx is None unless
     ``need_dx`` (a first layer has no use for its input-image gradient).
-    With a ``workspace`` (the forward's), ``dx`` is a view of its buffers
-    and the cached columns are overwritten, so a cache serves one backward."""
+    The cache is only read, so it serves any number of backwards."""
     cols, w_shape, wm, xp_shape, k, stride, pad, out_hw = cache
     n, cout, ho, wo = dout.shape
     go = dout.reshape(n, cout, ho * wo)
@@ -184,10 +156,8 @@ def conv2d_backward(dout: np.ndarray, cache, need_dx: bool = True,
     dw = dwm.reshape(w_shape)
     dx = None
     if need_dx:
-        # the filter gradient has read the columns, so theirs is the space
-        dcols = _buffer(workspace, "cols", (n, wm.shape[1], ho * wo))
-        np.matmul(wm.T, go, out=dcols)
-        dx = _col2im(dcols, xp_shape, k, stride, pad, out_hw, workspace)
+        dcols = np.matmul(wm.T, go)      # [N, Cin*k*k, Ho*Wo]
+        dx = _col2im(dcols, xp_shape, k, stride, pad, out_hw)
     return dx, dw, db
 
 
@@ -258,24 +228,16 @@ def maxpool2d(x, k: int):
     return out, (x, k, out)
 
 
-def maxpool2d_backward(dout: np.ndarray, cache,
-                       workspace: Workspace | None = None) -> np.ndarray:
+def maxpool2d_backward(dout: np.ndarray, cache) -> np.ndarray:
     """Each window's gradient goes to its winner: the first slot, in
     row-major order, equal to the pooled value (so a +-0.0 tie goes to the
     first zero), and slot 0 for an all-NaN window; every other slot gets
     +0.0.  The forward cached what this search needs, and a -0.0 gradient
-    lands as +0.0.
-
-    With a ``workspace`` (the conv's), ``dx`` takes the conv output's
-    buffer, which holds the cached input unless a norm sits between them
-    (laid out apart from ``dx`` when the conv had one output channel):
-    every window slot of the input is read before any of ``dx``, the
-    uncovered rows and columns included, is written, and a cache serves one
-    backward."""
+    lands as +0.0.  ``dx`` is a fresh array, and the cache is only read."""
     x, k, out = cache
     hk, wk = out.shape[2] * k, out.shape[3] * k
-    wins = _buffer(workspace, "pool_win", (k * k, *out.shape), bool)
-    open_ = _buffer(workspace, "pool_open", out.shape, bool)   # windows still to settle
+    wins = np.empty((k * k, *out.shape), bool)
+    open_ = np.empty(out.shape, bool)   # windows still to settle
     for s, win in enumerate(wins):
         ki, kj = divmod(s, k)
         np.equal(x[:, :, ki:hk:k, kj:wk:k], out, out=win)
@@ -288,7 +250,7 @@ def maxpool2d_backward(dout: np.ndarray, cache,
     # each window slot of dx is written once, by a select that does not
     # branch: the gradient's bits times the slot's 0/1 winner flag (a masked
     # copy branches on every element and took about 3x as long)
-    dx = _buffer(workspace, "out", x.shape, dout.dtype)
+    dx = np.empty(x.shape, dout.dtype)
     dx[:, :, hk:] = 0.0          # rows and columns no window covers
     dx[:, :, :hk, wk:] = 0.0
     grad = (dout + 0.0).view(np.uint64)

@@ -220,8 +220,7 @@ def all_channel_filters(layer, mult):
 
 
 def forward_pass_full(backbone, view, x, want_cache=False, start=0, stop=None):
-    # takes backbone.forward_pass's arguments; the ops get no workspace, so
-    # every array here is freshly allocated.  A given input and a stopped
+    # takes backbone.forward_pass's arguments.  A given input and a stopped
     # pass's output are on their layer's on channels, as there; in between,
     # every channel is computed.
     layers = backbone.layers

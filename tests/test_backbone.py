@@ -402,46 +402,29 @@ def gradient_arrays(grads: BackwardResult):
             yield f.name, value
 
 
-class TestStepWorkspaces:
-    """Steps whose layers keep their buffers from pass to pass give the bytes
-    of steps whose layers start every pass with no buffer, which allocate
-    every array."""
+class TestCacheOutlivesLaterPasses:
+    """A forward cache back-propagated after a training and a validation
+    pass on the same backbone gives the bytes of a backward taken right
+    after its own forward."""
 
     @pytest.mark.parametrize("arch_name", list(STEP_ARCHES))
-    def test_three_steps_bitwise_equal(self, arch_name):
+    def test_backward_after_later_passes_bitwise_equal(self, arch_name):
         arch = STEP_ARCHES[arch_name]()
-        kept, fresh = populated_backbone(arch, seed=7), populated_backbone(arch, seed=7)
-
-        def start_pass(bb):   # the fresh backbone's layers start each pass empty
-            if bb is fresh:
-                for layer in bb.layers:
-                    layer.workspace.clear()
-
+        bb = populated_backbone(arch, seed=7)
         r = np.random.default_rng(8)
         size = arch.image_size
-        # the on channels change and the last batch is short, so buffers are
-        # grown, reused whole and reused in part; "one" takes the lone-channel path
+        # the on channels change and the last batch is short; "one" takes
+        # the lone-channel path
         for kinds, n in [(("part", "part"), 32), (("all", "all"), 32), (("part", "one"), 20)]:
-            view = channel_view(kept, r, kinds, arch.group_norm)
-            x = r.normal(size=(n, arch.in_channels, size, size))
-            y = r.integers(0, 3, size=n)
-            results = []
-            for bb in (kept, fresh):
-                start_pass(bb)
-                logits, cache = forward_pass(bb, view, x, want_cache=True)
-                _, dlogits = cross_entropy(logits, y)
-                grads = backward_pass(bb, cache, dlogits)
-                for layer in bb.layers:
-                    layer.weights -= 0.1 * grads.d_eff_weights[layer.spec.name]
-                    layer.bias -= 0.1 * grads.d_bias[layer.spec.name]
-                # a validation pass between steps, in the same buffers
-                start_pass(bb)
-                val_logits = forward_pass(bb, view, x[:24])
-                results.append([("logits", logits), ("validation", val_logits),
-                                *gradient_arrays(grads)])
-            for (label, got), (_, want) in zip(*results, strict=True):
-                assert got.tobytes() == want.tobytes(), label
-            for a, b in zip(kept.layers, fresh.layers):
-                assert a.weights.tobytes() == b.weights.tobytes()
-                assert a.bias.tobytes() == b.bias.tobytes()
-        assert all(layer.workspace for layer in kept.layers)   # every layer's ops used it
+            view = channel_view(bb, r, kinds, arch.group_norm)
+            xa, xb = (r.normal(size=(n, arch.in_channels, size, size)) for _ in range(2))
+            x_val = r.normal(size=(24, arch.in_channels, size, size))
+            logits, cache = forward_pass(bb, view, xa, want_cache=True)
+            _, dlogits = cross_entropy(logits, r.integers(0, 3, size=n))
+            want = [("logits", logits), *gradient_arrays(backward_pass(bb, cache, dlogits))]
+            logits, cache = forward_pass(bb, view, xa, want_cache=True)
+            forward_pass(bb, view, xb, want_cache=True)
+            forward_pass(bb, view, x_val)
+            got = [("logits", logits), *gradient_arrays(backward_pass(bb, cache, dlogits))]
+            for (label, got_arr), (_, want_arr) in zip(got, want, strict=True):
+                assert got_arr.tobytes() == want_arr.tobytes(), label

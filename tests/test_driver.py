@@ -376,31 +376,6 @@ class TestTargetGatesGrowth:
         assert sum(grown) > 0
 
 
-class TestStepWorkspaces:
-    def test_buffers_live_across_steps_finalize_and_forgetting_check(self):
-        # every later pass of a 1-task run is no larger than its first step,
-        # so each layer keeps the buffers that step made
-        cfg = tiny_config(n_tasks=1)
-        (task,) = build_tasks(cfg)
-        root = SeededRng(cfg.seed)
-        backbone = BackboneState(cfg.arch)
-        from growcl.driver import _grow_seed_channels
-        _grow_seed_channels(backbone, root.substream("growth"))
-        trainer = TaskTrainer(backbone, task, cfg, True, root)
-        batch = np.arange(cfg.batch_size)
-        trainer.train_step(batch, 1.0)
-        first = [dict(layer.workspace) for layer in backbone.layers]
-        assert all(first)
-        for _ in range(2):   # no target, so no slot grows: every step has one shape
-            trainer.validation_accuracy()
-            trainer.train_step(batch, 1.0)
-        snapshot = trainer.finalize()
-        assert forgetting_check({1: snapshot}, backbone) == {1: True}
-        assert all(layer.workspace.keys() == before.keys()
-                   and all(layer.workspace[role] is buf for role, buf in before.items())
-                   for layer, before in zip(backbone.layers, first, strict=True))
-
-
 def after_task1(layers=None, target=0.9):
     """A grow_only backbone after task 1 (trained to ``target``), with
     UNGROWN slots left in every layer, and the task sequence; 64 training
